@@ -166,14 +166,14 @@ def _result_key(r):
     )
 
 
-def verify_bit_identity(num_tenants: int, num_packets: int, seed: int, backend: str) -> None:
+def verify_bit_identity(num_tenants: int, num_packets: int, seed: int) -> None:
     """Differential guard run before any timing: compiled results must be
     bit-identical to the interpreter on this workload."""
     from repro.fastpath import FastPathEngine
 
     ref_pipeline, tenants = build_multitenant_pipeline(num_tenants, seed)
     got_pipeline, _ = build_multitenant_pipeline(num_tenants, seed)
-    FastPathEngine.attach(got_pipeline, backend=backend)
+    FastPathEngine.attach(got_pipeline)
     ref = ref_pipeline.process_batch(make_multitenant_batch(tenants, num_packets, seed))
     got = got_pipeline.process_batch(make_multitenant_batch(tenants, num_packets, seed))
     mismatches = sum(
@@ -182,47 +182,40 @@ def verify_bit_identity(num_tenants: int, num_packets: int, seed: int, backend: 
     if mismatches:
         raise AssertionError(
             f"compiled path diverged from the interpreter on "
-            f"{mismatches}/{len(ref)} packets (backend={backend})"
+            f"{mismatches}/{len(ref)} packets"
         )
 
 
 def bench_case(num_tenants: int, num_packets: int, reps: int, seed: int) -> dict:
-    """Best-of-``reps`` pps for the interpreter and each available compiled
-    backend on one workload size."""
-    from repro.fastpath import HAS_NUMPY, FastPathEngine
+    """Best-of-``reps`` pps for the interpreter and the compiled path on
+    one workload size."""
+    from repro.fastpath import FastPathEngine
 
     pipeline, tenants = build_multitenant_pipeline(num_tenants, seed)
-    modes = [("interpreted", None)]
-    if HAS_NUMPY:
-        modes.append(("compiled_numpy", "numpy"))
-    modes.append(("compiled_python", "python"))
 
-    pps: dict[str, float] = {}
-    for mode, backend in modes:
-        if backend is None:
-            pipeline.fastpath = None
-        else:
-            engine = FastPathEngine.attach(pipeline, backend=backend)
-            # Warm the plan cache: the one-off compile is control-plane
-            # work, not packet cost (it is amortized over every batch).
-            pipeline.process_batch(make_multitenant_batch(tenants, 64, seed))
+    def best_pps() -> float:
         best = float("inf")
         for rep in range(reps):
             batch = make_multitenant_batch(tenants, num_packets, seed + rep)
             with Timer() as timer:
                 pipeline.process_batch(batch)
             best = min(best, timer.elapsed_s / len(batch))
-        pps[mode] = 1.0 / best
-        if backend is not None:
-            engine.detach()
-    compiled = pps.get("compiled_numpy", pps["compiled_python"])
+        return 1.0 / best
+
+    pps = {"interpreted": best_pps()}
+    engine = FastPathEngine.attach(pipeline)
+    # Warm the plan cache: the one-off compile is control-plane work, not
+    # packet cost (it is amortized over every batch).
+    pipeline.process_batch(make_multitenant_batch(tenants, 64, seed))
+    pps["compiled_numpy"] = best_pps()
+    engine.detach()
     return {
         "tenants": num_tenants,
         "entries": pipeline.total_entries(),
         "batch_packets": num_packets,
         "reps": reps,
         "packets_per_sec": {m: round(v, 1) for m, v in pps.items()},
-        "speedup": round(compiled / pps["interpreted"], 2),
+        "speedup": round(pps["compiled_numpy"] / pps["interpreted"], 2),
     }
 
 
@@ -247,9 +240,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.fastpath import HAS_NUMPY
-
-    backend = "numpy" if HAS_NUMPY else "python"
     if args.smoke:
         cases, reps, verify_packets = [(8, 1024)], 3, 512
         min_speedup = SMOKE_MIN_SPEEDUP
@@ -259,10 +249,10 @@ def main(argv=None) -> int:
         cases, reps, verify_packets = [(8, 2048), (20, 4096), (40, 8192)], 3, 1024
         min_speedup = FULL_MIN_SPEEDUP
 
-    verify_bit_identity(cases[-1][0], verify_packets, args.seed, backend)
+    verify_bit_identity(cases[-1][0], verify_packets, args.seed)
     print(
         f"bit-identity verified on {verify_packets} packets "
-        f"({cases[-1][0]} tenants, backend={backend})"
+        f"({cases[-1][0]} tenants)"
     )
 
     results = []
@@ -270,20 +260,17 @@ def main(argv=None) -> int:
         case = bench_case(num_tenants, num_packets, reps, args.seed)
         results.append(case)
         rates = case["packets_per_sec"]
-        line = (
+        print(
             f"{case['entries']:>6} entries, {num_tenants:>3} tenants: "
             f"interpreted {rates['interpreted']:>10,.0f} pps"
+            f"   numpy {rates['compiled_numpy']:>12,.0f} pps"
+            f"   speedup {case['speedup']:.1f}x"
         )
-        for mode in ("compiled_numpy", "compiled_python"):
-            if mode in rates:
-                line += f"   {mode.split('_')[1]} {rates[mode]:>12,.0f} pps"
-        print(line + f"   speedup {case['speedup']:.1f}x")
 
     report = {
         "benchmark": "dataplane-fastpath",
         "seed": args.seed,
         "python": sys.version.split()[0],
-        "backend": backend,
         "smoke": args.smoke,
         "min_speedup": min_speedup,
         "cases": results,

@@ -33,10 +33,9 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
 
-from repro.controller import ChurnConfig, synthesize_churn
+from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
 from repro.core.spec import SwitchSpec
 from repro.fabric import (
-    FabricChurnEngine,
     FabricOrchestrator,
     FabricTopology,
     make_partitioner,
@@ -84,7 +83,7 @@ def run_one(
         partitioner=make_partitioner(partitioner),
         with_dataplane=with_dataplane,
     )
-    report = FabricChurnEngine(fabric).replay(events)
+    report = ChurnEngine(fabric).replay(events)
     summary = report.summary()
     counters = fabric.metrics_snapshot()["counters"]
     admitted = int(summary["admitted"])

@@ -47,10 +47,9 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
 
-from repro.controller import ChurnConfig, synthesize_churn
+from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
 from repro.core.spec import SFC, SwitchSpec
 from repro.fabric import (
-    FabricChurnEngine,
     FabricOrchestrator,
     FabricTopology,
     make_partitioner,
@@ -242,8 +241,8 @@ def run_churn_pair(
 
     control = make_fabric(partitioner, with_dataplane)
     treated = make_fabric(partitioner, with_dataplane)
-    FabricChurnEngine(control).replay(phase_a)
-    FabricChurnEngine(treated).replay(phase_a)
+    ChurnEngine(control).replay(phase_a)
+    ChurnEngine(treated).replay(phase_a)
 
     # A low benefit gate lets pure balance moves through (their squared-
     # utilization gain is small per move but compounds against spillover).
@@ -258,8 +257,8 @@ def run_churn_pair(
     passes_ok = first.ok
     moves = first.migration.executed if first.migration else 0
     for i in range(0, len(phase_b), size):
-        FabricChurnEngine(control).replay(phase_b[i:i + size])
-        FabricChurnEngine(treated).replay(phase_b[i:i + size])
+        ChurnEngine(control).replay(phase_b[i:i + size])
+        ChurnEngine(treated).replay(phase_b[i:i + size])
         report = treated.reoptimize(mode=mode, min_benefit=min_benefit)
         passes_ok = passes_ok and report.ok
         moves += report.migration.executed if report.migration else 0

@@ -88,7 +88,6 @@ def bench_dataplane(
     reps: int,
     seed: int,
     fastpath: bool = False,
-    fastpath_backend: str = "auto",
 ) -> dict:
     """Best-of-``reps`` ``process_batch`` wall time per telemetry mode,
     interleaved so every mode sees the same machine conditions."""
@@ -97,12 +96,10 @@ def bench_dataplane(
     from repro.experiments.fig4_throughput import build_demo_pipeline
 
     pipeline, _virt = build_demo_pipeline(seed=seed)
-    backend = None
     if fastpath:
         from repro.fastpath import FastPathEngine
 
-        engine = FastPathEngine.attach(pipeline, backend=fastpath_backend)
-        backend = engine.backend
+        FastPathEngine.attach(pipeline)
         # Warm the plan cache so no timed run pays the one-off compile.
         pipeline.process_batch(make_batch(64, seed))
     best: dict[str, float] = {name: float("inf") for name, _ in MODES}
@@ -129,7 +126,6 @@ def bench_dataplane(
         "num_packets": num_packets,
         "reps": reps,
         "fastpath": fastpath,
-        "fastpath_backend": backend,
         "packets_per_sec": {
             name: round(num_packets / t, 1) for name, t in best.items()
         },
@@ -193,16 +189,12 @@ def run(
     duration_s: float,
     seed: int,
     fastpath: bool = False,
-    fastpath_backend: str = "auto",
 ) -> dict:
     return {
         "benchmark": "telemetry-overhead",
         "seed": seed,
         "python": sys.version.split()[0],
-        "dataplane": bench_dataplane(
-            num_packets, reps, seed,
-            fastpath=fastpath, fastpath_backend=fastpath_backend,
-        ),
+        "dataplane": bench_dataplane(num_packets, reps, seed, fastpath=fastpath),
         "control_plane": bench_control_plane(duration_s, reps, seed),
     }
 
@@ -248,11 +240,6 @@ def main(argv=None) -> int:
              "(report-only: the <1%%/<10%% bars are interpreter bars)",
     )
     parser.add_argument(
-        "--fastpath-backend",
-        choices=("auto", "numpy", "python"), default="auto",
-        help="fast-path kernel backend when --fastpath is set",
-    )
-    parser.add_argument(
         "--out",
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                              "BENCH_telemetry.json"),
@@ -274,8 +261,7 @@ def main(argv=None) -> int:
             print(f"retrying dataplane measurement with reps={reps}")
         report = run(
             num_packets=num_packets, reps=reps, duration_s=duration_s,
-            seed=args.seed,
-            fastpath=args.fastpath, fastpath_backend=args.fastpath_backend,
+            seed=args.seed, fastpath=args.fastpath,
         )
         if args.fastpath:
             # Sampled/traced packets route through the interpreter by

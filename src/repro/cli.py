@@ -190,10 +190,15 @@ def _cmd_controller(args: argparse.Namespace) -> int:
 def _cmd_fabric(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.controller import ChurnConfig, load_events, save_events, synthesize_churn
+    from repro.controller import (
+        ChurnConfig,
+        ChurnEngine,
+        load_events,
+        save_events,
+        synthesize_churn,
+    )
     from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
     from repro.fabric import (
-        FabricChurnEngine,
         FabricOrchestrator,
         FabricTopology,
         make_partitioner,
@@ -230,7 +235,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         if args.save_trace:
             save_events(args.save_trace, events, seed=args.seed, config=config)
             print(f"wrote churn trace: {args.save_trace}")
-    report = FabricChurnEngine(fabric).replay(events)
+    report = ChurnEngine(fabric).replay(events)
     print(f"fabric: {args.switches} switches ({args.partitioner}), "
           f"{len(fabric.links)} links")
     print(report.describe())
@@ -392,7 +397,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         fsync=args.fsync,
         partitioner=args.partitioner,
         fastpath=args.fastpath,
-        fastpath_backend=args.fastpath_backend,
         traffic_packets=args.traffic,
     )
     print(report.describe())
@@ -707,11 +711,10 @@ def _cmd_reoptimize(args: argparse.Namespace) -> int:
     # run one re-optimization pass over the survivors.
     from dataclasses import replace
 
-    from repro.controller import ChurnConfig, synthesize_churn
+    from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
     from repro.core.spec import SwitchSpec
     from repro.experiments.config import PAPER_WORKLOAD
     from repro.fabric import (
-        FabricChurnEngine,
         FabricOrchestrator,
         FabricTopology,
         make_partitioner,
@@ -743,7 +746,7 @@ def _cmd_reoptimize(args: argparse.Namespace) -> int:
         ),
     )
     events = synthesize_churn(config, rng=args.seed)
-    FabricChurnEngine(fabric).replay(events)
+    ChurnEngine(fabric).replay(events)
     before = fabric.summary()
     print(f"after churn: {before['tenants']} tenants live, "
           f"{before['stitched_tenants']} stitched across switches")
@@ -1039,11 +1042,6 @@ def main(argv: list[str] | None = None) -> int:
         "--fastpath", action="store_true",
         help="attach the compiled dataplane fast path to every shard "
              "pipeline (implies --dataplane)",
-    )
-    p.add_argument(
-        "--fastpath-backend",
-        choices=("auto", "numpy", "python"), default="auto",
-        help="fast-path kernel backend (auto = numpy when installed)",
     )
     p.add_argument(
         "--traffic", type=int, default=0, metavar="N",

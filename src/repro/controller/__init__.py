@@ -8,8 +8,10 @@ single lifecycle facade:
 * :mod:`~repro.controller.admission` — pre-solver admission screens;
 * :mod:`~repro.controller.install` — two-phase hitless rule installation
   over the tenant-map wire-ID indirection;
-* :mod:`~repro.controller.events` — churn synthesis, trace replay, reports;
-* :mod:`~repro.controller.metrics` — counters/gauges the benchmarks export.
+* :mod:`~repro.controller.events` — churn synthesis, trace replay, reports.
+
+The counters/gauges the benchmarks export live in
+:mod:`repro.telemetry.metrics`; the registry types are re-exported here.
 """
 
 from repro.controller.admission import (
@@ -40,7 +42,7 @@ from repro.controller.install import (
     InstallOutcome,
     TransactionalInstaller,
 )
-from repro.controller.metrics import (
+from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,

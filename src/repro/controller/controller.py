@@ -116,7 +116,6 @@ class SfcController:
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
         fastpath: bool = False,
-        fastpath_backend: str = "auto",
     ) -> None:
         """``instance`` supplies the switch, catalog size and recirculation
         budget (its candidate SFCs, if any, are *not* auto-admitted).  With
@@ -174,9 +173,7 @@ class SfcController:
                 # engine's precise invalidation layer automatically.
                 from repro.fastpath import FastPathEngine
 
-                self.fastpath = FastPathEngine.attach(
-                    self.pipeline, backend=fastpath_backend
-                )
+                self.fastpath = FastPathEngine.attach(self.pipeline)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.controller.controller import OpResult, SfcController
+from repro.controller.controller import OpResult
 from repro.core.spec import SFC
 from repro.errors import WorkloadError
 from repro.rng import make_rng
@@ -321,27 +321,33 @@ class ChurnReport:
 
 
 class ChurnEngine:
-    """Applies a churn stream to a controller, one event at a time."""
+    """Applies a churn stream, one event at a time, to any target exposing
+    ``admit(sfc)``, ``evict(tenant_id)``, ``modify(tenant_id, sfc)`` and a
+    ``metrics`` registry: one
+    :class:`~repro.controller.controller.SfcController`, or a whole
+    :class:`~repro.fabric.orchestrator.FabricOrchestrator` (its
+    ``FabricOpResult`` is field-compatible with ``OpResult`` where
+    :class:`ChurnReport` looks, so both produce the same report type)."""
 
-    def __init__(self, controller: SfcController) -> None:
-        self.controller = controller
+    def __init__(self, target) -> None:
+        self.target = target
 
     def apply(self, event: ChurnEvent) -> OpResult:
-        """Dispatch one event to the controller."""
+        """Dispatch one event to the target."""
         if event.kind is EventKind.ARRIVAL:
             if event.sfc is None:
                 raise WorkloadError(f"arrival event at t={event.time_s} has no SFC")
-            return self.controller.admit(event.sfc)
+            return self.target.admit(event.sfc)
         if event.kind is EventKind.DEPARTURE:
-            return self.controller.evict(event.tenant_id)
+            return self.target.evict(event.tenant_id)
         if event.sfc is None:
             raise WorkloadError(f"modify event at t={event.time_s} has no SFC")
-        return self.controller.modify(event.tenant_id, event.sfc)
+        return self.target.modify(event.tenant_id, event.sfc)
 
     def replay(self, events: Iterable[ChurnEvent]) -> ChurnReport:
         """Apply every event in order and collect the report."""
         report = ChurnReport()
-        with self.controller.metrics.timer("replay_wall_s") as timer:
+        with self.target.metrics.timer("replay_wall_s") as timer:
             for event in events:
                 report.results.append((event, self.apply(event)))
         report.wall_seconds = timer.elapsed_s

@@ -141,20 +141,20 @@ class ActionRegistry:
     """Name -> implementation map the pipeline resolves actions through."""
 
     def __init__(self) -> None:
-        self._actions: dict[str, ActionFn] = {}
+        self._actions: dict[str, ActionCall] = {}
 
     def register(self, name: str, fn: ActionFn) -> None:
         """Add an action implementation under a unique name."""
         if name in self._actions:
             raise DataPlaneError(f"action {name!r} already registered")
-        self._actions[name] = fn
+        self._actions[name] = ActionCall(name=name, fn=fn)
 
     def resolve(self, name: str) -> ActionCall:
         """Look up an action by name; raises on unknown actions."""
-        fn = self._actions.get(name)
-        if fn is None:
+        call = self._actions.get(name)
+        if call is None:
             raise DataPlaneError(f"unknown action {name!r}")
-        return ActionCall(name=name, fn=fn)
+        return call
 
     def names(self) -> list[str]:
         """All registered action names, sorted."""

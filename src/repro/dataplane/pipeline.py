@@ -67,7 +67,7 @@ class SwitchPipeline:
         #: Opt-in compiled fast path: attach a
         #: :class:`~repro.fastpath.engine.FastPathEngine` (via
         #: ``FastPathEngine.attach(pipeline)``) and :meth:`process_batch`
-        #: executes per-tenant compiled plans on columnar kernels, with the
+        #: executes per-tenant compiled plans on the columnar kernel, with the
         #: interpreter below kept as the differential oracle (``None`` =
         #: every batch takes the interpreted path).
         self.fastpath = None
@@ -95,7 +95,6 @@ class SwitchPipeline:
         self,
         packet: Packet,
         trace: bool = False,
-        _resolved: dict | None = None,
         _sampled: bool | None = None,
     ) -> PacketResult:
         """Push one packet through the pipeline (with recirculation).
@@ -130,10 +129,7 @@ class SwitchPipeline:
             for stage in self.stages:
                 if packet.dropped:
                     break
-                stage.apply(
-                    packet, self.actions, packet.pass_id,
-                    resolved=_resolved, card=card,
-                )
+                stage.apply(packet, self.actions, packet.pass_id, card=card)
             if packet.dropped or not packet.recirculate:
                 break
             if passes >= self.max_passes:
@@ -160,7 +156,7 @@ class SwitchPipeline:
         cross-packet contention; throughput is the latency model's job).
 
         With a :attr:`fastpath` engine attached the batch executes on
-        per-tenant compiled plans (columnar kernels); otherwise — and for
+        per-tenant compiled plans (the columnar kernel); otherwise — and for
         any packet the engine cannot or must not compile — the interpreted
         walk below runs, making it the always-available differential
         oracle for the compiled path.
@@ -173,13 +169,8 @@ class SwitchPipeline:
         self, packets: list[Packet], trace: bool = False
     ) -> list[PacketResult]:
         """The reference per-packet interpreter over a batch (the oracle
-        the compiled fast path is differentially tested against).
-
-        Batch fast path: one action-resolution memo is shared across the
-        whole batch, so each distinct action name hits the registry once.
-        """
-        resolved: dict = {}
-        return [self.process(p, trace=trace, _resolved=resolved) for p in packets]
+        the compiled fast path is differentially tested against)."""
+        return [self.process(p, trace=trace) for p in packets]
 
     # ------------------------------------------------------------------
     def total_entries(self) -> int:

@@ -72,15 +72,9 @@ class Stage:
         actions: ActionRegistry,
         pass_id: int,
         trace: list[tuple[int, int, str, str]] | None = None,
-        resolved: dict | None = None,
         card=None,
     ) -> None:
         """Run the stage's tables against ``packet`` (stops if dropped).
-
-        ``resolved`` is an optional name -> :class:`ActionCall` memo shared
-        across a batch (:meth:`SwitchPipeline.process_batch`): registry
-        resolution happens once per distinct action instead of once per
-        packet per table.
 
         ``card`` is an optional
         :class:`~repro.telemetry.postcards.PacketPostcard` under
@@ -92,14 +86,7 @@ class Stage:
             if packet.dropped:
                 return
             entry, action_name, params = table.lookup(packet)
-            if resolved is None:
-                call = actions.resolve(action_name)
-            else:
-                call = resolved.get(action_name)
-                if call is None:
-                    call = actions.resolve(action_name)
-                    resolved[action_name] = call
-            call.fn(packet, params)
+            actions.resolve(action_name).fn(packet, params)
             if trace is not None:
                 trace.append((pass_id, self.index, table.name, action_name))
             if card is not None:

@@ -338,18 +338,21 @@ def controller_manifest(controller: "SfcController") -> dict:
         "reserve_physical_block": controller.reserve_physical_block,
         "reconfigure_threshold": controller.reconfigure_threshold,
         "with_dataplane": controller.with_dataplane,
+        "fastpath": controller.fastpath is not None,
         "policy": _policy_dict(controller.policy),
     }
 
 
 def fabric_manifest(fabric: "FabricOrchestrator", partitioner_name: str) -> dict:
     """Everything needed to reconstruct an equivalent empty fabric."""
+    shard = next(iter(fabric.shards.values()))
     return {
         "kind": "fabric",
         "version": CHECKPOINT_VERSION,
         "num_types": fabric.num_types,
         "partitioner": partitioner_name,
         "with_dataplane": fabric.with_dataplane,
+        "fastpath": shard.fastpath is not None,
         "nodes": [
             {
                 "name": node.name,
@@ -364,11 +367,9 @@ def fabric_manifest(fabric: "FabricOrchestrator", partitioner_name: str) -> dict
             {"a": link.a, "b": link.b, "capacity_gbps": link.capacity_gbps}
             for link in (fabric.topology.links[k] for k in sorted(fabric.topology.links))
         ],
-        "policy": _policy_dict(next(iter(fabric.shards.values())).policy),
-        "consolidate": next(iter(fabric.shards.values())).consolidate,
-        "reserve_physical_block": next(
-            iter(fabric.shards.values())
-        ).reserve_physical_block,
+        "policy": _policy_dict(shard.policy),
+        "consolidate": shard.consolidate,
+        "reserve_physical_block": shard.reserve_physical_block,
     }
 
 

@@ -275,6 +275,7 @@ def fabric_from_manifest(
         consolidate=manifest["consolidate"],
         reserve_physical_block=manifest["reserve_physical_block"],
         recorder=recorder,
+        fastpath=manifest.get("fastpath", False),
     )
 
 
@@ -332,6 +333,7 @@ def recover_controller(
         reconfigure_threshold=manifest["reconfigure_threshold"],
         name=manifest["name"],
         recorder=FlightRecorder(),
+        fastpath=manifest.get("fastpath", False),
     )
 
     problems: list[str] = []

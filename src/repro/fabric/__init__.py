@@ -7,7 +7,6 @@ drain/failover — all behind the single tenant-facing
 :class:`FabricOrchestrator` API.
 """
 
-from repro.fabric.engine import FabricChurnEngine
 from repro.fabric.orchestrator import (
     DrainReport,
     FabricOpResult,
@@ -36,7 +35,6 @@ __all__ = [
     "PARTITIONERS",
     "ConsistentHashPartitioner",
     "DrainReport",
-    "FabricChurnEngine",
     "FabricLink",
     "FabricOpResult",
     "FabricOrchestrator",

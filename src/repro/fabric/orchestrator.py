@@ -162,7 +162,6 @@ class FabricOrchestrator:
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
         fastpath: bool = False,
-        fastpath_backend: str = "auto",
     ) -> None:
         self.topology = topology
         self.num_types = num_types
@@ -196,7 +195,6 @@ class FabricOrchestrator:
                 tracer=tracer,
                 recorder=self.recorder,
                 fastpath=fastpath,
-                fastpath_backend=fastpath_backend,
             )
         self.links: dict[LinkKey, LinkState] = {
             key: LinkState(link.capacity_gbps)

@@ -6,8 +6,7 @@ resolution — faithful, but ~5.4k packets/s.  This package compiles each
 tenant's *installed* chain once into a flat :class:`CompiledChain` — table
 refs pre-resolved, ``(tenant_id, pass_id)`` match components constant-folded
 away, action parameters pre-coerced — and executes packet batches as
-header-field *columns* (numpy when available, a pure-python scalar walk
-otherwise).
+header-field *columns* on numpy.
 
 Three pieces:
 
@@ -15,12 +14,12 @@ Three pieces:
   recirculation pass and emits the fused step list plus the invalidation
   keys (per-table generations, pipeline structure generation, the tenant
   constants the folds depended on).
-* :mod:`repro.fastpath.kernels` — the columnar batch executors.
+* :mod:`repro.fastpath.kernels` — the columnar batch kernel.
 * :mod:`repro.fastpath.engine` — the per-tenant plan cache hung on
   ``pipeline.fastpath``; :meth:`FastPathEngine.process_batch` routes traced,
   sampled, mid-recirculation or uncompilable packets to the interpreter
   (which stays the differential oracle, exactly as ``lookup_reference``
-  does for the lookup index) and everything else through the kernels.
+  does for the lookup index) and everything else through the kernel.
 
 The contract throughout: results, counters, postcards — bit-identical to
 ``SwitchPipeline.process_batch_interpreted``.
@@ -33,14 +32,12 @@ from repro.fastpath.compiler import (
     compile_chain,
 )
 from repro.fastpath.engine import FastPathEngine
-from repro.fastpath.kernels import HAS_NUMPY, NumpyKernel, PythonKernel
+from repro.fastpath.kernels import NumpyKernel
 
 __all__ = [
     "CompiledChain",
     "FastPathEngine",
-    "HAS_NUMPY",
     "NumpyKernel",
-    "PythonKernel",
     "SCALAR_ACTIONS",
     "VECTOR_ACTIONS",
     "compile_chain",

@@ -49,7 +49,7 @@ from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import SwitchPipeline
 from repro.dataplane.table import MatchActionTable, TableEntry
 
-#: Actions the kernels apply as columnar writes (semantics reimplemented,
+#: Actions the kernel applies as columnar writes (semantics reimplemented,
 #: guarded by a compile-time identity check against the canonical
 #: implementations so overridden registrations fall back).
 VECTOR_ACTIONS = frozenset(
@@ -216,7 +216,7 @@ class _Uncompilable(Exception):
 
 def _compile_binding(action: str, params: Mapping[str, object], registry) -> Binding:
     """Pre-bind one ``(action, params)`` pair; raises :class:`_Uncompilable`
-    for anything the kernels cannot reproduce exactly."""
+    for anything the kernel cannot reproduce exactly."""
     try:
         fn = registry.resolve(action).fn
     except Exception:

@@ -8,12 +8,12 @@ batches here.  Per batch the engine:
    in one lock grab (:meth:`PostcardCollector.reserve`), reproducing the
    exact 1-in-N decision sequence per-packet ``should_sample`` would make;
 2. routes to the **interpreter** (``process_batch_interpreted`` semantics,
-   shared action memo, original batch order) every packet that is traced,
+   original batch order) every packet that is traced,
    sampled, mid-recirculation (``pass_id != 1``), pre-dropped, or belongs
    to a tenant whose chain is uncompilable — postcards therefore come out
    of the oracle itself and stay bit-exact by construction;
 3. groups the rest by tenant and executes each group's
-   :class:`~repro.fastpath.compiler.CompiledChain` on the selected kernel.
+   :class:`~repro.fastpath.compiler.CompiledChain` on the kernel.
 
 Invalidation is two-layered:
 
@@ -42,32 +42,15 @@ import threading
 from repro.dataplane.lookup_index import _match_one
 from repro.dataplane.packet import Packet, PacketResult
 from repro.dataplane.pipeline import SwitchPipeline
-from repro.errors import DataPlaneError
 from repro.fastpath.compiler import CompiledChain, compile_chain
-from repro.fastpath.kernels import HAS_NUMPY, NumpyKernel, PythonKernel
+from repro.fastpath.kernels import NumpyKernel
 
 
 class FastPathEngine:
     """Compiled-plan cache + batch router for one pipeline."""
 
-    def __init__(self, pipeline: SwitchPipeline, backend: str = "auto") -> None:
-        if backend == "auto":
-            backend = "numpy" if HAS_NUMPY else "python"
-        if backend == "numpy":
-            if not HAS_NUMPY:
-                raise DataPlaneError(
-                    "fastpath backend 'numpy' requested but numpy is not "
-                    "installed (pip install 'repro[fast]')"
-                )
-            self.kernel = NumpyKernel()
-        elif backend == "python":
-            self.kernel = PythonKernel()
-        else:
-            raise DataPlaneError(
-                f"unknown fastpath backend {backend!r} "
-                "(expected 'auto', 'numpy' or 'python')"
-            )
-        self.backend = backend
+    def __init__(self, pipeline: SwitchPipeline) -> None:
+        self.kernel = NumpyKernel()
         self.pipeline = pipeline
         #: tenant id -> CompiledChain (negative entries carry
         #: ``fallback_reason`` so uncompilable tenants aren't re-analyzed
@@ -89,9 +72,9 @@ class FastPathEngine:
 
     # -- lifecycle ---------------------------------------------------------
     @classmethod
-    def attach(cls, pipeline: SwitchPipeline, backend: str = "auto") -> "FastPathEngine":
+    def attach(cls, pipeline: SwitchPipeline) -> "FastPathEngine":
         """Create an engine and hook it into ``pipeline.fastpath``."""
-        engine = cls(pipeline, backend=backend)
+        engine = cls(pipeline)
         pipeline.fastpath = engine
         return engine
 
@@ -243,12 +226,10 @@ class FastPathEngine:
         if interp:
             interp.sort()
             self.stats["interpreted_packets"] += len(interp)
-            memo: dict = {}
             for i in interp:
                 results[i] = pipeline.process(
                     packets[i],
                     trace=trace,
-                    _resolved=memo,
                     _sampled=False if sampled is None else sampled[i],
                 )
         return results  # type: ignore[return-value]
@@ -256,5 +237,5 @@ class FastPathEngine:
     def __repr__(self) -> str:
         return (
             f"FastPathEngine(pipeline={self.pipeline.name!r}, "
-            f"backend={self.backend!r}, plans={len(self._plans)})"
+            f"plans={len(self._plans)})"
         )

@@ -1,22 +1,18 @@
-"""Columnar batch kernels executing a :class:`CompiledChain`.
+"""The columnar batch kernel executing a :class:`CompiledChain`.
 
-Two interchangeable backends with one contract — given a compiled plan and
-a group of same-tenant, first-pass packets, produce *exactly* the packet
-mutations, pass counts, hit/miss counter bumps and recirculation-overflow
-accounting the interpreter would, and return the per-packet pass count:
+The contract — given a compiled plan and a group of same-tenant,
+first-pass packets, produce *exactly* the packet mutations, pass counts,
+hit/miss counter bumps and recirculation-overflow accounting the
+interpreter would, and return the per-packet pass count.
 
-* :class:`NumpyKernel` — header fields become int64 columns; each compiled
-  step evaluates its rank-ordered entries as boolean masks over the still-
-  unassigned packets, applies bindings per winner-group as masked columnar
-  writes, and recirculation is a masked pass loop.  Per-packet Python work
-  is O(1): column load and writeback.
-* :class:`PythonKernel` — the numpy-free fallback (the ``repro[fast]``
-  extra is optional): a scalar walk over the *compiled* plan, still
-  skipping the interpreter's per-packet dict lookups, registry resolution
-  and stage dispatch.
+:class:`NumpyKernel` turns header fields into int64 columns; each compiled
+step evaluates its rank-ordered entries as boolean masks over the still-
+unassigned packets, applies bindings per winner-group as masked columnar
+writes, and recirculation is a masked pass loop.  Per-packet Python work
+is O(1): column load and writeback.
 
 Counter exactness: the interpreter performs one lookup per live packet per
-table application, so the kernels bump ``table.hits``/``table.misses`` by
+table application, so the kernel bumps ``table.hits``/``table.misses`` by
 the matched/unassigned cardinalities of each step — identical totals, in
 bulk.  Dropped packets leave the active set immediately (no later table
 sees them) and their REC flag freezes as-is, mirroring the interpreter's
@@ -25,15 +21,9 @@ mid-stage break.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.fastpath.compiler import Binding, CompiledChain, FoldedStep
-
-try:  # pragma: no cover - exercised implicitly by backend selection
-    import numpy as _np
-
-    HAS_NUMPY = True
-except Exception:  # pragma: no cover - numpy genuinely absent
-    _np = None
-    HAS_NUMPY = False
 
 #: Header/metadata fields materialized as columns (everything a match key
 #: may read or a vector action may write, minus the pass/flag state the
@@ -51,15 +41,6 @@ COLUMN_FIELDS = (
 
 class NumpyKernel:
     """Vectorized plan execution over int64 header columns."""
-
-    backend = "numpy"
-
-    def __init__(self) -> None:
-        if not HAS_NUMPY:
-            raise RuntimeError(
-                "numpy is not available; install the repro[fast] extra "
-                "or use PythonKernel"
-            )
 
     def run(self, plan: CompiledChain, packets: list, pipeline) -> list[int]:
         """Execute ``plan`` over same-tenant first-pass ``packets``,
@@ -198,84 +179,3 @@ class NumpyKernel:
             egress_set[mask] = True
         if b.rec:
             rec[mask] = True
-
-
-class PythonKernel:
-    """Scalar plan execution — the numpy-free fallback backend.
-
-    Still considerably faster than the interpreter: the compiled plan has
-    pre-filtered other tenants' entries, pre-resolved tables/actions and
-    pre-coerced parameters, so the per-packet walk is branchy but lean.
-    """
-
-    backend = "python"
-
-    def run(self, plan: CompiledChain, packets: list, pipeline) -> list[int]:
-        """Same contract as :meth:`NumpyKernel.run`, one packet at a time,
-        operating directly on the real :class:`Packet` objects."""
-        max_passes = len(plan.passes)
-        passes_out = []
-        for pkt in packets:
-            passes = 0
-            for pi, steps in enumerate(plan.passes):
-                passes = pi + 1
-                pkt.recirculate = False
-                for step in steps:
-                    if pkt.dropped:
-                        break
-                    if isinstance(step, FoldedStep):
-                        if step.hit:
-                            step.table.hits += 1
-                        else:
-                            step.table.misses += 1
-                        self._apply(step.binding, pkt)
-                        continue
-                    winner = None
-                    for ce in step.entries:
-                        matched = True
-                        for pred in ce.preds:
-                            if not self._check(pred, pkt):
-                                matched = False
-                                break
-                        if matched:
-                            winner = ce
-                            break
-                    if winner is not None:
-                        step.table.hits += 1
-                        self._apply(winner.binding, pkt)
-                    else:
-                        step.table.misses += 1
-                        self._apply(step.default, pkt)
-                if pkt.dropped or not pkt.recirculate:
-                    break
-                if passes >= max_passes:
-                    pipeline.recirculation_overflows += 1
-                    break
-                pkt.pass_id += 1
-            passes_out.append(passes)
-        return passes_out
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check(pred: tuple, pkt) -> bool:
-        kind = pred[0]
-        if kind == "exact":
-            return getattr(pkt, pred[1]) == pred[2]
-        if kind == "mask":
-            return (getattr(pkt, pred[1]) & pred[2]) == pred[3]
-        return pred[2] <= getattr(pkt, pred[1]) <= pred[3]
-
-    @staticmethod
-    def _apply(b: Binding, pkt) -> None:
-        if b.kind == "scalar":
-            b.fn(pkt, b.params)
-            return
-        if b.drop:
-            pkt.dropped = True
-            return
-        for fname, value in b.writes:
-            setattr(pkt, fname, value)
-        if b.egress is not None:
-            pkt.egress_port = b.egress
-        if b.rec:
-            pkt.recirculate = True

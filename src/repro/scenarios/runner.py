@@ -2,7 +2,7 @@
 
 :class:`ScenarioRunner` drives a :class:`~repro.fabric.orchestrator.
 FabricOrchestrator` with a compiled campaign stream: lifecycle events go
-through the normal :class:`~repro.fabric.engine.FabricChurnEngine` dispatch
+through the normal :class:`~repro.controller.events.ChurnEngine` dispatch
 (admit / evict / modify), ``drain``/``undrain`` events call the fabric's
 failover API, ``reoptimize`` events run a fabric-wide global
 re-optimization pass (hitless migration included), and every ``phase``
@@ -20,9 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.controller.events import ChurnReport
+from repro.controller.events import ChurnEngine, ChurnReport
 from repro.errors import ScenarioError
-from repro.fabric.engine import FabricChurnEngine
 from repro.fabric.orchestrator import FabricOrchestrator
 from repro.fabric.partitioner import make_partitioner
 from repro.scenarios.compile import (
@@ -196,7 +195,7 @@ class ScenarioRunner:
         traffic_seed: int = 0,
     ) -> None:
         self.fabric = fabric
-        self.engine = FabricChurnEngine(fabric)
+        self.engine = ChurnEngine(fabric)
         #: Audit the fabric at every phase boundary (the acceptance mode).
         #: Switching it off skips the O(state) recompute for pure
         #: throughput measurements; digests are still recorded.
@@ -317,7 +316,6 @@ def run_campaign(
     partitioner: str | None = None,
     check_invariants: bool = True,
     fastpath: bool = False,
-    fastpath_backend: str = "auto",
     traffic_packets: int = 0,
 ) -> tuple[FabricOrchestrator, CampaignReport]:
     """Compile ``spec``, build its fabric (journaling to ``wal_dir`` when
@@ -335,7 +333,6 @@ def run_campaign(
         with_dataplane=with_dataplane or fastpath,
         partitioner=partitioner,
         fastpath=fastpath,
-        fastpath_backend=fastpath_backend,
     )
     durability = None
     if wal_dir is not None:

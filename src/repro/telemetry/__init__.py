@@ -11,8 +11,7 @@ slowing them down:
   tree), exportable as JSONL and Chrome ``trace_event`` JSON;
 * :mod:`~repro.telemetry.recorder` — a bounded flight recorder the fabric
   dumps automatically when an invariant audit or a drain goes sideways;
-* :mod:`~repro.telemetry.metrics` — counters/gauges/histograms/timers
-  (moved here from ``repro.controller.metrics``, which remains a shim);
+* :mod:`~repro.telemetry.metrics` — counters/gauges/histograms/timers;
 * :mod:`~repro.telemetry.export` — Prometheus text-format rendering of
   registry snapshots.
 

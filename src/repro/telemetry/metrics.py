@@ -21,9 +21,6 @@ carry their own mutex and the registry serializes get-or-create and
 snapshots, so the concurrent front end's shard workers
 (:mod:`repro.frontend.workers`) can hammer one shared registry without
 corrupting counts or tearing snapshots mid-update.
-
-Historically this module lived at ``repro.controller.metrics``; that path
-remains as a re-export shim.
 """
 
 from __future__ import annotations

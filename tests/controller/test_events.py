@@ -13,8 +13,8 @@ from repro.controller.events import (
     synthesize_churn,
 )
 from repro.controller.controller import SfcController
-from repro.controller.metrics import MetricsRegistry
 from repro.errors import PlacementError, WorkloadError
+from repro.telemetry.metrics import MetricsRegistry
 from repro.traffic.workload import WorkloadConfig
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.controller.metrics import (
+from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,

@@ -91,6 +91,14 @@ def test_unknown_action_rejected(actions):
         actions.resolve("teleport")
 
 
+def test_resolve_returns_the_call_built_at_registration(actions):
+    call = actions.resolve("set_dscp")
+    assert actions.resolve("set_dscp") is call
+    assert call.name == "set_dscp"
+    with pytest.raises(DataPlaneError):
+        actions.resolve("set_dscpp")
+
+
 def test_duplicate_registration_rejected(actions):
     with pytest.raises(DataPlaneError):
         actions.register("drop", lambda p, params: None)

@@ -10,8 +10,6 @@ sampling) the postcard stream.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.dataplane.pipeline import SwitchPipeline
 from repro.dataplane.runtime_api import RuntimeAPI
 from repro.dataplane.table import (
@@ -22,7 +20,7 @@ from repro.dataplane.table import (
 )
 from repro.dataplane.virtualization import LogicalNF, LogicalSFC, SFCVirtualizer
 from repro.core.spec import SwitchSpec
-from repro.fastpath import HAS_NUMPY, FastPathEngine
+from repro.fastpath import FastPathEngine
 from repro.nfs import get_nf, install_physical_nf
 from repro.rng import make_rng
 from repro.telemetry import PostcardCollector
@@ -30,8 +28,6 @@ from repro.traffic.flows import FlowGenerator
 
 CHAIN = ("firewall", "traffic_classifier", "load_balancer", "router")
 TENANTS = (1, 2, 3)
-
-BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
 
 
 #: Broad low-priority rules guaranteeing hits (generated NF rules match
@@ -109,13 +105,12 @@ def assert_identical(ref_pipeline, got_pipeline, ref_results, got_results):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_single_pass_chains_bit_identical(backend):
+def test_single_pass_chains_bit_identical():
     """500+ packets (per the three tenants together, >170 each) through
     the 4-stage single-pass layout."""
     ref = build_pipeline(stages=4)
     got = build_pipeline(stages=4)
-    engine = FastPathEngine.attach(got, backend=backend)
+    engine = FastPathEngine.attach(got)
     ref_results = ref.process_batch(make_batch(180))
     got_results = got.process_batch(make_batch(180))
     assert len(got_results) == 540
@@ -124,21 +119,19 @@ def test_single_pass_chains_bit_identical(backend):
     assert engine.stats["interpreted_packets"] == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_folded_chains_recirculate_identically(backend):
+def test_folded_chains_recirculate_identically():
     """On a 2-stage pipeline the 4-NF chain folds across two passes; the
     static recirculation plan must replay the interpreter exactly."""
     ref = build_pipeline(stages=2)
     got = build_pipeline(stages=2)
-    FastPathEngine.attach(got, backend=backend)
+    FastPathEngine.attach(got)
     ref_results = ref.process_batch(make_batch(180))
     got_results = got.process_batch(make_batch(180))
     assert any(r.passes > 1 for r in ref_results), "workload never folded"
     assert_identical(ref, got, ref_results, got_results)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_recirculation_overflow_counted_identically(backend):
+def test_recirculation_overflow_counted_identically():
     """A rule that recirculates on every pass overflows the budget; the
     kernels must freeze state and bump the counter like the interpreter."""
 
@@ -161,7 +154,7 @@ def test_recirculation_overflow_counted_identically(backend):
         return pl
 
     ref, got = build(), build()
-    FastPathEngine.attach(got, backend=backend)
+    FastPathEngine.attach(got)
     gen = FlowGenerator(5)
     flows = gen.flows(8, tenant_id=1)
     ref_results = ref.process_batch(gen.packets(flows, 64, size_bytes=64))
@@ -175,14 +168,13 @@ def test_recirculation_overflow_counted_identically(backend):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_rule_churn_between_batches_stays_identical(backend):
+def test_rule_churn_between_batches_stays_identical():
     """Admit-style churn through RuntimeAPI between batches: the engine
     must invalidate exactly the written tenant and keep matching the
     oracle afterwards."""
     ref = build_pipeline(stages=4)
     got = build_pipeline(stages=4)
-    engine = FastPathEngine.attach(got, backend=backend)
+    engine = FastPathEngine.attach(got)
 
     assert_identical(
         ref, got,
@@ -216,15 +208,14 @@ def test_rule_churn_between_batches_stays_identical(backend):
     assert engine.stats["compiles"] == compiles_before + 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_postcards_bit_identical_under_sampling(backend):
+def test_postcards_bit_identical_under_sampling():
     """1-in-N sampled postcards out of the fast path must be the exact
     cards (and counters) the pure interpreter would emit."""
     ref = build_pipeline(stages=2)
     got = build_pipeline(stages=2)
     ref.telemetry = PostcardCollector(sample_every=7, capacity=4096)
     got.telemetry = PostcardCollector(sample_every=7, capacity=4096)
-    engine = FastPathEngine.attach(got, backend=backend)
+    engine = FastPathEngine.attach(got)
 
     for seed in (3, 9):  # two batches: the counter must carry across
         ref_results = ref.process_batch(make_batch(70, seed=seed))
@@ -240,12 +231,11 @@ def test_postcards_bit_identical_under_sampling(backend):
     assert engine.stats["interpreted_packets"] == got.telemetry.postcards_sampled
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_trace_requests_route_to_interpreter(backend):
+def test_trace_requests_route_to_interpreter():
     """``trace=True`` batches must produce interpreter postcards."""
     ref = build_pipeline(stages=2)
     got = build_pipeline(stages=2)
-    FastPathEngine.attach(got, backend=backend)
+    FastPathEngine.attach(got)
     ref_results = ref.process_batch(make_batch(8), trace=True)
     got_results = got.process_batch(make_batch(8), trace=True)
     assert_identical(ref, got, ref_results, got_results)
@@ -254,8 +244,7 @@ def test_trace_requests_route_to_interpreter(backend):
         assert a.postcard.to_dict() == b.postcard.to_dict()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_scalar_state_actions_stay_identical(backend):
+def test_scalar_state_actions_stay_identical():
     """``count``/``rate_limit`` mutate per-packet scratch state (token
     buckets, counters) and can drop or recirculate; the kernels call the
     real registered functions, so scratch, drops and REC must all match
@@ -286,7 +275,7 @@ def test_scalar_state_actions_stay_identical(backend):
         return pl
 
     ref, got = build(), build()
-    FastPathEngine.attach(got, backend=backend)
+    FastPathEngine.attach(got)
     gen = FlowGenerator(4)
     flows = gen.flows(16, tenant_id=1)
     ref_results = ref.process_batch(gen.packets(flows, 200, size_bytes=64))

@@ -10,7 +10,7 @@ exactly the LSN its surviving log reaches.
 
 import pytest
 
-from repro.controller import synthesize_churn
+from repro.controller import ChurnEngine, synthesize_churn
 from repro.durability import (
     DISK_MODES,
     CrashError,
@@ -21,7 +21,6 @@ from repro.durability import (
     mutilate,
     recover_fabric,
 )
-from repro.fabric import FabricChurnEngine
 from tests.durability.conftest import SWEEP_CHURN, SWEEP_SEED, chain, make_fabric
 
 #: Upper bound on WAL-append ordinals: the sweep stream commits ~430 fabric
@@ -47,7 +46,7 @@ def oracle(sweep_events, tmp_path_factory):
     durability = FabricDurability(directory, fsync="always", checkpoint_every=0)
     durability.attach(fabric)
     digests = {0: fabric.digest()}
-    FabricChurnEngine(fabric).replay(sweep_events)
+    ChurnEngine(fabric).replay(sweep_events)
     for record in durability.wal.records():
         digests[record.lsn] = record.data["digest"]
     durability.close()
@@ -67,7 +66,7 @@ def crash_run(tmp_path, events, point, mode):
         fault_hook=FaultInjector(point),
     )
     durability.attach(fabric)
-    engine = FabricChurnEngine(fabric)
+    engine = ChurnEngine(fabric)
     crashed = False
     try:
         for event in events:
@@ -113,7 +112,7 @@ def test_fsync_off_crash_can_lose_everything_but_stays_consistent(
         fault_hook=FaultInjector(CrashPoint("wal.after-append", at=120)),
     )
     durability.attach(fabric)
-    engine = FabricChurnEngine(fabric)
+    engine = ChurnEngine(fabric)
     with pytest.raises(CrashError):
         for event in sweep_events:
             engine.apply(event)

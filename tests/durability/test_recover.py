@@ -17,7 +17,6 @@ from repro.durability import (
     recover_fabric,
     scan_wal,
 )
-from repro.fabric import FabricChurnEngine
 from tests.durability.conftest import (
     SWEEP_CHURN,
     SWEEP_SEED,
@@ -227,12 +226,12 @@ def test_fabric_churn_with_drain_recovers_bit_identical(tmp_path):
         tmp_path, fsync="always", checkpoint_every=0
     )
     events = churn_events(n=80)
-    FabricChurnEngine(fabric).replay(events[:40])
+    ChurnEngine(fabric).replay(events[:40])
     names = fabric.topology.switch_names
     fabric.drain(names[1])
-    FabricChurnEngine(fabric).replay(events[40:60])
+    ChurnEngine(fabric).replay(events[40:60])
     fabric.undrain(names[1])
-    FabricChurnEngine(fabric).replay(events[60:])
+    ChurnEngine(fabric).replay(events[60:])
     live_digest = fabric.digest()
     durability.close()
     ops = {r.op for r in scan_wal(durability.wal.path).records}
@@ -250,7 +249,7 @@ def test_fabric_recovery_restores_from_checkpoint(tmp_path):
     fabric, durability = durable_fabric(
         tmp_path, fsync="always", checkpoint_every=24
     )
-    FabricChurnEngine(fabric).replay(churn_events(n=120))
+    ChurnEngine(fabric).replay(churn_events(n=120))
     live_digest = fabric.digest()
     assert durability.checkpoints_taken >= 1
     durability.close()
@@ -260,6 +259,48 @@ def test_fabric_recovery_restores_from_checkpoint(tmp_path):
     assert report.checkpoint_lsn > 0
     assert recovered.digest() == live_digest
     assert recovered.check_invariant() == []
+
+
+def shard_traffic(fabric):
+    """One seeded multi-tenant batch through every shard pipeline, as
+    comparable per-packet tuples (minus ``tenant_id``: the wire ID it is
+    rewritten to carries an install epoch that recovery renumbers)."""
+    from repro.traffic.flows import FlowGenerator
+
+    out = {}
+    for name, shard in fabric.shards.items():
+        batch = []
+        for tenant_id in sorted(shard.tenants):
+            gen = FlowGenerator(tenant_id)
+            batch.extend(
+                gen.packets(gen.flows(4, tenant_id=tenant_id), 8, size_bytes=64)
+            )
+        out[name] = [
+            (
+                r.packet.src_ip, r.packet.dst_ip, r.packet.dscp,
+                r.packet.egress_port, r.packet.dropped, r.passes,
+            )
+            for r in shard.pipeline.process_batch(batch)
+        ]
+    return out
+
+
+def test_fabric_recovery_reattaches_the_fast_path(tmp_path):
+    fabric = make_fabric(with_dataplane=True, fastpath=True)
+    durability = FabricDurability(tmp_path, fsync="always", checkpoint_every=24)
+    durability.attach(fabric)
+    ChurnEngine(fabric).replay(churn_events(n=60))
+    live = shard_traffic(fabric)
+    assert sum(len(rows) for rows in live.values()) > 0
+    durability.abort()
+
+    recovered, report = recover_fabric(tmp_path)
+    assert report.ok
+    assert all(s.fastpath is not None for s in recovered.shards.values())
+    assert shard_traffic(recovered) == live
+    assert sum(
+        s.fastpath.stats["compiled_packets"] for s in recovered.shards.values()
+    ) > 0
 
 
 def test_crash_mid_drain_recovers_pre_drain_state(tmp_path):
@@ -295,7 +336,7 @@ def test_fabric_abort_with_torn_tail_recovers(tmp_path):
     fabric, durability = durable_fabric(
         tmp_path, fsync="batch", batch_every=8, checkpoint_every=0
     )
-    FabricChurnEngine(fabric).replay(churn_events(n=90))
+    ChurnEngine(fabric).replay(churn_events(n=90))
     genesis = make_fabric().digest()
     durability.abort()
     mutilate(durability.wal.path, "tear")

@@ -16,9 +16,8 @@ Replay a 500+-event seeded churn stream over a 4-switch fabric and require:
 
 import pytest
 
-from repro.controller import ChurnConfig, synthesize_churn
+from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
 from repro.fabric import (
-    FabricChurnEngine,
     FabricOrchestrator,
     FabricTopology,
     make_partitioner,
@@ -53,7 +52,7 @@ def test_fabric_churn_invariant_bit_identical(events, strategy):
     fabric = FabricOrchestrator(
         topo, num_types=6, partitioner=make_partitioner(strategy)
     )
-    engine = FabricChurnEngine(fabric)
+    engine = ChurnEngine(fabric)
     for i, event in enumerate(events):
         engine.apply(event)
         if i % 100 == 0:  # audit mid-stream, not only at the end
@@ -67,7 +66,7 @@ def test_fabric_churn_invariant_bit_identical(events, strategy):
 def test_drain_after_churn_keeps_every_rehomed_chain_forwarding(events):
     topo = FabricTopology.full_mesh(4)
     fabric = FabricOrchestrator(topo, num_types=6)
-    report = FabricChurnEngine(fabric).replay(events)
+    report = ChurnEngine(fabric).replay(events)
     assert report.num_events == len(events)
     assert fabric.check_invariant() == []
 
@@ -93,7 +92,7 @@ def test_drain_after_churn_keeps_every_rehomed_chain_forwarding(events):
     # Churn keeps working on the degraded fabric.
     more = synthesize_churn(CONFIG, rng=DEFAULT_SEED + 1)
     shifted = [e for e in more if e.kind.value != "modify"][:100]
-    engine = FabricChurnEngine(fabric)
+    engine = ChurnEngine(fabric)
     for event in shifted:
         # Re-used tenant ids collide with churn survivors; that is fine —
         # the orchestrator rejects duplicates and the invariant must hold

@@ -1,11 +1,9 @@
 """Unit tests for fast-path fallback behaviour: uncompilable tenants take
-the interpreter, backend selection degrades without numpy, and special
+the interpreter, the engine runs the numpy kernel, and special
 packets (traced / sampled / mid-recirculation / pre-dropped) route to the
 oracle."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.spec import SwitchSpec
 from repro.dataplane.packet import Packet
@@ -16,9 +14,8 @@ from repro.dataplane.table import (
     MatchKind,
     TableEntry,
 )
-from repro.errors import DataPlaneError
-from repro.fastpath import HAS_NUMPY, FastPathEngine
-from repro.fastpath.kernels import NumpyKernel, PythonKernel
+from repro.fastpath import FastPathEngine
+from repro.fastpath.kernels import NumpyKernel
 
 
 def build_pipeline():
@@ -36,7 +33,7 @@ def build_pipeline():
         match={"tenant_id": 1, "dst_port": (0, 1023)},
         action="set_dscp", params={"dscp": 7},
     ))
-    # Tenant 2's chain uses an action the kernels refuse to reproduce.
+    # Tenant 2's chain uses an action the kernel refuses to reproduce.
     t.insert(TableEntry(
         match={"tenant_id": 2, "dst_port": (0, 65535)},
         action="mystery", params={},
@@ -52,13 +49,14 @@ def batch(tenant_id, n=16):
 
 def test_uncompilable_tenant_takes_interpreter_and_matches_it():
     ref, got = build_pipeline(), build_pipeline()
-    engine = FastPathEngine.attach(got, backend="python")
+    engine = FastPathEngine.attach(got)
     ref_results = ref.process_batch(batch(2) + batch(1))
     got_results = got.process_batch(batch(2) + batch(1))
     for a, b in zip(ref_results, got_results):
         assert (a.packet.dscp, a.packet.dropped, a.passes) == (
             b.packet.dscp, b.packet.dropped, b.passes
         )
+    assert isinstance(engine.kernel, NumpyKernel)
     assert engine.stats["fallback_packets"] == 16
     assert engine.stats["interpreted_packets"] == 16
     assert engine.stats["compiled_packets"] == 16
@@ -66,7 +64,7 @@ def test_uncompilable_tenant_takes_interpreter_and_matches_it():
 
 def test_negative_plan_is_cached_not_reclassified():
     pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     pipeline.process_batch(batch(2))
     compiles = engine.stats["compiles"]
     pipeline.process_batch(batch(2))
@@ -76,7 +74,7 @@ def test_negative_plan_is_cached_not_reclassified():
 
 def test_special_packets_route_to_interpreter():
     pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     mid_recirc = Packet(tenant_id=1, dst_port=80, pass_id=2)
     pre_dropped = Packet(tenant_id=1, dst_port=81)
     pre_dropped.dropped = True
@@ -88,52 +86,16 @@ def test_special_packets_route_to_interpreter():
 
 def test_trace_batches_are_fully_interpreted():
     pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     results = pipeline.process_batch(batch(1, 4), trace=True)
     assert engine.stats["interpreted_packets"] == 4
     assert engine.stats["compiled_packets"] == 0
     assert all(r.postcard is not None for r in results)
 
 
-def test_explicit_python_backend():
-    pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
-    assert isinstance(engine.kernel, PythonKernel)
-    assert engine.backend == "python"
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-def test_auto_prefers_numpy_when_available():
-    engine = FastPathEngine.attach(build_pipeline())
-    assert isinstance(engine.kernel, NumpyKernel)
-    assert engine.backend == "numpy"
-
-
-def test_auto_degrades_to_python_without_numpy(monkeypatch):
-    import repro.fastpath.engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "HAS_NUMPY", False)
-    engine = FastPathEngine.attach(build_pipeline(), backend="auto")
-    assert isinstance(engine.kernel, PythonKernel)
-    assert engine.backend == "python"
-
-
-def test_numpy_backend_errors_without_numpy(monkeypatch):
-    import repro.fastpath.engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "HAS_NUMPY", False)
-    with pytest.raises(DataPlaneError, match="repro\\[fast\\]"):
-        FastPathEngine(build_pipeline(), backend="numpy")
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(DataPlaneError, match="unknown fastpath backend"):
-        FastPathEngine(build_pipeline(), backend="fortran")
-
-
 def test_detach_restores_interpreter():
     pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     assert pipeline.fastpath is engine
     engine.detach()
     assert pipeline.fastpath is None

@@ -45,7 +45,7 @@ def pipeline():
 
 @pytest.fixture()
 def engine(pipeline):
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     engine.plan_for(1)
     engine.plan_for(2)
     assert engine.cached_plans == 2

@@ -1,5 +1,4 @@
-"""The Timer satellite: registry stopwatches and the back-compat shim for
-the metrics module's old ``repro.controller.metrics`` home."""
+"""The Timer satellite: registry stopwatches."""
 
 import time
 
@@ -42,17 +41,3 @@ def test_timer_observes_even_when_body_raises():
     except RuntimeError:
         pass
     assert registry.snapshot()["histograms"]["failing_op_s"]["count"] == 1
-
-
-def test_controller_metrics_shim_reexports_the_same_objects():
-    import repro.controller.metrics as shim
-    import repro.telemetry.metrics as real
-
-    assert shim.MetricsRegistry is real.MetricsRegistry
-    assert shim.Counter is real.Counter
-    assert shim.Gauge is real.Gauge
-    assert shim.Histogram is real.Histogram
-    assert shim.Timer is real.Timer
-    assert shim.DEFAULT_LATENCY_BUCKETS is real.DEFAULT_LATENCY_BUCKETS
-    # Instances cross the shim boundary transparently.
-    assert isinstance(shim.MetricsRegistry(), real.MetricsRegistry)
