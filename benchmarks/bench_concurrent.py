@@ -14,8 +14,10 @@ The workers win not by CPU parallelism (CPython, one core) but by
 overlapping fdatasync waits: the GIL is released inside the syscall, so
 while one shard's WAL flush is parked in the kernel the other workers
 keep admitting, and concurrent committers on the shared fabric journal
-ride the WAL's leader-based group commit.  Results go to
-``BENCH_concurrent.json``.
+ride the WAL's leader-based group commit.  Both modes append one record
+per op to the one fabric journal; the serial driver holds every shard lock
+and journals the fabric-wide digest per op, the pool's fast paths hold one
+and journal that shard's digest.  Results go to ``BENCH_concurrent.json``.
 
 The run also snapshots the live WAL directory *mid-load* (a simulated
 crash, torn tail and all) and recovers from the copy: the recovered
@@ -98,11 +100,8 @@ def make_fabric(num_switches: int, wal_dir: str) -> FabricOrchestrator:
 
 
 def run_serial(num_switches: int, load: list[Intent], wal_dir: str) -> dict:
-    """Baseline: the same intents through the public methods, one thread.
-    ``journal_digests`` is off, matching what the pool journals — the two
-    modes do identical durable work per op."""
+    """Baseline: the same intents through the public methods, one thread."""
     fabric = make_fabric(num_switches, wal_dir)
-    fabric.journal_digests = False
     t0 = time.perf_counter()
     for intent in load:
         if intent.kind == "admit":
@@ -243,11 +242,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                             "BENCH_concurrent.json"),
-        help="where to write the JSON report (default: repo root)",
+        default=None,
+        help="where to write the JSON report (default: BENCH_concurrent.json at "
+             "the repo root; BENCH_concurrent.smoke.json with --smoke, so a "
+             "smoke run never overwrites the committed full-run numbers)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..",
+            "BENCH_concurrent.smoke.json" if args.smoke else "BENCH_concurrent.json",
+        )
 
     num_tenants = args.tenants or (60 if args.smoke else 250)
     switch_counts = (1, 2) if args.smoke else (1, 2, 4)

@@ -234,11 +234,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                             "BENCH_dataplane.json"),
-        help="where to write the JSON report (default: repo root)",
+        default=None,
+        help="where to write the JSON report (default: BENCH_dataplane.json at "
+             "the repo root; BENCH_dataplane.smoke.json with --smoke, so a "
+             "smoke run never overwrites the committed full-run numbers)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..",
+            "BENCH_dataplane.smoke.json" if args.smoke else "BENCH_dataplane.json",
+        )
 
     if args.smoke:
         cases, reps, verify_packets = [(8, 1024)], 3, 512

@@ -244,10 +244,12 @@ def run(smoke: bool) -> dict:
     oracle = build_oracle(events)
     replication = measure_replication(events)
     sites = WAL_SITES if smoke else DURABILITY_SITES
-    # Ordinals up to roughly the stream's committed-op count: every site
-    # gets its first visit, its last reachable one, and seeded middles;
-    # points past a site's actual visit count crash at stream end instead
-    # (still a valid kill+failover drill).
+    # One journal at fsync=always: each WAL site is visited once per
+    # committed op, so a WAL ordinal is an LSN.  Half the event count is
+    # 60-85% of the stream's committed ops: every site gets its first
+    # visit, a late one, and seeded middles; points past a site's actual
+    # visit count (the rename windows see a handful) crash at stream end
+    # instead (still a valid kill+failover drill).
     points = crash_sites(DEFAULT_SEED, max(len(events) // 2, 2), sites=sites)
     sweep = failover_sweep(events, oracle, points)
     failover_times = [row["failover_ms"] for row in sweep]
@@ -279,11 +281,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                             "BENCH_ha.json"),
-        help="where to write the JSON report (default: repo root)",
+        default=None,
+        help="where to write the JSON report (default: BENCH_ha.json at "
+             "the repo root; BENCH_ha.smoke.json with --smoke, so a "
+             "smoke run never overwrites the committed full-run numbers)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..",
+            "BENCH_ha.smoke.json" if args.smoke else "BENCH_ha.json",
+        )
 
     report = run(smoke=args.smoke)
 

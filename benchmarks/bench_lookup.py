@@ -176,11 +176,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                             "BENCH_lookup.json"),
-        help="where to write the JSON report (default: repo root)",
+        default=None,
+        help="where to write the JSON report (default: BENCH_lookup.json at "
+             "the repo root; BENCH_lookup.smoke.json with --smoke, so a "
+             "smoke run never overwrites the committed full-run numbers)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..",
+            "BENCH_lookup.smoke.json" if args.smoke else "BENCH_lookup.json",
+        )
 
     if args.smoke:
         report = run(sizes=[10_000], min_time_s=0.1, with_pipeline=False)

@@ -220,11 +220,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                             "BENCH_recovery.json"),
-        help="where to write the JSON report (default: repo root)",
+        default=None,
+        help="where to write the JSON report (default: BENCH_recovery.json at "
+             "the repo root; BENCH_recovery.smoke.json with --smoke, so a "
+             "smoke run never overwrites the committed full-run numbers)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..",
+            "BENCH_recovery.smoke.json" if args.smoke else "BENCH_recovery.json",
+        )
 
     duration = 15.0 if args.smoke else 45.0
     report = run(duration_s=duration)

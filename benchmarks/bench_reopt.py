@@ -325,11 +325,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                             "BENCH_reopt.json"),
-        help="where to write the JSON report (default: repo root)",
+        default=None,
+        help="where to write the JSON report (default: BENCH_reopt.json at "
+             "the repo root; BENCH_reopt.smoke.json with --smoke, so a "
+             "smoke run never overwrites the committed full-run numbers)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..",
+            "BENCH_reopt.smoke.json" if args.smoke else "BENCH_reopt.json",
+        )
 
     duration = 10.0 if args.smoke else 30.0
     report = run(duration_s=duration, with_dataplane=True, mode=args.mode)

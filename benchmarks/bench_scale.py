@@ -185,11 +185,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                             "BENCH_scale.json"),
-        help="where to write the JSON report (default: repo root)",
+        default=None,
+        help="where to write the JSON report (default: BENCH_scale.json at "
+             "the repo root; BENCH_scale.smoke.json with --smoke, so a "
+             "smoke run never overwrites the committed full-run numbers)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..",
+            "BENCH_scale.smoke.json" if args.smoke else "BENCH_scale.json",
+        )
 
     num_tenants = args.tenants or (SMOKE_TENANTS if args.smoke else FULL_TENANTS)
     fleets = SMOKE_FLEETS if args.smoke else FULL_FLEETS

@@ -241,11 +241,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                             "BENCH_telemetry.json"),
-        help="where to write the JSON report (default: repo root)",
+        default=None,
+        help="where to write the JSON report (default: BENCH_telemetry.json at "
+             "the repo root; BENCH_telemetry.smoke.json with --smoke, so a "
+             "smoke run never overwrites the committed full-run numbers)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..",
+            "BENCH_telemetry.smoke.json" if args.smoke else "BENCH_telemetry.json",
+        )
 
     if args.smoke:
         num_packets, reps, duration_s = 1500, 7, 3.0

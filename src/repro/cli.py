@@ -977,8 +977,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--wal-dir", default=None, metavar="DIR",
-        help="journal every committed fabric op (plus per-switch WAL "
-             "shards) to DIR (recover later with `sfp recover DIR`)",
+        help="journal every committed fabric op to DIR (recover later "
+             "with `sfp recover DIR`)",
     )
     p.add_argument(
         "--fsync", choices=("always", "batch", "off"), default="batch",

@@ -147,10 +147,10 @@ class SfcController:
         self.recorder = recorder
         #: Optional durability sink (duck-typed ``commit_op(controller, op,
         #: data)``): a :class:`~repro.durability.checkpoint.
-        #: ControllerDurability` for a standalone controller, or the fabric
-        #: coordinator's per-switch :class:`~repro.durability.checkpoint.
-        #: ShardWalLogger`.  Set by ``attach()``; every *successful* lifecycle
-        #: op is journaled through it after it commits.
+        #: ControllerDurability` for a standalone controller; a fabric's
+        #: shard controllers leave it unset (the fabric journals their ops).
+        #: Set by ``attach()``; every *successful* lifecycle op is journaled
+        #: through it after it commits.
         self.durability = None
         self.with_dataplane = with_dataplane
         self.pipeline: SwitchPipeline | None = None

@@ -16,7 +16,6 @@ from repro.durability.checkpoint import (
     CheckpointStore,
     ControllerDurability,
     FabricDurability,
-    ShardWalLogger,
     controller_checkpoint,
     fabric_checkpoint,
     read_manifest,
@@ -61,7 +60,6 @@ __all__ = [
     "CheckpointStore",
     "ControllerDurability",
     "FabricDurability",
-    "ShardWalLogger",
     "controller_checkpoint",
     "fabric_checkpoint",
     "read_manifest",

@@ -14,11 +14,13 @@ and are CRC-protected on disk.
 fsync), retains the most recent few, and skips corrupt files at load time.
 
 :class:`ControllerDurability` / :class:`FabricDurability` are the attach-side
-coordinators: they own the write-ahead log(s), write the recovery manifest,
-journal every committed op, and checkpoint + compact every
-``checkpoint_every`` ops.  The fabric variant keeps **one WAL shard per
-switch** (each shard controller journals its own ops) plus the fabric-level
-manifest log that recovery replays.
+coordinators: each owns **one** write-ahead log, writes the recovery
+manifest, journals every committed op, and checkpoints + compacts every
+``checkpoint_every`` ops.  A fabric has one journal for all of its shards:
+an op that held every shard lock journals the full fabric digest and may
+trigger the checkpoint cadence; an op that held one shard lock journals
+that shard's digest and never checkpoints (see
+:mod:`repro.fabric.orchestrator`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -343,14 +345,14 @@ def controller_manifest(controller: "SfcController") -> dict:
     }
 
 
-def fabric_manifest(fabric: "FabricOrchestrator", partitioner_name: str) -> dict:
+def fabric_manifest(fabric: "FabricOrchestrator") -> dict:
     """Everything needed to reconstruct an equivalent empty fabric."""
     shard = next(iter(fabric.shards.values()))
     return {
         "kind": "fabric",
         "version": CHECKPOINT_VERSION,
         "num_types": fabric.num_types,
-        "partitioner": partitioner_name,
+        "partitioner": _partitioner_name(fabric.partitioner),
         "with_dataplane": fabric.with_dataplane,
         "fastpath": shard.fastpath is not None,
         "nodes": [
@@ -389,26 +391,14 @@ def _partitioner_name(partitioner) -> str:
 # ----------------------------------------------------------------------
 # Attach-side coordinators
 # ----------------------------------------------------------------------
-class ShardWalLogger:
-    """The per-switch WAL shard: journals one fabric shard controller's ops
-    (no self-checkpointing — the fabric checkpoint supersedes it and the
-    fabric coordinator compacts it)."""
+class _Durability:
+    """One durability directory: a manifest, one WAL, a checkpoint store.
+    The two public coordinators below differ only in the WAL file name and
+    in which manifest and snapshot functions describe their target."""
 
-    def __init__(self, wal: WriteAheadLog) -> None:
-        self.wal = wal
-
-    def commit_op(self, controller: "SfcController", op: str, data: dict):
-        """Append the op to this shard's audit log (same duck type as
-        :class:`ControllerDurability`, so shard controllers need no special
-        casing)."""
-        return self.wal.append(op, data)
-
-
-class ControllerDurability:
-    """Durability coordinator for one standalone :class:`SfcController`:
-    a manifest, one WAL, and a checkpoint store in one directory."""
-
-    WAL_NAME = "wal.jsonl"
+    WAL_NAME: str
+    _manifest: Callable[..., dict]
+    _snapshot: Callable[..., dict]
 
     def __init__(
         self,
@@ -418,6 +408,7 @@ class ControllerDurability:
         checkpoint_every: int = 256,
         keep_checkpoints: int = 3,
         fault_hook=None,
+        start_lsn: int | None = None,
     ) -> None:
         """``checkpoint_every`` committed ops between automatic checkpoints
         (0 = only explicit :meth:`checkpoint` calls)."""
@@ -430,6 +421,7 @@ class ControllerDurability:
             fsync=fsync,
             batch_every=batch_every,
             fault_hook=fault_hook,
+            start_lsn=start_lsn,
         )
         self.store = CheckpointStore(
             self.directory, keep=keep_checkpoints, fault_hook=fault_hook
@@ -438,11 +430,11 @@ class ControllerDurability:
         self.checkpoints_taken = 0
         self._ops_since_checkpoint = 0
 
-    def attach(self, controller: "SfcController") -> "ControllerDurability":
-        """Bind to ``controller``: write the manifest (first attach only)
-        and start journaling its committed ops."""
-        _write_manifest(self.directory, controller_manifest(controller))
-        controller.durability = self
+    def attach(self, target):
+        """Bind to ``target``: write the manifest (first attach only) and
+        start journaling its committed ops."""
+        _write_manifest(self.directory, self._manifest(target))
+        target.durability = self
         return self
 
     def set_epoch(self, epoch: int) -> None:
@@ -454,18 +446,25 @@ class ControllerDurability:
         on the journal — a deposed primary's appends then fail fast."""
         self.wal.fence = fence
 
-    def commit_op(self, controller: "SfcController", op: str, data: dict):
-        """Journal one committed op; auto-checkpoint on the policy cadence."""
+    def commit_op(self, target, op: str, data: dict, checkpoint: bool = True):
+        """Journal one committed op; auto-checkpoint on the policy cadence.
+        ``checkpoint=False`` comes from a committer that holds only part of
+        ``target`` locked (a fabric's single-shard fast path): a snapshot
+        reads all of it, so the cadence waits for the next full-scope op."""
         record = self.wal.append(op, data)
         self._ops_since_checkpoint += 1
-        if self.checkpoint_every and self._ops_since_checkpoint >= self.checkpoint_every:
-            self.checkpoint(controller)
+        if (
+            checkpoint
+            and self.checkpoint_every
+            and self._ops_since_checkpoint >= self.checkpoint_every
+        ):
+            self.checkpoint(target)
         return record
 
-    def checkpoint(self, controller: "SfcController") -> dict:
+    def checkpoint(self, target) -> dict:
         """Snapshot now, then compact the log up to the checkpoint LSN."""
         self.wal.sync()
-        checkpoint = controller_checkpoint(controller, self.wal.last_lsn)
+        checkpoint = self._snapshot(target, self.wal.last_lsn)
         self.store.save(checkpoint)
         self.wal.compact(upto_lsn=checkpoint["lsn"])
         self.checkpoints_taken += 1
@@ -482,13 +481,12 @@ class ControllerDurability:
         self.wal.abort()
 
 
-class FabricDurability:
-    """Durability coordinator for a :class:`FabricOrchestrator`: the fabric
-    manifest log plus one WAL shard per switch, and fabric-wide checkpoints
-    that compact all of them."""
+class ControllerDurability(_Durability):
+    """Durability coordinator for one standalone :class:`SfcController`."""
 
-    WAL_NAME = "fabric.wal.jsonl"
-    SHARD_DIR = "shards"
+    WAL_NAME = "wal.jsonl"
+    _manifest = staticmethod(controller_manifest)
+    _snapshot = staticmethod(controller_checkpoint)
 
     def __init__(
         self,
@@ -498,118 +496,21 @@ class FabricDurability:
         checkpoint_every: int = 256,
         keep_checkpoints: int = 3,
         fault_hook=None,
-        start_lsn: int | None = None,
     ) -> None:
-        """``start_lsn`` seeds a fresh fabric WAL's base LSN — a promoted
-        standby continues the failed primary's LSN sequence with it, so
-        the per-LSN digest oracle stays contiguous across a failover."""
-        if checkpoint_every < 0:
-            raise DurabilityError("checkpoint_every must be >= 0")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
-        self.batch_every = batch_every
-        self.fault_hook = fault_hook
-        self.wal = WriteAheadLog(
-            self.directory / self.WAL_NAME,
-            fsync=fsync,
-            batch_every=batch_every,
-            fault_hook=fault_hook,
-            start_lsn=start_lsn,
+        super().__init__(
+            directory, fsync, batch_every, checkpoint_every, keep_checkpoints,
+            fault_hook,
         )
-        self.store = CheckpointStore(
-            self.directory, keep=keep_checkpoints, fault_hook=fault_hook
-        )
-        self.checkpoint_every = checkpoint_every
-        self.checkpoints_taken = 0
-        self._ops_since_checkpoint = 0
-        #: Gate on the ``checkpoint_every`` cadence.  The concurrent front
-        #: end clears this while its worker pool runs — a checkpoint reads
-        #: the whole fabric and may only happen at a quiesce point — and
-        #: restores it (and checkpoints) on graceful shutdown.
-        self.auto_checkpoints = True
-        self.shard_wals: dict[str, WriteAheadLog] = {}
-        self._epoch = 0
-        self._fence = None
 
-    def shard_wal_path(self, switch: str) -> Path:
-        """The per-switch audit WAL file for ``switch``."""
-        return self.directory / self.SHARD_DIR / f"{switch}.wal.jsonl"
 
-    def attach(self, fabric: "FabricOrchestrator") -> "FabricDurability":
-        """Bind to ``fabric``: write the manifest (first attach only), open
-        one WAL shard per switch, and start journaling."""
-        _write_manifest(
-            self.directory,
-            fabric_manifest(fabric, _partitioner_name(fabric.partitioner)),
-        )
-        for name, shard in fabric.shards.items():
-            wal = self.shard_wals.get(name)
-            if wal is None:
-                wal = self.shard_wals[name] = WriteAheadLog(
-                    self.shard_wal_path(name),
-                    fsync=self.fsync,
-                    batch_every=self.batch_every,
-                    fault_hook=self.fault_hook,
-                    epoch=self._epoch,
-                    fence=self._fence,
-                )
-            shard.durability = ShardWalLogger(wal)
-        fabric.durability = self
-        return self
+class FabricDurability(_Durability):
+    """Durability coordinator for a :class:`FabricOrchestrator`: the one
+    fabric journal every op of every shard lands in, and fabric-wide
+    checkpoints.  The constructor's ``start_lsn`` seeds a fresh WAL's base
+    LSN — a promoted standby continues the failed primary's LSN sequence
+    with it, so the per-LSN digest oracle stays contiguous across a
+    failover."""
 
-    def set_epoch(self, epoch: int) -> None:
-        """Stamp subsequent records — fabric log and every shard WAL —
-        with fencing token ``epoch``."""
-        self._epoch = int(epoch)
-        self.wal.epoch = self._epoch
-        for wal in self.shard_wals.values():
-            wal.epoch = self._epoch
-
-    def set_fence(self, fence) -> None:
-        """Install ``fence`` (raises :class:`~repro.errors.FencedError`)
-        on the fabric log and every shard WAL — once this node loses the
-        primary lease, no journal on it can commit another record."""
-        self._fence = fence
-        self.wal.fence = fence
-        for wal in self.shard_wals.values():
-            wal.fence = fence
-
-    def commit_op(self, fabric: "FabricOrchestrator", op: str, data: dict):
-        """Journal one committed fabric op; auto-checkpoint on cadence
-        (unless :attr:`auto_checkpoints` is cleared for concurrent use)."""
-        record = self.wal.append(op, data)
-        self._ops_since_checkpoint += 1
-        if (
-            self.auto_checkpoints
-            and self.checkpoint_every
-            and self._ops_since_checkpoint >= self.checkpoint_every
-        ):
-            self.checkpoint(fabric)
-        return record
-
-    def checkpoint(self, fabric: "FabricOrchestrator") -> dict:
-        """Snapshot the whole fabric, then compact the manifest log up to
-        the checkpoint LSN and the (superseded) shard WALs entirely."""
-        self.wal.sync()
-        checkpoint = fabric_checkpoint(fabric, self.wal.last_lsn)
-        self.store.save(checkpoint)
-        self.wal.compact(upto_lsn=checkpoint["lsn"])
-        for wal in self.shard_wals.values():
-            wal.sync()
-            wal.compact(upto_lsn=wal.last_lsn)
-        self.checkpoints_taken += 1
-        self._ops_since_checkpoint = 0
-        return checkpoint
-
-    def close(self) -> None:
-        """Clean shutdown: flush + fsync + close the fabric and shard logs."""
-        self.wal.close()
-        for wal in self.shard_wals.values():
-            wal.close()
-
-    def abort(self) -> None:
-        """Simulated process death (fault harness)."""
-        self.wal.abort()
-        for wal in self.shard_wals.values():
-            wal.abort()
+    WAL_NAME = "fabric.wal.jsonl"
+    _manifest = staticmethod(fabric_manifest)
+    _snapshot = staticmethod(fabric_checkpoint)

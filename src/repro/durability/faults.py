@@ -11,7 +11,7 @@ from a seed:
   *after* each durability boundary.
 * :class:`CountdownCrash` — a generic callable that dies after N calls;
   plug it into :attr:`TransactionalInstaller.on_batch` to die mid two-phase
-  install, or into a shard WAL's hook to die mid drain.
+  install, or between the re-homes of a drain.
 * Disk mutilation — :func:`lose_unsynced_tail` (drop everything past the
   last fsync: the page cache died with the process), :func:`tear_tail`
   (a half-written last line), :func:`corrupt_tail` (a flipped bit in the
@@ -104,8 +104,7 @@ class CountdownCrash:
 
     Signature-agnostic (``*args, **kwargs``), so it plugs into any hook:
     ``installer.on_batch`` to die between the two phases of an install, or
-    a shard WAL's ``fault_hook`` to die partway through a drain's re-homing
-    cascade.
+    partway through a drain's re-homing cascade.
     """
 
     def __init__(self, n: int) -> None:

@@ -13,8 +13,9 @@ directory alone:
    the *real* lifecycle entry points (``admit`` / ``evict`` / ``modify`` /
    ``drain`` / ...).  Placement is deterministic given identical state, so
    replay reconverges on the same stages the original run committed — and
-   every record carries the post-op state digest it must land on, turning
-   the log into a per-LSN oracle.  Replay is **idempotent**: the
+   every record carries the post-op digest it must land on (the whole
+   state, or for a fabric op that held one shard lock that shard's state),
+   turning the log into a per-LSN oracle.  Replay is **idempotent**: the
    :class:`RecoveryEngine` gates on LSN, so a record applied twice (or a
    doubly-replayed prefix) is a no-op.
 4. **Re-arm** — attach a fresh durability coordinator, take a checkpoint of
@@ -64,7 +65,7 @@ class RecoveryReport:
     truncated_bytes: int
     digest: str
     problems: tuple[str, ...] = ()
-    #: Non-fatal observations (e.g. shard-log audit notes).
+    #: Non-fatal observations (the all-checkpoints-corrupt fallback).
     notes: tuple[str, ...] = ()
     wall_s: float = 0.0
 
@@ -180,7 +181,10 @@ def apply_controller_record(
 def apply_fabric_record(
     fabric: FabricOrchestrator, record: WalRecord
 ) -> list[str]:
-    """Re-drive one fabric WAL record and verify the post-op fabric digest."""
+    """Re-drive one fabric WAL record and verify whichever post-op digest
+    it carries: ``digest`` (the whole fabric — the committer held every
+    shard lock) or ``shard_digests`` (the one shard a single-shard fast
+    path held).  A record with neither key is replayed unverified."""
     problems: list[str] = []
     data = record.data
     op = record.op
@@ -233,6 +237,13 @@ def apply_fabric_record(
             f"lsn {record.lsn}: fabric digest {fabric.digest()} != "
             f"recorded {expected} after {op}"
         )
+    for name, expected in data.get("shard_digests", {}).items():
+        digest = fabric.shards[name].state.digest()
+        if digest != expected:
+            problems.append(
+                f"lsn {record.lsn}: shard {name} digest {digest} != "
+                f"recorded {expected} after {op}"
+            )
     return problems
 
 
@@ -293,6 +304,113 @@ def _checkpoint_fallback_note(store: CheckpointStore, base_lsn: int) -> str | No
     )
 
 
+def _controller_from_manifest(
+    manifest: dict, with_dataplane: bool | None
+) -> SfcController:
+    instance = ProblemInstance(
+        switch=SwitchSpec(**manifest["switch"]),
+        sfcs=(),
+        num_types=manifest["num_types"],
+        max_recirculations=manifest["max_recirculations"],
+    )
+    return SfcController(
+        instance,
+        with_dataplane=(
+            manifest["with_dataplane"] if with_dataplane is None else with_dataplane
+        ),
+        policy=AdmissionPolicy(**manifest["policy"]),
+        consolidate=manifest["consolidate"],
+        reserve_physical_block=manifest["reserve_physical_block"],
+        reconfigure_threshold=manifest["reconfigure_threshold"],
+        name=manifest["name"],
+        recorder=FlightRecorder(),
+        fastpath=manifest.get("fastpath", False),
+    )
+
+
+def _recover(
+    directory: str | Path,
+    kind: str,
+    build: Callable[[dict], object],
+    restore: Callable[[object, dict], None],
+    apply: Callable[[object, WalRecord], list[str]],
+    audit: Callable[[object], list[str]],
+    digest: Callable[[object], str],
+    coordinator: type,
+    **policy,
+):
+    """The one recovery body (module docstring, steps 1-4).  ``build``
+    makes the empty target from the manifest, ``restore``/``apply`` are its
+    checkpoint and record functions, ``audit`` its post-replay self-check,
+    and ``coordinator(directory, **policy)`` re-arms it.  Callers pass
+    ``apply`` as a lambda over the module-level name, so a wrapper
+    installed on ``recover.apply_*_record`` is the one every record runs."""
+    t0 = time.perf_counter()
+    directory = Path(directory)
+    manifest = read_manifest(directory)
+    if manifest.get("kind") != kind:
+        raise DurabilityError(
+            f"{directory} holds a {manifest.get('kind')!r} manifest, "
+            f"not a {kind}"
+        )
+    target = build(manifest)
+
+    problems: list[str] = []
+    notes: list[str] = []
+    scan = scan_wal(directory / coordinator.WAL_NAME)
+    store = CheckpointStore(directory)
+    checkpoint = store.load_latest()
+    checkpoint_lsn = 0
+    if checkpoint is not None:
+        try:
+            restore(target, checkpoint)
+            checkpoint_lsn = int(checkpoint["lsn"])
+        except DurabilityError as exc:
+            problems.append(f"checkpoint restore failed: {exc}")
+    else:
+        note = _checkpoint_fallback_note(store, scan.base_lsn)
+        if note is not None:
+            notes.append(note)
+            if scan.base_lsn > 0:
+                problems.append(
+                    f"no loadable checkpoint but the WAL was compacted to "
+                    f"base lsn {scan.base_lsn}: records 1..{scan.base_lsn} "
+                    f"are unrecoverable"
+                )
+    engine = RecoveryEngine(
+        lambda record: apply(target, record), applied_lsn=checkpoint_lsn
+    )
+    engine.replay(scan.records)
+    problems.extend(engine.problems)
+    problems.extend(audit(target))
+
+    durability = coordinator(directory, **policy).attach(target)
+    if not problems:
+        durability.checkpoint(target)
+    report = RecoveryReport(
+        kind=kind,
+        checkpoint_lsn=checkpoint_lsn,
+        last_lsn=scan.last_lsn,
+        replayed=engine.replayed,
+        skipped=engine.skipped,
+        truncated_bytes=durability.wal.truncated_bytes,
+        digest=digest(target),
+        problems=tuple(problems),
+        notes=tuple(notes),
+        wall_s=time.perf_counter() - t0,
+    )
+    target.recorder.snap(
+        "recovery",
+        kind=report.kind,
+        checkpoint_lsn=report.checkpoint_lsn,
+        last_lsn=report.last_lsn,
+        replayed=report.replayed,
+        digest=report.digest,
+        ok=report.ok,
+    )
+    return target, report
+
+
 def recover_controller(
     directory: str | Path,
     with_dataplane: bool | None = None,
@@ -308,94 +426,19 @@ def recover_controller(
     overrides the manifest's mode (the fig-11-style control-plane-only
     replay recovers faster and is state-wise identical).
     """
-    t0 = time.perf_counter()
-    directory = Path(directory)
-    manifest = read_manifest(directory)
-    if manifest.get("kind") != "controller":
-        raise DurabilityError(
-            f"{directory} holds a {manifest.get('kind')!r} manifest, "
-            f"not a controller"
-        )
-    instance = ProblemInstance(
-        switch=SwitchSpec(**manifest["switch"]),
-        sfcs=(),
-        num_types=manifest["num_types"],
-        max_recirculations=manifest["max_recirculations"],
-    )
-    controller = SfcController(
-        instance,
-        with_dataplane=(
-            manifest["with_dataplane"] if with_dataplane is None else with_dataplane
-        ),
-        policy=AdmissionPolicy(**manifest["policy"]),
-        consolidate=manifest["consolidate"],
-        reserve_physical_block=manifest["reserve_physical_block"],
-        reconfigure_threshold=manifest["reconfigure_threshold"],
-        name=manifest["name"],
-        recorder=FlightRecorder(),
-        fastpath=manifest.get("fastpath", False),
-    )
-
-    problems: list[str] = []
-    notes: list[str] = []
-    scan = scan_wal(directory / ControllerDurability.WAL_NAME)
-    store = CheckpointStore(directory)
-    checkpoint = store.load_latest()
-    checkpoint_lsn = 0
-    if checkpoint is not None:
-        try:
-            restore_controller(controller, checkpoint)
-            checkpoint_lsn = int(checkpoint["lsn"])
-        except DurabilityError as exc:
-            problems.append(f"checkpoint restore failed: {exc}")
-    else:
-        note = _checkpoint_fallback_note(store, scan.base_lsn)
-        if note is not None:
-            notes.append(note)
-            if scan.base_lsn > 0:
-                problems.append(
-                    f"no loadable checkpoint but the WAL was compacted to "
-                    f"base lsn {scan.base_lsn}: records 1..{scan.base_lsn} "
-                    f"are unrecoverable"
-                )
-    engine = RecoveryEngine(
-        lambda record: apply_controller_record(controller, record),
-        applied_lsn=checkpoint_lsn,
-    )
-    engine.replay(scan.records)
-    problems.extend(engine.problems)
-
-    durability = ControllerDurability(
+    return _recover(
         directory,
+        "controller",
+        build=lambda manifest: _controller_from_manifest(manifest, with_dataplane),
+        restore=restore_controller,
+        apply=lambda controller, record: apply_controller_record(controller, record),
+        audit=lambda controller: [],
+        digest=lambda controller: controller.state.digest(),
+        coordinator=ControllerDurability,
         fsync=fsync,
         batch_every=batch_every,
         checkpoint_every=checkpoint_every,
-    ).attach(controller)
-    if not problems:
-        durability.checkpoint(controller)
-    report = RecoveryReport(
-        kind="controller",
-        checkpoint_lsn=checkpoint_lsn,
-        last_lsn=scan.last_lsn,
-        replayed=engine.replayed,
-        skipped=engine.skipped,
-        truncated_bytes=durability.wal.truncated_bytes,
-        digest=controller.state.digest(),
-        problems=tuple(problems),
-        notes=tuple(notes),
-        wall_s=time.perf_counter() - t0,
     )
-    assert controller.recorder is not None
-    controller.recorder.snap(
-        "recovery",
-        kind=report.kind,
-        checkpoint_lsn=report.checkpoint_lsn,
-        last_lsn=report.last_lsn,
-        replayed=report.replayed,
-        digest=report.digest,
-        ok=report.ok,
-    )
-    return controller, report
 
 
 def recover_fabric(
@@ -407,106 +450,22 @@ def recover_fabric(
 ) -> tuple[FabricOrchestrator, RecoveryReport]:
     """Rebuild a whole fabric from its durability directory.
 
-    The fabric manifest log is the authoritative redo log: records are
-    replayed through the real fabric ops, which re-drive the shard
-    controllers exactly as the original run did.  The per-switch WAL shards
-    serve as an audit trail: each recovered shard's digest must be *some*
-    state that shard actually committed (its genesis state, its checkpoint
-    state, or a state journaled in its shard log) — violations are reported
-    as non-fatal notes.
+    The fabric journal is the only redo log: records are replayed through
+    the real fabric ops, which re-drive the shard controllers exactly as
+    the original run did, and each record's ``digest`` or ``shard_digests``
+    is verified at its LSN.  The replayed fabric must also pass
+    :meth:`FabricOrchestrator.check_invariant`.
     """
-    t0 = time.perf_counter()
-    directory = Path(directory)
-    manifest = read_manifest(directory)
-    if manifest.get("kind") != "fabric":
-        raise DurabilityError(
-            f"{directory} holds a {manifest.get('kind')!r} manifest, "
-            f"not a fabric"
-        )
-    fabric = fabric_from_manifest(manifest, with_dataplane=with_dataplane)
-    topology = fabric.topology
-    genesis_digests = {
-        name: fabric.shards[name].state.digest()
-        for name in topology.switch_names
-    }
-
-    problems: list[str] = []
-    notes: list[str] = []
-    scan = scan_wal(directory / FabricDurability.WAL_NAME)
-    store = CheckpointStore(directory)
-    checkpoint = store.load_latest()
-    checkpoint_lsn = 0
-    if checkpoint is not None:
-        try:
-            restore_fabric(fabric, checkpoint)
-            checkpoint_lsn = int(checkpoint["lsn"])
-        except DurabilityError as exc:
-            problems.append(f"checkpoint restore failed: {exc}")
-    else:
-        note = _checkpoint_fallback_note(store, scan.base_lsn)
-        if note is not None:
-            notes.append(note)
-            if scan.base_lsn > 0:
-                problems.append(
-                    f"no loadable checkpoint but the WAL was compacted to "
-                    f"base lsn {scan.base_lsn}: records 1..{scan.base_lsn} "
-                    f"are unrecoverable"
-                )
-    engine = RecoveryEngine(
-        lambda record: apply_fabric_record(fabric, record),
-        applied_lsn=checkpoint_lsn,
-    )
-    engine.replay(scan.records)
-    problems.extend(engine.problems)
-    problems.extend(fabric.check_invariant())
-
-    durability = FabricDurability(
+    return _recover(
         directory,
+        "fabric",
+        build=lambda manifest: fabric_from_manifest(manifest, with_dataplane),
+        restore=restore_fabric,
+        apply=lambda fabric, record: apply_fabric_record(fabric, record),
+        audit=FabricOrchestrator.check_invariant,
+        digest=FabricOrchestrator.digest,
+        coordinator=FabricDurability,
         fsync=fsync,
         batch_every=batch_every,
         checkpoint_every=checkpoint_every,
     )
-    # Audit the shard logs *before* attach (attaching truncates torn shard
-    # tails and a post-recovery checkpoint compacts them away entirely).
-    ckpt_digests = checkpoint["shard_digests"] if checkpoint else {}
-    for name in topology.switch_names:
-        shard_scan = scan_wal(durability.shard_wal_path(name))
-        committed = {genesis_digests[name]}
-        if name in ckpt_digests:
-            committed.add(ckpt_digests[name])
-        committed.update(
-            record.data["digest"]
-            for record in shard_scan.records
-            if "digest" in record.data
-        )
-        recovered = fabric.shards[name].state.digest()
-        if recovered not in committed:
-            notes.append(
-                f"shard {name}: recovered digest {recovered} matches no "
-                f"state in its audit log ({len(shard_scan.records)} records)"
-            )
-    durability.attach(fabric)
-    if not problems:
-        durability.checkpoint(fabric)
-    report = RecoveryReport(
-        kind="fabric",
-        checkpoint_lsn=checkpoint_lsn,
-        last_lsn=scan.last_lsn,
-        replayed=engine.replayed,
-        skipped=engine.skipped,
-        truncated_bytes=durability.wal.truncated_bytes,
-        digest=fabric.digest(),
-        problems=tuple(problems),
-        notes=tuple(notes),
-        wall_s=time.perf_counter() - t0,
-    )
-    fabric.recorder.snap(
-        "recovery",
-        kind=report.kind,
-        checkpoint_lsn=report.checkpoint_lsn,
-        last_lsn=report.last_lsn,
-        replayed=report.replayed,
-        digest=report.digest,
-        ok=report.ok,
-    )
-    return fabric, report

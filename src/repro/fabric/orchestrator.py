@@ -38,11 +38,17 @@ link loads, and gauges sit under an inner ``_dir_lock``.  Callers must
 keep per-tenant program order themselves (the intent queue's
 at-most-one-in-flight-per-tenant rule); read paths (``digest``,
 ``summary``, ``check_invariant``) are quiesce-only — call them with no op
-in flight.  When journaling runs concurrently, set :attr:`journal_digests`
-to ``False``: the fabric-wide digest reads every shard and cannot be
-computed consistently under one shard lock (recovery verifies digests only
-when present; the concurrent bench proves convergence by crash-recovery
-against a serial-replay oracle instead).
+in flight.
+
+**Journaling.**  Every committed op is one record in the one fabric journal,
+and the record carries what the committer's lock scope can vouch for.  The
+public lifecycle methods and ``reopt_step`` hold every shard lock, so they
+journal the fabric-wide ``digest`` and may trigger the coordinator's
+auto-checkpoint (both read the whole fabric).  A ``*_local`` fast path
+holds one shard lock, so it journals ``shard_digests: {switch: digest}``
+for that shard alone and never checkpoints.  Either append happens before
+the lock is released, so journal order is execution order per shard, and
+recovery verifies whichever key a record carries at its LSN.
 """
 
 from __future__ import annotations
@@ -216,16 +222,10 @@ class FabricOrchestrator:
         #: Guards the tenant directory, link loads, and gauge refreshes —
         #: the state single-shard fast paths on *different* shards share.
         self._dir_lock = threading.RLock()
-        #: Embed the fabric-wide digest in every journaled op (the per-LSN
-        #: recovery oracle).  The concurrent front end sets this ``False``:
-        #: the digest reads every shard and would tear under one shard
-        #: lock.  Recovery only verifies digests that are present.
-        self.journal_digests = True
         #: Optional durability coordinator (:class:`~repro.durability.
         #: checkpoint.FabricDurability`), set by ``attach()``.  Every
-        #: successful fabric op is journaled to the fabric manifest log —
-        #: the authoritative redo log recovery replays — while each shard
-        #: additionally journals its own ops to a per-switch WAL shard.
+        #: successful fabric op is journaled to its one log — the redo log
+        #: recovery replays (the shards' own ``durability`` stays unset).
         self.durability = None
         #: HA role: ``"primary"`` serves writes; a ``"standby"`` fabric is
         #: driven only by WAL replay and the frontend refuses writes on it
@@ -372,16 +372,21 @@ class FabricOrchestrator:
             reason=result.reason,
         )
 
-    def _commit_durable(self, op: str, data: dict) -> None:
-        """Journal one successful fabric op (plus, when
-        :attr:`journal_digests` is on, the post-op fabric digest —
-        recovery's per-LSN oracle) to the attached coordinator."""
+    def _commit_durable(
+        self, op: str, data: dict, shard: str | None = None
+    ) -> None:
+        """Journal one successful fabric op with the post-op digest the
+        caller's locks make consistent — recovery's per-LSN oracle.
+        ``shard`` names the one shard lock a fast path holds; ``None``
+        means the caller holds them all."""
         if self.durability is None:
             return
         payload = dict(data)
-        if self.journal_digests:
+        if shard is None:
             payload["digest"] = self.digest()
-        self.durability.commit_op(self, op, payload)
+        else:
+            payload["shard_digests"] = {shard: self.shards[shard].state.digest()}
+        self.durability.commit_op(self, op, payload, checkpoint=shard is None)
 
     def _refresh_gauges(self) -> None:
         with self._dir_lock:
@@ -908,7 +913,9 @@ class FabricOrchestrator:
                 span.set(ok=True, switches=[switch], stitched=False)
             self._record_op(result)
             self._commit_durable(
-                "admit", {"tenant_id": sfc.tenant_id, "sfc": sfc.to_dict()}
+                "admit",
+                {"tenant_id": sfc.tenant_id, "sfc": sfc.to_dict()},
+                shard=switch,
             )
         return result
 
@@ -963,7 +970,7 @@ class FabricOrchestrator:
                 )
                 span.set(ok=True, switches=list(record.switches))
             self._record_op(result)
-            self._commit_durable("evict", {"tenant_id": tenant_id})
+            self._commit_durable("evict", {"tenant_id": tenant_id}, shard=home)
         return result
 
     def modify_local(
@@ -1043,6 +1050,7 @@ class FabricOrchestrator:
                     "sfc": new_chain.to_dict(),
                     "ok": True,
                 },
+                shard=home,
             )
         return result
 

@@ -18,13 +18,11 @@ holds exactly one shard lock and a cross-shard op holds them all, so the
 two can never interleave on a shard, and the sorted acquisition order
 makes cross-shard ops deadlock-free among themselves.
 
-Starting the pool flips the fabric into concurrent mode: journaled
-records stop embedding the fabric-wide digest (it reads every shard —
-unreadable consistently under one shard lock) and auto-checkpoints are
-suspended (they read the whole fabric; checkpoint at a quiesce point
-instead).  :meth:`ShardWorkerPool.stop` restores both after the queue
-drains — a stopped pool leaves the fabric exactly as serial callers
-expect it.
+The pool changes nothing about how the fabric journals: the lock scope of
+each op decides what its record carries (a fast path journals its own
+shard's digest, an escalated intent the fabric-wide digest and — holding
+every lock — possibly an auto-checkpoint), whether or not a pool is
+running.  See :mod:`repro.fabric.orchestrator`.
 """
 
 from __future__ import annotations
@@ -123,7 +121,8 @@ class ShardWorker(threading.Thread):
 
 
 class ShardWorkerPool:
-    """The worker fleet plus the fabric's concurrent-mode switchery."""
+    """The worker fleet: one :class:`ShardWorker` per switch over one
+    shared :class:`IntentQueue`."""
 
     def __init__(
         self,
@@ -143,23 +142,15 @@ class ShardWorkerPool:
         self.fence = fence
         self.workers: list[ShardWorker] = []
         self._running = False
-        self._saved_journal_digests = True
-        self._saved_auto_checkpoints = True
 
     @property
     def num_workers(self) -> int:
         return len(self.fabric.topology.switch_names)
 
     def start(self) -> "ShardWorkerPool":
-        """Spawn one worker per switch and flip the fabric into
-        concurrent mode (no journaled digests, no auto-checkpoints)."""
+        """Spawn one worker per switch."""
         if self._running:
             raise FrontendError("worker pool already running")
-        self._saved_journal_digests = self.fabric.journal_digests
-        self.fabric.journal_digests = False
-        if self.fabric.durability is not None:
-            self._saved_auto_checkpoints = self.fabric.durability.auto_checkpoints
-            self.fabric.durability.auto_checkpoints = False
         self.workers = [
             ShardWorker(self, name, self.take_timeout)
             for name in self.fabric.topology.switch_names
@@ -179,18 +170,13 @@ class ShardWorkerPool:
         return self.queue.submit(intent)
 
     def stop(self, timeout: float | None = 30.0) -> None:
-        """Graceful shutdown: stop accepting, drain the backlog, join the
-        workers, and restore the fabric's serial-mode journaling flags.
-        The post-stop fabric is at a quiesce point — safe to digest,
-        checkpoint, and audit.
+        """Graceful shutdown: stop accepting, drain the backlog and join
+        the workers.  The post-stop fabric is at a quiesce point — safe to
+        digest, checkpoint, and audit.
 
-        The serial-mode flags are restored only after a **confirmed**
-        quiesce (queue drained and every worker joined).  On timeout,
-        still-running workers may keep committing backlog intents, and a
-        fabric-wide digest computed under a single shard lock would be
-        torn — so the fabric is left in concurrent mode and a
-        :class:`~repro.errors.FrontendError` is raised; a later
-        :meth:`stop` may retry the drain."""
+        On timeout (backlog not drained, or a worker still running) a
+        :class:`~repro.errors.FrontendError` is raised and the pool stays
+        running; a later :meth:`stop` may retry the drain."""
         if not self._running:
             return
         self.queue.close()
@@ -206,9 +192,6 @@ class ShardWorkerPool:
                 f"worker pool stop timed out with a backlog{detail}"
             )
         self._running = False
-        self.fabric.journal_digests = self._saved_journal_digests
-        if self.fabric.durability is not None:
-            self.fabric.durability.auto_checkpoints = self._saved_auto_checkpoints
 
     def snapshot(self) -> dict:
         """JSON-native pool state (per-worker execution counts)."""

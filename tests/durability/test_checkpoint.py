@@ -217,7 +217,7 @@ def test_auto_checkpoint_cadence_and_compaction(tmp_path, tiny_instance):
     durability.close()
 
 
-def test_checkpoint_every_zero_never_auto_checkpoints(tmp_path, tiny_instance):
+def test_checkpoint_every_zero_checkpoints_only_on_request(tmp_path, tiny_instance):
     controller = make_controller(tiny_instance)
     durability = ControllerDurability(tmp_path, checkpoint_every=0)
     durability.attach(controller)
@@ -228,22 +228,21 @@ def test_checkpoint_every_zero_never_auto_checkpoints(tmp_path, tiny_instance):
     durability.close()
 
 
-def test_fabric_durability_keeps_one_wal_shard_per_switch(tmp_path):
+def test_fabric_durability_keeps_one_journal_for_all_shards(tmp_path):
     fabric = make_fabric()
     durability = FabricDurability(tmp_path, checkpoint_every=0)
     durability.attach(fabric)
-    names = fabric.topology.switch_names
-    assert sorted(durability.shard_wals) == names
+    assert all(shard.durability is None for shard in fabric.shards.values())
     for t in range(1, 5):
         assert fabric.admit(chain(t)).ok
     assert fabric.evict(2).ok
-    # Fabric log is authoritative; shard logs audit their own switch's ops.
-    assert [r.op for r in durability.wal.records()] == ["admit"] * 4 + ["evict"]
-    assert sum(len(w) for w in durability.shard_wals.values()) == 5
+    records = durability.wal.records()
+    assert [r.op for r in records] == ["admit"] * 4 + ["evict"]
+    assert all("digest" in r.data for r in records)
+    assert [p.name for p in tmp_path.glob("**/*.wal.jsonl")] == ["fabric.wal.jsonl"]
+    assert not (tmp_path / "shards").exists()
 
     durability.checkpoint(fabric)
-    # A fabric checkpoint supersedes and fully compacts every shard log.
     assert durability.wal.records() == []
-    assert all(w.records() == [] for w in durability.shard_wals.values())
     assert durability.store.lsns() == [5]
     durability.close()

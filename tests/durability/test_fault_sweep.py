@@ -23,10 +23,11 @@ from repro.durability import (
 )
 from tests.durability.conftest import SWEEP_CHURN, SWEEP_SEED, chain, make_fabric
 
-#: Upper bound on WAL-append ordinals: the sweep stream commits ~430 fabric
-#: ops plus ~430 shard-audit appends, so ordinal 800 lands near the end of
-#: the run and ordinal 1 before the first committed op.
-MAX_ORDINAL = 800
+#: Upper bound on crash ordinals: the sweep stream commits 430 fabric ops,
+#: one append each, so append ordinal 430 is the last record of the run and
+#: ordinal 1 the first.  Crash runs sync every 4th append (~107 visits per
+#: fsync site): an fsync point past that is a kill at stream end.
+MAX_ORDINAL = 430
 
 SWEEP_POINTS = crash_sites(SWEEP_SEED, MAX_ORDINAL)
 

@@ -304,8 +304,6 @@ def test_fabric_recovery_reattaches_the_fast_path(tmp_path):
 
 
 def test_crash_mid_drain_recovers_pre_drain_state(tmp_path):
-    from repro.durability import CrashPoint, FaultInjector
-
     fabric, durability = durable_fabric(
         tmp_path, fsync="always", checkpoint_every=0
     )
@@ -313,15 +311,21 @@ def test_crash_mid_drain_recovers_pre_drain_state(tmp_path):
         assert fabric.admit(chain(t, nf_types=(1, 2, 3, 4, 5), rules=(3,) * 5)).ok
     pre_digest = fabric.digest()
     pre_lsn = durability.wal.last_lsn
+    victim = fabric.topology.switch_names[0]
+    assert len(fabric.shards[victim].tenants) >= 2
 
-    # The drain re-homes tenants shard by shard; crash on the second WAL
-    # append it attempts, before the fabric-level drain record commits.
-    injector = FaultInjector(CrashPoint("wal.before-append", at=2))
-    for wal in durability.shard_wals.values():
-        wal.fault_hook = injector
-    durability.wal.fault_hook = injector
+    # The drain re-homes tenants one by one; crash as the second one is
+    # re-admitted, before the fabric-level drain record commits.
+    crash = CountdownCrash(2)
+    for shard in fabric.shards.values():
+        def admit(sfc, real=shard.admit):
+            crash()
+            return real(sfc)
+
+        shard.admit = admit
     with pytest.raises(CrashError):
-        fabric.drain(fabric.topology.switch_names[0])
+        fabric.drain(victim)
+    assert fabric.digest() != pre_digest  # died with one tenant re-homed
     durability.abort()
 
     recovered, report = recover_fabric(tmp_path)

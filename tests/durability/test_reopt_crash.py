@@ -7,11 +7,10 @@ step is absent, never half-applied.
 
 The fragmentation recipe is deterministic (fillers to the bandwidth brim,
 long chains that must stitch, one filler evicted per switch), so the
-oracle run and every crash run journal the identical WAL prefix.  Fault
-ordinals are not LSNs (shard-audit appends share the hook), so the oracle
-run carries a never-firing :class:`FaultInjector` purely to measure each
-site's visit count before and after the migration — the sweep then aims
-crashes at the first, middle and last visits of that window.
+oracle run and every crash run journal the identical WAL prefix.  With one
+journal and ``fsync="always"`` every WAL site is visited exactly once per
+record, so a fault ordinal *is* an LSN: the sweep aims crashes at the
+first, middle and last ``reopt_step`` record.
 """
 
 import pytest
@@ -33,7 +32,7 @@ from tests.durability.conftest import chain, make_fabric
 #: more than the 2.0 Gbps each stitched half needs (one pass each).
 FILLER_BW = 7.2
 
-#: Where inside the migration's fault-site window each sweep point lands.
+#: Which of the migration's ``reopt_step`` records each sweep point hits.
 POSITIONS = ("first", "mid", "last")
 
 SWEEP = [(site, pos) for site in WAL_SITES for pos in POSITIONS]
@@ -72,20 +71,14 @@ def fragment(fabric) -> None:
 @pytest.fixture(scope="module")
 def reopt_oracle(tmp_path_factory):
     """The uninterrupted fragment-then-reoptimize run: LSN -> digest map
-    (LSN 0 = genesis), the journaled ``reopt_step`` records, and each WAL
-    site's visit count before/after the migration."""
+    (LSN 0 = genesis) and the journaled ``reopt_step`` records."""
     directory = tmp_path_factory.mktemp("reopt-oracle")
     fabric = make_fabric()
-    injector = FaultInjector(None)
-    durability = FabricDurability(
-        directory, fsync="always", checkpoint_every=0, fault_hook=injector
-    )
+    durability = FabricDurability(directory, fsync="always", checkpoint_every=0)
     durability.attach(fabric)
     digests = {0: make_fabric().digest()}
     fragment(fabric)
-    before = {site: injector.visits.get(site, 0) for site in WAL_SITES}
     report = fabric.reoptimize(mode="greedy", min_benefit=0.0)
-    after = {site: injector.visits.get(site, 0) for site in WAL_SITES}
     assert report.ok, report.invariant_problems
     assert report.migration is not None and report.migration.executed >= 2
     steps = []
@@ -95,9 +88,7 @@ def reopt_oracle(tmp_path_factory):
             steps.append(record)
     durability.close()
     assert len(steps) >= 2
-    for site in WAL_SITES:
-        assert after[site] > before[site], f"migration never visited {site}"
-    return digests, steps, before, after
+    return digests, steps
 
 
 def crash_reopt(tmp_path, point, mode) -> None:
@@ -119,14 +110,6 @@ def crash_reopt(tmp_path, point, mode) -> None:
     mutilate(durability.wal.path, mode, durable_offset=durable)
 
 
-def _ordinal(before: int, after: int, position: str) -> int:
-    if position == "first":
-        return before + 1
-    if position == "mid":
-        return before + max(1, (after - before) // 2)
-    return after
-
-
 @pytest.mark.parametrize(
     "index,site,position",
     [(i, site, pos) for i, (site, pos) in enumerate(SWEEP)],
@@ -135,10 +118,10 @@ def _ordinal(before: int, after: int, position: str) -> int:
 def test_crash_mid_migration_recovers_committed_steps(
     reopt_oracle, tmp_path, index, site, position
 ):
-    digests, steps, before, after = reopt_oracle
-    ordinal = _ordinal(before[site], after[site], position)
+    digests, steps = reopt_oracle
+    step = {"first": steps[0], "mid": steps[len(steps) // 2], "last": steps[-1]}
     mode = DISK_MODES[index % len(DISK_MODES)]
-    crash_reopt(tmp_path, CrashPoint(site, at=ordinal), mode)
+    crash_reopt(tmp_path, CrashPoint(site, at=step[position].lsn), mode)
 
     recovered, report = recover_fabric(tmp_path)
     assert report.ok, report.problems
@@ -168,8 +151,8 @@ def test_crash_before_any_step_loses_whole_migration(reopt_oracle, tmp_path):
     """Crashing on the migration's very first append commits none of it:
     recovery lands on the pre-migration fleet, stitched placements
     intact."""
-    digests, steps, before, _after = reopt_oracle
-    point = CrashPoint("wal.before-append", at=before["wal.before-append"] + 1)
+    digests, steps = reopt_oracle
+    point = CrashPoint("wal.before-append", at=steps[0].lsn)
     crash_reopt(tmp_path, point, "tear")
     recovered, report = recover_fabric(tmp_path)
     assert report.ok, report.problems

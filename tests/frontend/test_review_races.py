@@ -6,10 +6,9 @@ tenant between a fast path reading the tenant's home shard and acquiring
 that shard's lock.  ``evict_local``/``modify_local`` must revalidate the
 record under the lock and escalate instead of mutating through a stale
 home.  Related shutdown/transport hardening rides along: a timed-out
-``ShardWorkerPool.stop`` must leave the fabric in concurrent mode (no
-torn fabric-wide digests journaled), and the HTTP server must map
-unexpected worker exceptions to a 500 response rather than dropping the
-keep-alive connection.
+``ShardWorkerPool.stop`` must raise and stay retryable, and the HTTP
+server must map unexpected worker exceptions to a 500 response rather than
+dropping the keep-alive connection.
 """
 
 import json
@@ -81,23 +80,26 @@ def test_modify_local_escalates_when_drain_rehomes_in_the_window(fabric):
     assert fabric.check_invariant() == []
 
 
-def test_stop_timeout_keeps_concurrent_mode_flags(fabric, tmp_path, monkeypatch):
+def test_stop_timeout_raises_and_a_later_stop_succeeds(
+    fabric, tmp_path, monkeypatch
+):
     from repro.durability.checkpoint import FabricDurability
 
-    FabricDurability(tmp_path, fsync="off").attach(fabric)
+    durability = FabricDurability(tmp_path, fsync="off").attach(fabric)
     pool = ShardWorkerPool(fabric)
     pool.start()
     monkeypatch.setattr(pool.queue, "join", lambda timeout=None: False)
     with pytest.raises(FrontendError, match="timed out"):
         pool.stop(timeout=0.5)
-    # No confirmed quiesce: the fabric must stay in concurrent mode so a
-    # still-running worker cannot journal a torn fabric-wide digest.
-    assert not fabric.journal_digests
-    assert not fabric.durability.auto_checkpoints
+    # No confirmed quiesce: the pool still counts as running.  A public op
+    # holds every shard lock whether or not workers are alive, so its
+    # record carries the full fabric digest all the same.
+    assert pool.snapshot()["running"]
+    assert fabric.admit(chain(4)).ok
+    assert durability.wal.records()[-1].data["digest"] == fabric.digest()
     monkeypatch.undo()
     pool.stop(timeout=10.0)
-    assert fabric.journal_digests
-    assert fabric.durability.auto_checkpoints
+    assert not pool.snapshot()["running"]
 
 
 def test_unexpected_worker_exception_maps_to_500(fabric, monkeypatch):

@@ -1,4 +1,4 @@
-"""ShardWorkerPool tests: concurrent-mode flag flipping, fast-path vs
+"""ShardWorkerPool tests: what a pool run journals, fast-path vs
 escalated execution, concurrent admission correctness, and shutdown."""
 
 import pytest
@@ -16,19 +16,28 @@ def pool(fabric):
     pool.stop(timeout=10.0)
 
 
-def test_start_flips_and_stop_restores_concurrent_mode(fabric, tmp_path):
+def test_pool_run_keeps_one_journal_and_public_ops_keep_full_digests(
+    fabric, tmp_path
+):
     from repro.durability.checkpoint import FabricDurability
 
-    FabricDurability(tmp_path, fsync="off").attach(fabric)
-    assert fabric.journal_digests and fabric.durability.auto_checkpoints
+    durability = FabricDurability(tmp_path, fsync="off").attach(fabric)
     pool = ShardWorkerPool(fabric)
     pool.start()
-    assert not fabric.journal_digests
-    assert not fabric.durability.auto_checkpoints
     with pytest.raises(FrontendError):
         pool.start()  # already running
+    client = FrontendClient(pool, timeout=10.0)
+    assert all(client.admit(chain(t)).ok for t in range(8))
     pool.stop(timeout=10.0)
-    assert fabric.journal_digests and fabric.durability.auto_checkpoints
+    # Fast paths journal their own shard's digest, into the one fabric log.
+    for record in durability.wal.records():
+        [(switch, _digest)] = record.data["shard_digests"].items()
+        assert fabric.tenants[record.data["tenant_id"]].switches == (switch,)
+    assert [p.name for p in tmp_path.glob("**/*.wal.jsonl")] == ["fabric.wal.jsonl"]
+    assert not (tmp_path / "shards").exists()
+    # The next public op holds every lock: full digest, as before the pool.
+    assert fabric.admit(chain(99)).ok
+    assert durability.wal.records()[-1].data["digest"] == fabric.digest()
 
 
 def test_concurrent_admits_land_on_all_shards(fabric, pool):

@@ -24,10 +24,12 @@ from repro.ha import HaCluster, InProcessSink, WalShipper
 from tests.durability.conftest import SWEEP_SEED, make_fabric
 from tests.ha.conftest import FakeClock, apply_event
 
-#: Ordinals span the ~60-op stream: every site gets its first visit, seeded
-#: middles, and a last one (sites whose ordinal exceeds their actual visit
-#: count simply crash at stream end — still a valid kill+failover drill).
-MAX_ORDINAL = 30
+#: Ordinals span the 101-op stream (one journal at fsync=always: each WAL
+#: site is visited once per op, so a WAL ordinal is an LSN): every site gets
+#: its first visit, seeded middles, and one at stream end.  The checkpoint
+#: and compaction sites see 6 visits; a point whose ordinal exceeds its
+#: site's visit count is a kill at stream end — still a valid failover drill.
+MAX_ORDINAL = 100
 
 SWEEP_POINTS = crash_sites(SWEEP_SEED, MAX_ORDINAL, sites=DURABILITY_SITES)
 
@@ -110,6 +112,10 @@ def test_promoted_standby_serves_new_ops(ha_events, tmp_path):
     assert cluster.durability.wal.last_lsn == lsn_before + 1
     assert cluster.fabric.role == "primary"
     assert cluster.fabric.epoch == 2
+    # Killed primary and promoted standby alike: one journal, nothing else.
+    assert sorted(
+        str(p.relative_to(tmp_path)) for p in tmp_path.glob("**/*.wal.jsonl")
+    ) == ["primary/fabric.wal.jsonl", "standby/fabric.wal.jsonl"]
     cluster.close()
 
 

@@ -187,7 +187,7 @@ def test_fabric_journals_then_recovers(capsys, tmp_path):
     assert code == 0
     assert f"journaling to {wal_dir}" in out
     assert (wal_dir / "fabric.wal.jsonl").exists()
-    assert (wal_dir / "shards").is_dir()
+    assert not (wal_dir / "shards").exists()
 
     code = main(["recover", str(wal_dir)])
     out = capsys.readouterr().out
