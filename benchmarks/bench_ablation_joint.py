@@ -20,7 +20,7 @@ def test_joint_vs_separate(run_once):
             instance = make_instance(
                 WorkloadConfig(num_sfcs=14), max_recirculations=2, rng=seed
             )
-            joint = solve_ilp(instance, backend="scipy", time_limit=120.0)
+            joint = solve_ilp(instance, time_limit=120.0)
             separate = solve_separate(instance, time_limit=120.0)
             rows.append((joint.objective, separate.objective))
         return rows

@@ -283,7 +283,6 @@ def build_placement_model(
 def solve_ilp(
     instance: ProblemInstance,
     consolidate: bool = True,
-    backend: str = "scipy",
     time_limit: float | None = None,
     mip_gap: float = 1e-4,
     **build_kwargs,
@@ -297,7 +296,7 @@ def solve_ilp(
     """
     start = time.perf_counter()
     ilp = build_placement_model(instance, consolidate=consolidate, **build_kwargs)
-    solution = lp_solve(ilp.model, backend=backend, time_limit=time_limit, mip_gap=mip_gap)
+    solution = lp_solve(ilp.model, time_limit=time_limit, mip_gap=mip_gap)
     elapsed = time.perf_counter() - start
     if solution.status is SolveStatus.INFEASIBLE:
         raise PlacementError(

@@ -91,7 +91,6 @@ def _round_physical(
 def solve_with_rounding(
     instance: ProblemInstance,
     consolidate: bool = True,
-    backend: str = "scipy",
     rng: int | np.random.Generator | None = None,
     max_attempts: int | None = None,
     require_all_types: bool = True,
@@ -128,7 +127,7 @@ def solve_with_rounding(
             require_all_types=require_all_types,
             reserve_physical_block=reserve_physical_block,
         )
-        lp_solution = lp_solve(ilp.model, backend=backend, relax=True)
+        lp_solution = lp_solve(ilp.model, relax=True)
         if lp_solution.status is not SolveStatus.OPTIMAL:
             continue
         lp_per_r[r] = float(lp_solution.objective)

@@ -32,7 +32,6 @@ def solve_separate(
     instance: ProblemInstance,
     layout: np.ndarray | None = None,
     consolidate: bool = True,
-    backend: str = "scipy",
     time_limit: float | None = None,
     **build_kwargs,
 ) -> Placement:
@@ -59,7 +58,7 @@ def solve_separate(
                 ilp.x[i][s] == (1.0 if layout[i, s] else 0.0),
                 name=f"pin_x[{i + 1},{s}]",
             )
-    solution = lp_solve(ilp.model, backend=backend, time_limit=time_limit)
+    solution = lp_solve(ilp.model, time_limit=time_limit)
     if not solution.is_feasible:
         raise PlacementError(
             f"separate placement found no solution (status "

@@ -13,13 +13,13 @@ class ReproError(Exception):
 
 class ModelError(ReproError):
     """Raised when an optimization model is built or used incorrectly
-    (duplicate variable names, mismatched model ownership, missing
-    objective, ...)."""
+    (duplicate variable names, mismatched model ownership, a NaN
+    coefficient, ...)."""
 
 
 class SolverError(ReproError):
-    """Raised when a solver backend fails in a way that is not simply an
-    infeasible/unbounded status (e.g. numerical breakdown, unknown backend)."""
+    """Raised when a solve fails in a way that is not simply an
+    infeasible/unbounded status (e.g. a non-positive ``time_limit``)."""
 
 
 class InfeasibleError(SolverError):

@@ -25,7 +25,6 @@ def run(
     l_values=L_VALUES,
     trials: int = 1,
     seed: int | None = None,
-    backend: str = "scipy",
     ilp_time_limit: float | None = 300.0,
     include_ilp: bool = True,
 ) -> ExperimentResult:
@@ -56,7 +55,7 @@ def run(
                 max_recirculations=MAX_RECIRCULATIONS,
                 rng=rng,
             )
-            appro = solve_with_rounding(instance, rng=rng, backend=backend).placement
+            appro = solve_with_rounding(instance, rng=rng).placement
             greedy = greedy_place(instance)
             row = {
                 # Objective throughput (the figure's own axis label).
@@ -66,7 +65,7 @@ def run(
                 "greedy_backplane": greedy.backplane_gbps,
             }
             if include_ilp:
-                ilp = solve_ilp(instance, backend=backend, time_limit=ilp_time_limit)
+                ilp = solve_ilp(instance, time_limit=ilp_time_limit)
                 row["ilp_gbps"] = ilp.objective
                 row["ilp_backplane"] = ilp.backplane_gbps
             return row

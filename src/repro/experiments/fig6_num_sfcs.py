@@ -29,7 +29,6 @@ def run(
     l_values=L_VALUES,
     trials: int = PAPER_TRIALS,
     seed: int | None = None,
-    backend: str = "scipy",
 ) -> ExperimentResult:
     """Regenerate Fig. 6's sweep over the number of SFC candidates."""
     result = ExperimentResult(
@@ -62,10 +61,10 @@ def run(
             # comparison isolates the memory-accounting difference.
             rounding_seed = int(rng.integers(2**31))
             sfp = solve_with_rounding(
-                instance, consolidate=True, rng=rounding_seed, backend=backend
+                instance, consolidate=True, rng=rounding_seed
             ).placement
             base = solve_with_rounding(
-                instance, consolidate=False, rng=rounding_seed, backend=backend
+                instance, consolidate=False, rng=rounding_seed
             ).placement
             return {
                 # "Throughput" is the objective (Eq. 1) all algorithms

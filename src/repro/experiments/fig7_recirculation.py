@@ -25,7 +25,6 @@ def run(
     recirculations=RECIRCULATIONS,
     trials: int = PAPER_TRIALS,
     seed: int | None = None,
-    backend: str = "scipy",
 ) -> ExperimentResult:
     """Regenerate Fig. 7's sweep over the recirculation budget."""
     config = replace(
@@ -61,14 +60,12 @@ def run(
                 instance,
                 consolidate=True,
                 rng=rounding_seed,
-                backend=backend,
                 recirculation_budgets=[r],
             ).placement
             base = solve_with_rounding(
                 instance,
                 consolidate=False,
                 rng=rounding_seed,
-                backend=backend,
                 recirculation_budgets=[r],
             ).placement
             return {

@@ -28,7 +28,6 @@ def run(
     l_values=L_VALUES,
     trials: int = 1,
     seed: int | None = None,
-    backend: str = "scipy",
     ilp_time_limit: float | None = 300.0,
 ) -> ExperimentResult:
     """Regenerate Fig. 8's solver-runtime comparison."""
@@ -55,10 +54,10 @@ def run(
                 rng=rng,
             )
             t0 = time.perf_counter()
-            ilp = solve_ilp(instance, backend=backend, time_limit=ilp_time_limit)
+            ilp = solve_ilp(instance, time_limit=ilp_time_limit)
             ilp_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            appro = solve_with_rounding(instance, rng=rng, backend=backend)
+            appro = solve_with_rounding(instance, rng=rng)
             appro_seconds = time.perf_counter() - t0
             hit = (
                 1.0

@@ -25,7 +25,6 @@ def run(
     num_sfcs: int = NUM_SFCS,
     trials: int = 1,
     seed: int | None = None,
-    backend: str = "scipy",
 ) -> ExperimentResult:
     """Regenerate Fig. 9's early-termination staircase."""
     config = replace(PAPER_WORKLOAD, num_sfcs=num_sfcs)
@@ -48,7 +47,7 @@ def run(
                 max_recirculations=MAX_RECIRCULATIONS,
                 rng=rng,
             )
-            placement = solve_ilp(instance, backend=backend, time_limit=limit)
+            placement = solve_ilp(instance, time_limit=limit)
             return {
                 # Objective throughput (Eq. 1), as in Figs. 6/7/10.
                 "throughput_gbps": placement.objective,

@@ -430,7 +430,7 @@ def solve_ilp(
             )
             terms.append((move_cost + balance) * x[(foot.tenant_id, name)])
     m.set_objective(lin_sum(terms), sense=Objective.MINIMIZE)
-    solution = solve(m, backend="auto", time_limit=time_limit)
+    solution = solve(m, time_limit=time_limit)
     if not solution.is_feasible:
         return None
     plans: dict[int, TenantPlan] = {}

@@ -1,23 +1,20 @@
 """Linear / mixed-integer programming substrate.
 
 The paper solves its placement problem with Gurobi.  No commercial solver is
-available here, so this package provides the whole solving stack:
+available here, so this package is a small modeling layer over scipy's HiGHS:
 
 * :mod:`repro.lp.expr` — variables and linear expressions with operator
   overloading (a deliberately small PuLP/Gurobi-style modeling API),
 * :mod:`repro.lp.constraint` — linear constraints,
 * :mod:`repro.lp.model` — the :class:`~repro.lp.model.Model` container and
-  its export to dense matrix form,
-* :mod:`repro.lp.simplex` — a from-scratch two-phase dense simplex LP solver,
-* :mod:`repro.lp.branch_and_bound` — best-first branch & bound for MILP on
-  top of any LP solver, with time limits and incumbent reporting,
-* :mod:`repro.lp.scipy_backend` — an adapter to scipy's HiGHS
-  (``linprog`` / ``milp``) for large instances,
-* :mod:`repro.lp.solver` — the single entry point :func:`~repro.lp.solver.solve`
-  that dispatches between backends.
+  its export to sparse (CSR) matrix form,
+* :mod:`repro.lp.solver` — the single entry point :func:`~repro.lp.solver.solve`:
+  export, HiGHS ``linprog`` / ``milp``, :class:`~repro.lp.status.Solution`,
+* :mod:`repro.lp.status` — solve statuses and the solution object,
+* :mod:`repro.lp.writer` — CPLEX-LP export for checking a model in an
+  external solver.
 
-The two backends are cross-checked against each other in the test suite; the
-placement layer (:mod:`repro.core`) only ever talks to
+The placement layer (:mod:`repro.core`) only ever talks to
 :func:`repro.lp.solver.solve`.
 """
 

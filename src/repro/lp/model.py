@@ -1,10 +1,11 @@
 """The optimization model container.
 
-:class:`Model` owns variables and constraints and exports itself to the dense
-matrix form consumed by both solver backends.  The export is the only place
-where sparse ``{index: coeff}`` dictionaries become numpy arrays — this keeps
-model *construction* cheap (the placement ILP builds tens of thousands of
-terms) and makes the numeric hand-off to solvers a single vectorized step.
+:class:`Model` owns variables and constraints and exports itself to the sparse
+matrix form :func:`repro.lp.solver.solve` hands to HiGHS.  The export is the
+only place where the constraints' ``{index: coeff}`` dictionaries become
+arrays (CSR, so memory follows the non-zeros) — this keeps model
+*construction* cheap (the placement ILP builds tens of thousands of terms)
+and makes it the one seam where a malformed model is rejected.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from repro.errors import ModelError
 from repro.lp.constraint import Constraint, Sense
@@ -29,18 +31,19 @@ class Objective(enum.Enum):
 
 
 @dataclass
-class DenseForm:
-    """Dense matrix export of a model, in **minimization** convention.
+class MatrixForm:
+    """Matrix export of a model, in **minimization** convention.
 
     ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``lb <= x <= ub``; ``c`` already
     carries the sign flip for maximization models, and ``sign`` records that
     flip so objective values can be mapped back (original = sign * min-value).
+    Rows keep the model's constraint order; GE rows are negated into ``<=``.
     """
 
     c: np.ndarray
-    A_ub: np.ndarray
+    A_ub: scipy.sparse.csr_matrix
     b_ub: np.ndarray
-    A_eq: np.ndarray
+    A_eq: scipy.sparse.csr_matrix
     b_eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -181,7 +184,7 @@ class Model:
 
         An empty list means the assignment is feasible.  Used by the
         randomized-rounding verifier (Algorithm 1's ``Verify_vars``) and by
-        the test suite's cross-backend checks.
+        the test suite.
         """
         problems: list[str] = []
         arr = np.asarray(assignment, dtype=float)
@@ -204,8 +207,12 @@ class Model:
         return problems
 
     # -- export ------------------------------------------------------------
-    def to_arrays(self) -> DenseForm:
-        """Export to dense minimization form (see :class:`DenseForm`)."""
+    def to_arrays(self) -> MatrixForm:
+        """Export to sparse minimization form (see :class:`MatrixForm`).
+
+        Raises :class:`ModelError` when an objective coefficient, constraint
+        coefficient or right-hand side is not finite, or a bound is NaN.
+        """
         n = self.num_vars
         sign = 1.0 if self.objective_sense is Objective.MINIMIZE else -1.0
 
@@ -213,37 +220,22 @@ class Model:
         for idx, coeff in self.objective_expr.coeffs.items():
             c[idx] = sign * coeff
 
-        ub_rows: list[Constraint] = []
-        eq_rows: list[Constraint] = []
-        ub_signs: list[float] = []
+        ub_rows: list[tuple[Constraint, float]] = []
+        eq_rows: list[tuple[Constraint, float]] = []
         for constr in self.constraints:
             if constr.sense is Sense.EQ:
-                eq_rows.append(constr)
-            elif constr.sense is Sense.LE:
-                ub_rows.append(constr)
-                ub_signs.append(1.0)
+                eq_rows.append((constr, 1.0))
             else:  # GE -> negate into LE
-                ub_rows.append(constr)
-                ub_signs.append(-1.0)
+                ub_rows.append((constr, 1.0 if constr.sense is Sense.LE else -1.0))
+        A_ub, b_ub = _csr_rows(ub_rows, n)
+        A_eq, b_eq = _csr_rows(eq_rows, n)
 
-        A_ub = np.zeros((len(ub_rows), n))
-        b_ub = np.zeros(len(ub_rows))
-        for row, (constr, row_sign) in enumerate(zip(ub_rows, ub_signs)):
-            for idx, coeff in constr.lhs.coeffs.items():
-                A_ub[row, idx] = row_sign * coeff
-            b_ub[row] = row_sign * constr.rhs
-
-        A_eq = np.zeros((len(eq_rows), n))
-        b_eq = np.zeros(len(eq_rows))
-        for row, constr in enumerate(eq_rows):
-            for idx, coeff in constr.lhs.coeffs.items():
-                A_eq[row, idx] = coeff
-            b_eq[row] = constr.rhs
-
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
-        integrality = np.array([v.is_integer for v in self.variables], dtype=bool)
-        return DenseForm(
+        lb = np.array([v.lb for v in self.variables], dtype=float)
+        ub = np.array([v.ub for v in self.variables], dtype=float)
+        finite = (c, A_ub.data, b_ub, A_eq.data, b_eq)
+        if not all(np.isfinite(a).all() for a in finite) or np.isnan([lb, ub]).any():
+            raise ModelError(f"model {self.name!r}: {self._first_malformed()}")
+        return MatrixForm(
             c=c,
             A_ub=A_ub,
             b_ub=b_ub,
@@ -251,32 +243,46 @@ class Model:
             b_eq=b_eq,
             lb=lb,
             ub=ub,
-            integrality=integrality,
+            integrality=np.array([v.is_integer for v in self.variables], dtype=bool),
             sign=sign,
             objective_constant=self.objective_expr.constant,
         )
 
-    def relaxed(self) -> "Model":
-        """Return a copy of this model with all integrality dropped.
-
-        This is Algorithm 1's ``Relax_vars()``: the LP relaxation shares the
-        variable ordering with the original model, so a solution vector of
-        one indexes directly into the other.
-        """
-        clone = Model(f"{self.name}-relaxed")
-        for var in self.variables:
-            clone.add_var(var.name, lb=var.lb, ub=var.ub, integer=False)
-        for constr in self.constraints:
-            lhs = LinExpr(constr.lhs.coeffs, 0.0, clone)
-            clone.constraints.append(Constraint(lhs, constr.sense, constr.rhs, constr.name))
-        clone.objective_expr = LinExpr(
-            self.objective_expr.coeffs, self.objective_expr.constant, clone
-        )
-        clone.objective_sense = self.objective_sense
-        return clone
+    def _first_malformed(self) -> str:
+        """Name the first non-finite coefficient / rhs or NaN bound."""
+        rows = [("objective", self.objective_expr.coeffs, 0.0)]
+        rows += [(f"constraint {c.name}", c.lhs.coeffs, c.rhs) for c in self.constraints]
+        for where, coeffs, rhs in rows:
+            for idx, coeff in coeffs.items():
+                if not math.isfinite(coeff):
+                    return f"{where}: coefficient of {self.variables[idx].name} is {coeff}"
+            if not math.isfinite(rhs):
+                return f"{where}: right-hand side is {rhs}"
+        bad = next(v for v in self.variables if math.isnan(v.lb) or math.isnan(v.ub))
+        return f"variable {bad.name} has a NaN bound"
 
     def __repr__(self) -> str:
         return (
             f"Model({self.name!r}, vars={self.num_vars} "
             f"({self.num_integer_vars} int), constrs={self.num_constraints})"
         )
+
+
+def _csr_rows(
+    rows: list[tuple[Constraint, float]], n: int
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """``(A, b)`` for ``rows`` of ``(constraint, row_sign)``, straight from
+    each constraint's ``{index: coeff}`` dict."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for constr, row_sign in rows:
+        coeffs = constr.lhs.coeffs
+        indices.extend(coeffs)
+        data.extend(row_sign * coeff for coeff in coeffs.values())
+        indptr.append(len(indices))
+    A = scipy.sparse.csr_matrix(
+        (np.array(data, dtype=float), indices, indptr), shape=(len(rows), n)
+    )
+    b = np.array([row_sign * constr.rhs for constr, row_sign in rows], dtype=float)
+    return A, b

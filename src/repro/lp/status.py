@@ -1,9 +1,9 @@
-"""Solve statuses and solution objects shared by all solver backends."""
+"""Solve statuses and the solution object :func:`repro.lp.solver.solve` returns."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,11 +49,9 @@ class Solution:
     values: np.ndarray | None = None
     solve_seconds: float = 0.0
     iterations: int = 0
-    backend: str = ""
-    #: Best proven bound on the objective (for MILP: the LP/B&B bound); lets
+    #: Best proven bound on the objective (for MILP: HiGHS's dual bound); lets
     #: callers report optimality gaps for early-terminated solves.
     bound: float | None = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def is_feasible(self) -> bool:

@@ -53,8 +53,8 @@ class TestStateAccounting:
         )
         inst = ProblemInstance(switch=tiny_switch, sfcs=sfcs, num_types=1,
                                max_recirculations=0)
-        plain = solve_ilp(inst, backend="scipy")
-        heavy = solve_ilp(account_nf_state(inst, {1: 400}), backend="scipy")
+        plain = solve_ilp(inst)
+        heavy = solve_ilp(account_nf_state(inst, {1: 400}))
         assert heavy.num_placed < plain.num_placed
 
 
@@ -81,7 +81,7 @@ class TestSubNFExpansion:
 
     def test_expanded_instance_solves_and_collapses(self, instance):
         exp = expand_multi_stage_nfs(instance, {2: 2})
-        placement = solve_ilp(exp.expanded, backend="scipy")
+        placement = solve_ilp(exp.expanded)
         assert check_placement(placement) == []
         collapsed = collapse_assignment(exp, placement)
         for l, stages in collapsed.items():
@@ -99,8 +99,8 @@ class TestSubNFExpansion:
         # A span-2 NF needs two consecutive stage slots: the expanded chain
         # is longer, so its last stage is at least the original's.
         exp = expand_multi_stage_nfs(instance, {2: 2})
-        plain = solve_ilp(instance, backend="scipy")
-        expanded = solve_ilp(exp.expanded, backend="scipy")
+        plain = solve_ilp(instance)
+        expanded = solve_ilp(exp.expanded)
         if 0 in plain.assignments and 0 in expanded.assignments:
             assert (
                 expanded.assignments[0].last_stage

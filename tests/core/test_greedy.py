@@ -36,7 +36,7 @@ def test_greedy_places_feasible(tiny_instance):
 
 def test_greedy_never_beats_ilp(tiny_instance):
     greedy = greedy_place(tiny_instance)
-    optimal = solve_ilp(tiny_instance, backend="scipy")
+    optimal = solve_ilp(tiny_instance)
     assert greedy.objective <= optimal.objective + 1e-6
 
 

@@ -22,7 +22,7 @@ def test_model_dimensions(tiny_instance):
 
 
 def test_solve_places_everything_when_roomy(tiny_instance):
-    placement = solve_ilp(tiny_instance, backend="scipy")
+    placement = solve_ilp(tiny_instance)
     assert placement.num_placed == 3
     assert check_placement(placement) == []
     # Total objective = sum of weights.
@@ -31,7 +31,7 @@ def test_solve_places_everything_when_roomy(tiny_instance):
 
 
 def test_out_of_order_chain_gets_recirculated(tiny_instance):
-    placement = solve_ilp(tiny_instance, backend="scipy")
+    placement = solve_ilp(tiny_instance)
     # Chain c is (3, 1): with 3 types on 3 stages and chains a (1,2) and
     # b (2,3) also placed, type order along the pipeline cannot serve
     # 3-before-1 in a single pass for every chain simultaneously -> chain c
@@ -47,7 +47,7 @@ def test_capacity_constraint_limits_selection(tiny_switch):
         SFC(name="b", nf_types=(1,), rules=(10,), bandwidth_gbps=60.0),
     )
     inst = ProblemInstance(switch=tiny_switch, sfcs=sfcs, num_types=1)
-    placement = solve_ilp(inst, backend="scipy")
+    placement = solve_ilp(inst)
     assert placement.num_placed == 1
     assert placement.backplane_gbps <= 100.0
 
@@ -61,7 +61,7 @@ def test_memory_constraint_limits_selection(tiny_switch):
         for i in range(4)
     )
     inst = ProblemInstance(switch=tiny_switch, sfcs=sfcs, num_types=1)
-    placement = solve_ilp(inst, backend="scipy")
+    placement = solve_ilp(inst)
     # 4 chains x 390 = 1560 entries; capacity 3 stages x 400 = 1200 -> at
     # most 3 chains.
     assert placement.num_placed == 3
@@ -84,8 +84,8 @@ def test_consolidation_beats_fragmentation(tiny_switch):
         capacity_gbps=100.0,
     )
     inst = ProblemInstance(switch=switch, sfcs=sfcs, num_types=1, max_recirculations=0)
-    merged = solve_ilp(inst, consolidate=True, backend="scipy")
-    frag = solve_ilp(inst, consolidate=False, backend="scipy")
+    merged = solve_ilp(inst, consolidate=True)
+    frag = solve_ilp(inst, consolidate=False)
     # 6 x 60 = 360 entries -> 4 blocks consolidated (fits); fragmented each
     # NF takes a whole block -> only 4 chains fit.
     assert merged.num_placed == 6
@@ -97,7 +97,7 @@ def test_consolidation_beats_fragmentation(tiny_switch):
 
 def test_require_all_types_constraint(tiny_instance):
     ilp = build_placement_model(tiny_instance, require_all_types=True)
-    sol = lp_solve(ilp.model, backend="scipy")
+    sol = lp_solve(ilp.model)
     assert sol.status is SolveStatus.OPTIMAL
     placement = ilp.extract(sol)
     assert placement.physical.any(axis=1).all()
@@ -113,7 +113,7 @@ def test_extract_requires_feasible_solution(tiny_instance):
 
 
 def test_ordering_respected_in_solution(tiny_instance):
-    placement = solve_ilp(tiny_instance, backend="scipy")
+    placement = solve_ilp(tiny_instance)
     for l, asg in placement.assignments.items():
         sfc = tiny_instance.sfcs[l]
         # Types at assigned stages match the chain.
@@ -139,7 +139,7 @@ def test_recirculation_budget_zero_forbids_folding():
         SFC(name="rev", nf_types=(3, 2, 1), rules=(10, 10, 10), bandwidth_gbps=1.0),
     )
     inst = ProblemInstance(switch=switch, sfcs=sfcs, num_types=3, max_recirculations=0)
-    placement = solve_ilp(inst, backend="scipy")
+    placement = solve_ilp(inst)
     # Only one of the two fits in a single pass; the forward chain carries
     # 30x the weight, so it wins.
     assert placement.num_placed == 1
@@ -148,26 +148,12 @@ def test_recirculation_budget_zero_forbids_folding():
     # With one recirculation both fit (each folding once in the right
     # physical layout, e.g. 3|1|2 along the stages).
     inst2 = inst.with_recirculations(1)
-    placement2 = solve_ilp(inst2, backend="scipy")
+    placement2 = solve_ilp(inst2)
     assert placement2.num_placed == 2
     assert placement2.passes(1) == 2
     assert check_placement(placement2) == []
 
 
 def test_solve_seconds_recorded(tiny_instance):
-    placement = solve_ilp(tiny_instance, backend="scipy")
+    placement = solve_ilp(tiny_instance)
     assert placement.solve_seconds > 0.0
-
-
-def test_own_backend_agrees_on_micro_instance(tiny_switch):
-    sfcs = (
-        SFC(name="a", nf_types=(1,), rules=(10,), bandwidth_gbps=5.0),
-        SFC(name="b", nf_types=(2,), rules=(10,), bandwidth_gbps=7.0),
-    )
-    inst = ProblemInstance(
-        switch=tiny_switch, sfcs=sfcs, num_types=2, max_recirculations=0
-    )
-    a = solve_ilp(inst, backend="own")
-    b = solve_ilp(inst, backend="scipy")
-    assert a.objective == pytest.approx(b.objective)
-    assert a.num_placed == b.num_placed == 2

@@ -101,7 +101,7 @@ def test_rounding_always_feasible_and_bounded(instance, seed):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_ilp_dominates_heuristics(instance):
-    optimal = solve_ilp(instance, backend="scipy", require_all_types=False)
+    optimal = solve_ilp(instance, require_all_types=False)
     assert check_placement(optimal, require_all_types=False) == []
     greedy = greedy_place(instance, require_all_types=False)
     assert greedy.objective <= optimal.objective + 1e-6
@@ -109,7 +109,7 @@ def test_ilp_dominates_heuristics(instance):
     assert rounding.placement.objective <= optimal.objective + 1e-6
     # And the LP relaxation upper-bounds the ILP.
     ilp = build_placement_model(instance, require_all_types=False)
-    relaxed = lp_solve(ilp.model, backend="scipy", relax=True)
+    relaxed = lp_solve(ilp.model, relax=True)
     if relaxed.is_feasible:
         assert optimal.objective <= relaxed.objective + 1e-6
 

@@ -22,7 +22,7 @@ def test_objective_bounded_by_lp(tiny_instance):
 
 def test_objective_bounded_by_ilp(tiny_instance):
     result = solve_with_rounding(tiny_instance, rng=1)
-    optimal = solve_ilp(tiny_instance, backend="scipy")
+    optimal = solve_ilp(tiny_instance)
     assert result.placement.objective <= optimal.objective + 1e-6
 
 
@@ -65,12 +65,6 @@ def test_attempt_diagnostics_present(tiny_instance):
     assert all(a >= 1 for a in result.attempts_per_r.values())
     assert result.placement.solve_seconds > 0
 
-
-def test_own_backend_path(tiny_instance):
-    # The tiny instance's LP is small enough for the in-tree simplex.
-    result = solve_with_rounding(tiny_instance, rng=1, backend="scipy")
-    own = solve_with_rounding(tiny_instance, rng=1, backend="own")
-    assert own.placement.objective == pytest.approx(result.placement.objective)
 
 
 def test_empty_candidate_list(tiny_switch):

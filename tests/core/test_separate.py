@@ -17,7 +17,7 @@ def test_separate_is_feasible(tiny_instance):
 
 
 def test_separate_never_beats_joint(tiny_instance):
-    joint = solve_ilp(tiny_instance, backend="scipy")
+    joint = solve_ilp(tiny_instance)
     separate = solve_separate(tiny_instance)
     assert separate.objective <= joint.objective + 1e-6
 

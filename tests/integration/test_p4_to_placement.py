@@ -41,8 +41,7 @@ def test_spans_feed_expansion_and_solve():
     # Chain a becomes FW, LB0, LB1, router.
     assert expansion.expanded.sfcs[0].length == 4
 
-    placement = solve_ilp(expansion.expanded, backend="scipy",
-                          require_all_types=False)
+    placement = solve_ilp(expansion.expanded, require_all_types=False)
     assert check_placement(placement, require_all_types=False) == []
     assert placement.num_placed == 2
 

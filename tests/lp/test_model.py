@@ -1,13 +1,19 @@
-"""Unit tests for the Model container, constraints, and dense export."""
+"""Unit tests for the Model container, constraints, and sparse export."""
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from repro.core.ilp import build_placement_model
 from repro.errors import ModelError
-from repro.lp import Model, Objective, Sense
+from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
+from repro.lp import Model, Objective, Sense, solve
 from repro.lp.constraint import Constraint
+from repro.traffic.workload import make_instance
 
 
 @pytest.fixture()
@@ -133,9 +139,10 @@ def test_to_arrays_minimize(model):
     assert form.sign == 1.0
     np.testing.assert_allclose(form.c, [1.0, 4.0])
     # GE rows are negated into <= form.
-    np.testing.assert_allclose(form.A_ub, [[1.0, 1.0], [-1.0, 1.0]])
+    assert isinstance(form.A_ub, csr_matrix) and isinstance(form.A_eq, csr_matrix)
+    np.testing.assert_allclose(form.A_ub.toarray(), [[1.0, 1.0], [-1.0, 1.0]])
     np.testing.assert_allclose(form.b_ub, [3.0, -1.0])
-    np.testing.assert_allclose(form.A_eq, [[1.0, 2.0]])
+    np.testing.assert_allclose(form.A_eq.toarray(), [[1.0, 2.0]])
     np.testing.assert_allclose(form.b_eq, [2.0])
     np.testing.assert_allclose(form.lb, [0.0, -1.0])
     np.testing.assert_allclose(form.ub, [5.0, 1.0])
@@ -147,6 +154,27 @@ def test_to_arrays_maximize_flips_sign(model):
     form = model.to_arrays()
     assert form.sign == -1.0
     np.testing.assert_allclose(form.c, [-2.0])
+
+
+def test_export_is_sparse_and_exact_on_fig8_quick_instance():
+    instance = make_instance(
+        replace(PAPER_WORKLOAD, num_sfcs=10), PAPER_SWITCH, max_recirculations=2, rng=3
+    )
+    m = build_placement_model(instance).model
+    form = m.to_arrays()
+    assert isinstance(form.A_ub, csr_matrix) and isinstance(form.A_eq, csr_matrix)
+    assert form.A_ub.shape[1] == form.A_eq.shape[1] == m.num_vars
+    assert form.A_ub.nnz + form.A_eq.nnz == sum(len(c.lhs.coeffs) for c in m.constraints)
+    x = solve(m, time_limit=30.0).values
+    assert m.check_feasible(x) == []
+    assert (form.A_ub @ x <= form.b_ub + 1e-6).all()
+    np.testing.assert_allclose(form.A_eq @ x, form.b_eq, atol=1e-6)
+    # ... and on a point that breaks rows, the two agree on which ones.
+    broken = np.ones(m.num_vars)
+    bad_rows = (form.A_ub @ broken > form.b_ub + 1e-6).sum() + (
+        np.abs(form.A_eq @ broken - form.b_eq) > 1e-6
+    ).sum()
+    assert bad_rows == sum(p.startswith("constraint") for p in m.check_feasible(broken)) > 0
 
 
 def test_objective_constant_preserved(model):
@@ -161,20 +189,6 @@ def test_objective_from_other_model_rejected():
     with pytest.raises(ModelError):
         m2.set_objective(x + 0)
 
-
-def test_relaxed_drops_integrality_only(model):
-    x = model.add_var("x", binary=True)
-    y = model.add_var("y", lb=0, ub=3)
-    model.add_constr(x + y <= 2, name="keep")
-    model.set_objective(x + y, Objective.MAXIMIZE)
-    relaxed = model.relaxed()
-    assert relaxed.num_vars == 2
-    assert relaxed.num_integer_vars == 0
-    assert relaxed.variables[0].ub == 1.0
-    assert relaxed.constraints[0].name == "keep"
-    assert relaxed.objective_sense is Objective.MAXIMIZE
-    # Original untouched.
-    assert model.num_integer_vars == 1
 
 
 def test_repr_counts(model):

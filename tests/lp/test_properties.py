@@ -2,8 +2,7 @@
 
 Invariants checked:
 * expression arithmetic is consistent with evaluation semantics,
-* the own simplex agrees with HiGHS on random feasible LPs,
-* B&B solutions are feasible and never beat the LP relaxation bound.
+* MILP solutions are feasible and never beat the LP relaxation bound.
 """
 
 import numpy as np
@@ -12,8 +11,6 @@ from hypothesis import strategies as st
 
 from repro.lp import Model, Objective, SolveStatus, solve
 from repro.lp.expr import lin_sum
-from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.simplex import solve_dense_form
 
 coeffs = st.integers(min_value=-5, max_value=5)
 
@@ -38,31 +35,6 @@ def test_expr_arithmetic_matches_evaluation(a, b, point, scale):
     assert abs(combo.value(point) - expected) < 1e-7
 
 
-@given(
-    n=st.integers(min_value=2, max_value=5),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=40, deadline=None)
-def test_simplex_agrees_with_highs_on_feasible_lps(n, seed):
-    rng = np.random.default_rng(seed)
-    m = Model()
-    xs = [m.add_var(f"x{i}", lb=0, ub=float(rng.integers(1, 15))) for i in range(n)]
-    for _ in range(int(rng.integers(1, 5))):
-        row = rng.integers(-3, 4, size=n)
-        if not np.any(row):
-            continue
-        m.add_constr(lin_sum(int(c) * x for c, x in zip(row, xs)) <= float(rng.integers(0, 25)))
-    cost = rng.integers(-5, 6, size=n)
-    m.set_objective(lin_sum(int(c) * x for c, x in zip(cost, xs)), Objective.MINIMIZE)
-    form = m.to_arrays()
-    own = solve_dense_form(form)
-    ref = solve_lp_scipy(form)
-    # x=0 is always feasible here, objective bounded below by box bounds.
-    assert own.status is SolveStatus.OPTIMAL
-    assert ref.status is SolveStatus.OPTIMAL
-    assert abs(own.objective - ref.objective) < 1e-6
-
-
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_bnb_solution_feasible_and_bounded_by_relaxation(seed):
@@ -75,12 +47,9 @@ def test_bnb_solution_feasible_and_bounded_by_relaxation(seed):
     cap = int(max(1, w.sum() // 2))
     m.add_constr(lin_sum(int(wi) * x for wi, x in zip(w, xs)) <= cap)
     m.set_objective(lin_sum(int(vi) * x for vi, x in zip(v, xs)), Objective.MAXIMIZE)
-    mip = solve(m, backend="own")
-    relaxation = solve(m, backend="own", relax=True)
+    mip = solve(m)
+    relaxation = solve(m, relax=True)
     assert mip.status is SolveStatus.OPTIMAL
     assert m.check_feasible(mip.values) == []
     # Relaxation upper-bounds the integer optimum (maximization).
     assert mip.objective <= relaxation.objective + 1e-6
-    # And matches HiGHS exactly.
-    ref = solve(m, backend="scipy")
-    assert abs(mip.objective - ref.objective) < 1e-6

@@ -1,14 +1,9 @@
-"""Unit tests for the from-scratch two-phase simplex solver."""
+"""LP model shapes through ``repro.lp.solve`` (HiGHS ``linprog``)."""
 
 import numpy as np
 import pytest
 
-from repro.lp import Model, Objective, SolveStatus
-from repro.lp.simplex import solve_dense_form, solve_standard
-
-
-def _solve(model):
-    return solve_dense_form(model.to_arrays())
+from repro.lp import Model, Objective, SolveStatus, solve
 
 
 def test_textbook_max_problem():
@@ -20,11 +15,10 @@ def test_textbook_max_problem():
     m.add_constr(2 * y <= 12)
     m.add_constr(3 * x + 2 * y <= 18)
     m.set_objective(3 * x + 5 * y, Objective.MAXIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
-    # minimization convention: objective is negated
-    assert res.objective == pytest.approx(-36.0)
-    np.testing.assert_allclose(res.x, [2.0, 6.0], atol=1e-7)
+    assert res.objective == pytest.approx(36.0)
+    np.testing.assert_allclose(res.values, [2.0, 6.0], atol=1e-7)
 
 
 def test_minimization_with_ge_rows():
@@ -35,7 +29,7 @@ def test_minimization_with_ge_rows():
     m.add_constr(x + y >= 4)
     m.add_constr(x >= 1)
     m.set_objective(2 * x + 3 * y, Objective.MINIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(8.0)
 
@@ -47,9 +41,9 @@ def test_equality_constraints():
     m.add_constr(x + y == 10)
     m.add_constr(x - y == 2)
     m.set_objective(x + y, Objective.MINIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
-    np.testing.assert_allclose(res.x, [6.0, 4.0], atol=1e-7)
+    np.testing.assert_allclose(res.values, [6.0, 4.0], atol=1e-7)
 
 
 def test_infeasible_detected():
@@ -57,9 +51,9 @@ def test_infeasible_detected():
     x = m.add_var("x", lb=0, ub=1)
     m.add_constr(x >= 2)
     m.set_objective(x + 0, Objective.MINIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.INFEASIBLE
-    assert res.x is None
+    assert res.values is None
 
 
 def test_unbounded_detected():
@@ -67,7 +61,7 @@ def test_unbounded_detected():
     x = m.add_var("x")  # x >= 0, no upper bound
     m.add_constr(x >= 1)
     m.set_objective(x + 0, Objective.MAXIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.UNBOUNDED
 
 
@@ -75,9 +69,9 @@ def test_negative_lower_bounds_shifted():
     m = Model()
     x = m.add_var("x", lb=-5, ub=5)
     m.set_objective(x + 0, Objective.MINIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
-    assert res.x[0] == pytest.approx(-5.0)
+    assert res.values[0] == pytest.approx(-5.0)
 
 
 def test_free_variable_split():
@@ -85,18 +79,18 @@ def test_free_variable_split():
     x = m.add_var("x", lb=-np.inf, ub=np.inf)
     m.add_constr(x >= -7)
     m.set_objective(x + 0, Objective.MINIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
-    assert res.x[0] == pytest.approx(-7.0)
+    assert res.values[0] == pytest.approx(-7.0)
 
 
 def test_upper_bound_only_variable():
     m = Model()
     x = m.add_var("x", lb=-np.inf, ub=3)
     m.set_objective(x + 0, Objective.MAXIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
-    assert res.x[0] == pytest.approx(3.0)
+    assert res.values[0] == pytest.approx(3.0)
 
 
 def test_degenerate_problem_terminates():
@@ -108,39 +102,18 @@ def test_degenerate_problem_terminates():
     m.add_constr(x + y <= 1)  # duplicate row
     m.add_constr(x <= 1)
     m.set_objective(x + y, Objective.MAXIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(-1.0)
+    assert res.objective == pytest.approx(1.0)
 
 
 def test_no_constraints_bounded_by_variable_bounds():
     m = Model()
     x = m.add_var("x", lb=2, ub=9)
     m.set_objective(x + 0, Objective.MAXIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
-    assert res.x[0] == pytest.approx(9.0)
-
-
-def test_solve_standard_direct():
-    # min -x1 - 2 x2 s.t. x1 + x2 + s = 4 -> x2 = 4
-    A = np.array([[1.0, 1.0, 1.0]])
-    b = np.array([4.0])
-    c = np.array([-1.0, -2.0, 0.0])
-    status, x, obj, _ = solve_standard(A, b, c)
-    assert status is SolveStatus.OPTIMAL
-    assert obj == pytest.approx(-8.0)
-    np.testing.assert_allclose(x, [0.0, 4.0, 0.0], atol=1e-8)
-
-
-def test_solve_standard_negative_rhs_normalized():
-    # -x = -3 with x >= 0 -> x = 3
-    A = np.array([[-1.0]])
-    b = np.array([-3.0])
-    c = np.array([1.0])
-    status, x, obj, _ = solve_standard(A, b, c)
-    assert status is SolveStatus.OPTIMAL
-    assert x[0] == pytest.approx(3.0)
+    assert res.values[0] == pytest.approx(9.0)
 
 
 def test_redundant_equality_rows_handled():
@@ -150,33 +123,7 @@ def test_redundant_equality_rows_handled():
     m.add_constr(x + y == 4)
     m.add_constr(2 * x + 2 * y == 8)  # linearly dependent
     m.set_objective(x + 0, Objective.MINIMIZE)
-    res = _solve(m)
+    res = solve(m)
     assert res.status is SolveStatus.OPTIMAL
-    assert res.x[0] == pytest.approx(0.0)
-    assert res.x[1] == pytest.approx(4.0)
-
-
-def test_agrees_with_scipy_on_random_lps():
-    """Fuzz the own simplex against HiGHS on random feasible LPs."""
-    from repro.lp.scipy_backend import solve_lp_scipy
-
-    rng = np.random.default_rng(7)
-    for trial in range(25):
-        n = int(rng.integers(2, 7))
-        mrows = int(rng.integers(1, 6))
-        m = Model(f"fuzz{trial}")
-        xs = [m.add_var(f"x{i}", lb=0, ub=float(rng.integers(1, 20))) for i in range(n)]
-        for _ in range(mrows):
-            coeffs = rng.integers(-3, 4, size=n)
-            expr = sum(int(c) * x for c, x in zip(coeffs, xs) if c) if np.any(coeffs) else None
-            if expr is None:
-                continue
-            # rhs chosen >= 0 so x = 0 stays feasible -> LP is feasible.
-            m.add_constr(expr <= float(rng.integers(0, 30)))
-        cost = rng.integers(-5, 6, size=n)
-        m.set_objective(sum(int(c) * x for c, x in zip(cost, xs)), Objective.MINIMIZE)
-        form = m.to_arrays()
-        own = solve_dense_form(form)
-        ref = solve_lp_scipy(form)
-        assert own.status is ref.status is SolveStatus.OPTIMAL
-        assert own.objective == pytest.approx(ref.objective, abs=1e-6)
+    assert res.values[0] == pytest.approx(0.0)
+    assert res.values[1] == pytest.approx(4.0)

@@ -28,12 +28,10 @@ def test_bound_brackets_objective_for_maximization():
     x = m.add_var("x", lb=0, ub=7, integer=True)
     m.add_constr(2 * x <= 9)
     m.set_objective(x + 0, Objective.MAXIMIZE)
-    for backend in ("own", "scipy"):
-        sol = solve(m, backend=backend)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(4.0)
-        if sol.bound is not None:
-            assert sol.bound >= sol.objective - 1e-6
+    sol = solve(m)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(4.0)
+    assert sol.bound >= sol.objective - 1e-6
 
 
 def test_value_of_expression():
@@ -41,7 +39,7 @@ def test_value_of_expression():
     x = m.add_var("x", lb=0, ub=3)
     y = m.add_var("y", lb=0, ub=3)
     m.set_objective(x + y, Objective.MAXIMIZE)
-    sol = solve(m, backend="scipy")
+    sol = solve(m)
     assert sol.value(2 * x - y) == pytest.approx(3.0)
     assert sol.value(x) == pytest.approx(3.0)
 
@@ -56,10 +54,9 @@ def test_access_before_solution_raises():
         sol.value(x)
 
 
-def test_backend_and_timing_recorded():
+def test_timing_recorded():
     m = Model()
     x = m.add_var("x", lb=0, ub=1)
     m.set_objective(x + 0, Objective.MAXIMIZE)
-    sol = solve(m, backend="scipy")
-    assert sol.backend == "scipy-lp"
+    sol = solve(m)
     assert sol.solve_seconds >= 0.0
