@@ -45,7 +45,7 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
 
-from repro.controller import ChurnConfig, synthesize_churn
+from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
 from repro.core.spec import SwitchSpec
 from repro.durability import (
     DISK_MODES,
@@ -101,15 +101,6 @@ def churn_events(duration_s: float):
     return synthesize_churn(config, rng=DEFAULT_SEED)
 
 
-def apply_event(fabric, event):
-    kind = event.kind.value
-    if kind == "arrival":
-        return fabric.admit(event.sfc)
-    if kind == "departure":
-        return fabric.evict(event.tenant_id)
-    return fabric.modify(event.tenant_id, event.sfc)
-
-
 def build_oracle(events) -> dict[int, str]:
     """The committed-LSN digest oracle: replay the stream uninterrupted
     (fsync=always, no checkpoints) and map every LSN to the post-op fabric
@@ -120,8 +111,9 @@ def build_oracle(events) -> dict[int, str]:
         durability = FabricDurability(
             directory, fsync="always", checkpoint_every=0
         ).attach(fabric)
+        engine = ChurnEngine(fabric)
         for event in events:
-            apply_event(fabric, event)
+            engine.apply(event)
         for record in durability.wal.records():
             oracle[record.lsn] = record.data["digest"]
         durability.close()
@@ -137,11 +129,12 @@ def measure_replication(events) -> dict:
             root, make_fabric, ttl_s=30.0, checkpoint_every=32, verify_every=8
         )
         cluster.start()
+        engine = ChurnEngine(cluster.fabric)
         lags_before: list[int] = []
         lags_after: list[int] = []
         pump_ms: list[float] = []
         for index, event in enumerate(events):
-            apply_event(cluster.fabric, event)
+            engine.apply(event)
             if (index + 1) % PUMP_EVERY == 0:
                 lags_before.append(
                     cluster.durability.wal.last_lsn
@@ -197,10 +190,11 @@ def failover_sweep(events, oracle, points) -> list[dict]:
                 checkpoint_every=16, verify_every=4, fault_hook=injector,
             )
             cluster.start()
+            engine = ChurnEngine(cluster.fabric)
             acked = 0
             try:
                 for event in events:
-                    apply_event(cluster.fabric, event)
+                    engine.apply(event)
                     # The op returned: its records are durable (fsync=
                     # always) — this is the acknowledgment watermark the
                     # promoted standby must reach.

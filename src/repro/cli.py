@@ -423,7 +423,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.controller import ChurnConfig, synthesize_churn
+    from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
     from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
     from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
     from repro.frontend import FrontendClient, FrontendServer, IntentQueue
@@ -475,16 +475,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 workload=replace(PAPER_WORKLOAD, num_sfcs=0),
             )
             events = synthesize_churn(config, rng=args.seed)[: args.demo_events]
-            ok = 0
-            for event in events:
-                if event.kind.value == "arrival":
-                    assert event.sfc is not None
-                    ok += client.admit(event.sfc).ok
-                elif event.kind.value == "departure":
-                    ok += client.evict(event.tenant_id).ok
-                else:
-                    assert event.sfc is not None
-                    ok += client.modify(event.tenant_id, event.sfc).ok
+            engine = ChurnEngine(client)
+            ok = sum(engine.apply(event).ok for event in events)
             print(f"demo: {ok}/{len(events)} intents accepted, "
                   f"{fabric.summary()['tenants']} tenants live")
         else:  # pragma: no cover — interactive serve loop
@@ -507,7 +499,7 @@ def _cmd_ha(args: argparse.Namespace) -> int:
     from dataclasses import replace
     from pathlib import Path
 
-    from repro.controller import ChurnConfig, synthesize_churn
+    from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
     from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
     from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
 
@@ -532,14 +524,6 @@ def _cmd_ha(args: argparse.Namespace) -> int:
             workload=replace(PAPER_WORKLOAD, num_sfcs=0),
         )
         return synthesize_churn(config, rng=args.seed)[:n]
-
-    def apply_event(fabric, event):
-        kind = event.kind.value
-        if kind == "arrival":
-            return fabric.admit(event.sfc)
-        if kind == "departure":
-            return fabric.evict(event.tenant_id)
-        return fabric.modify(event.tenant_id, event.sfc)
 
     if args.action == "status":
         from repro.durability import CheckpointStore, FabricDurability, scan_wal
@@ -569,11 +553,11 @@ def _cmd_ha(args: argparse.Namespace) -> int:
         print(f"primary elected at epoch {cluster.primary_lease.epoch}; "
               f"shipping to an in-process standby")
         events = churn_events(args.events)
+        engine = ChurnEngine(cluster.fabric)
         decided = 0
         acked = 0
         for event in events:
-            result = apply_event(cluster.fabric, event)
-            decided += bool(result.ok)
+            decided += bool(engine.apply(event).ok)
             acked = cluster.durability.wal.last_lsn
             cluster.pump()
         print(f"drove {len(events)} churn events ({decided} accepted); "
@@ -626,9 +610,10 @@ def _cmd_ha(args: argparse.Namespace) -> int:
         print(f"primary {node!r} at epoch {lease.epoch}, "
               f"journaling to {root / 'primary'}")
         events = churn_events(args.events)
+        engine = ChurnEngine(fabric)
         decided = 0
         for event in events:
-            decided += bool(apply_event(fabric, event).ok)
+            decided += bool(engine.apply(event).ok)
             lease.renew()
             if shipper is not None:
                 shipper.pump()

@@ -37,6 +37,7 @@ expensive full reinstall, counted as such in the metrics).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable
 
 from repro.controller.admission import AdmissionPolicy, check_admission
@@ -354,89 +355,122 @@ class SfcController:
     # ------------------------------------------------------------------
     # Lifecycle operations
     # ------------------------------------------------------------------
-    def admit(self, sfc: SFC) -> OpResult:
-        """Admit one tenant chain: admission screen, placement against the
-        residual resources, then the two-phase data-plane install.  Any
-        data-plane rejection rolls the control plane back to its pre-event
-        snapshot."""
+    def _run(
+        self, op: str, tenant_id: int, body: Callable[[Timer], OpResult], data: dict
+    ) -> OpResult:
+        """The op wrapper the three lifecycle methods share: span + timer
+        → ``body(timer)`` → flight-record → journal (``data`` is what
+        replay needs besides the tenant to re-drive the op)."""
         with maybe_span(
-            self.tracer, "controller.admit", switch=self.name, tenant=sfc.tenant_id
-        ) as span, self.metrics.timer("op_latency_s.admit") as timer:
-            result = self._admit(sfc, timer)
+            self.tracer, f"controller.{op}", switch=self.name, tenant=tenant_id
+        ) as span, self.metrics.timer(f"op_latency_s.{op}") as timer:
+            result = body(timer)
             span.set(ok=result.ok, reason=result.reason)
+            if op == "modify":
+                span.set(hitless=result.hitless)
         self._record_op(result)
-        self._commit_durable("admit", result, {"sfc": sfc.to_dict()})
+        self._commit_durable(op, result, data)
         return result
 
-    def _admit(self, sfc: SFC, timer: Timer) -> OpResult:
+    def _commit_chain(
+        self, sfc: SFC, snap, old: TenantRecord | None, no_fit: str, timer: Timer
+    ) -> OpResult:
+        """The tail admit and modify share: screen ``sfc`` against the
+        other live tenants, place it on the residual resources, install
+        (admit) or make-before-break replace (modify, ``old`` = the record
+        being swapped out) its rules, then book the tenant.  Any refusal
+        restores the control plane to ``snap`` — the pre-event snapshot —
+        removes the physical NFs created on the way and returns the
+        rejection (``no_fit`` is its detail when placement fails)."""
         tenant_id = sfc.tenant_id
-        if tenant_id in self.tenants:
-            return self._reject(
-                tenant_id, "admit", "duplicate-tenant",
-                f"tenant {tenant_id} already has a live chain", timer,
-            )
+        op = "admit" if old is None else "modify"
+        others = len(self.tenants) - (old is not None)
         with maybe_span(self.tracer, "controller.admission", tenant=tenant_id) as sp:
-            decision = check_admission(sfc, self.state, self.policy, len(self.tenants))
+            decision = check_admission(sfc, self.state, self.policy, others)
             sp.set(ok=bool(decision))
         if not decision:
+            self.state.restore(snap)
             return self._reject(
-                tenant_id, "admit", decision.reason, decision.detail, timer
+                tenant_id, op, decision.reason, decision.detail, timer
             )
-
-        snap = self.state.snapshot()
         with maybe_span(self.tracer, "controller.placement", tenant=tenant_id) as sp:
             stages = try_place_chain(self.state, sfc, self.base.virtual_stages)
             sp.set(placed=stages is not None)
         if stages is None:
+            self.state.restore(snap)
             return self._reject(
-                tenant_id, "admit", "no-feasible-placement",
-                "admission passed but no placement fits the residual resources",
-                timer,
+                tenant_id, op, "no-feasible-placement", no_fit, timer
             )
 
+        hitless = True
         if self.with_dataplane:
             assert self.installer is not None
+            install = (
+                self.installer.install if old is None else self.installer.replace
+            )
             created: list[tuple[int, str]] = []
             try:
                 self._ensure_physical(snap.physical, created)
-                self.installer.install(self._logical(sfc), stages)
+                hitless = install(self._logical(sfc), stages).hitless
             except DataPlaneError as exc:
                 self._undo_physical(created)
                 self.state.restore(snap)
                 self.metrics.inc("installs_rolled_back")
                 return self._reject(
-                    tenant_id, "admit", "dataplane-rejected", str(exc), timer
+                    tenant_id, op, "dataplane-rejected", str(exc), timer
                 )
 
         self.tenants[tenant_id] = TenantRecord(sfc=sfc, stages=stages)
         self._renormalize_backplane()
-        added = sum(
-            rule_churn_by_stage(sfc, stages, self.base.switch.stages).values()
-        )
-        self.metrics.inc("admitted")
+        S = self.base.switch.stages
+        added = sum(rule_churn_by_stage(sfc, stages, S).values())
+        deleted = 0
+        self.metrics.inc("admitted" if old is None else "modified")
         self.metrics.inc("rules_inserted", added)
+        if old is not None:
+            deleted = sum(rule_churn_by_stage(old.sfc, old.stages, S).values())
+            self.metrics.inc("rules_deleted", deleted)
+        if not hitless:
+            self.metrics.inc("updates_break_before_make")
         self._refresh_gauges()
         return OpResult(
             ok=True,
             tenant_id=tenant_id,
-            op="admit",
+            op=op,
             stages=stages,
+            hitless=hitless,
             rules_added=added,
+            rules_deleted=deleted,
             latency_s=timer.elapsed_s,
+        )
+
+    def admit(self, sfc: SFC) -> OpResult:
+        """Admit one tenant chain: admission screen, placement against the
+        residual resources, then the two-phase data-plane install.  Any
+        data-plane rejection rolls the control plane back to its pre-event
+        snapshot."""
+        return self._run(
+            "admit", sfc.tenant_id, partial(self._admit, sfc),
+            {"sfc": sfc.to_dict()},
+        )
+
+    def _admit(self, sfc: SFC, timer: Timer) -> OpResult:
+        if sfc.tenant_id in self.tenants:
+            return self._reject(
+                sfc.tenant_id, "admit", "duplicate-tenant",
+                f"tenant {sfc.tenant_id} already has a live chain", timer,
+            )
+        return self._commit_chain(
+            sfc, self.state.snapshot(), None,
+            "admission passed but no placement fits the residual resources",
+            timer,
         )
 
     # ------------------------------------------------------------------
     def evict(self, tenant_id: int) -> OpResult:
         """Tenant departure: release control-plane resources, then detach
         and garbage-collect the data-plane rules (two-phase)."""
-        with maybe_span(
-            self.tracer, "controller.evict", switch=self.name, tenant=tenant_id
-        ) as span, self.metrics.timer("op_latency_s.evict") as timer:
-            result = self._evict(tenant_id, timer)
-            span.set(ok=result.ok, reason=result.reason)
-        self._record_op(result)
-        self._commit_durable("evict", result, {})
-        return result
+        return self._run("evict", tenant_id, partial(self._evict, tenant_id), {})
 
     def _evict(self, tenant_id: int, timer: Timer) -> OpResult:
         record = self.tenants.pop(tenant_id, None)
@@ -475,14 +509,10 @@ class SfcController:
         the pre-event snapshot and the old chain stays live.  Data plane:
         make-before-break via :meth:`TransactionalInstaller.replace`
         (``hitless=False`` on the result when it had to degrade)."""
-        with maybe_span(
-            self.tracer, "controller.modify", switch=self.name, tenant=tenant_id
-        ) as span, self.metrics.timer("op_latency_s.modify") as timer:
-            result = self._modify(tenant_id, new_chain, timer)
-            span.set(ok=result.ok, reason=result.reason, hitless=result.hitless)
-        self._record_op(result)
-        self._commit_durable("modify", result, {"sfc": new_chain.to_dict()})
-        return result
+        return self._run(
+            "modify", tenant_id, partial(self._modify, tenant_id, new_chain),
+            {"sfc": new_chain.to_dict()},
+        )
 
     def _modify(self, tenant_id: int, new_chain: SFC, timer: Timer) -> OpResult:
         record = self.tenants.get(tenant_id)
@@ -500,62 +530,9 @@ class SfcController:
             )
         old_passes = -(-record.stages[-1] // S)
         self.state.release_backplane(old_passes * record.sfc.bandwidth_gbps)
-
-        with maybe_span(self.tracer, "controller.admission", tenant=tenant_id) as sp:
-            decision = check_admission(
-                new_sfc, self.state, self.policy, len(self.tenants) - 1
-            )
-            sp.set(ok=bool(decision))
-        if not decision:
-            self.state.restore(snap)
-            return self._reject(
-                tenant_id, "modify", decision.reason, decision.detail, timer
-            )
-        with maybe_span(self.tracer, "controller.placement", tenant=tenant_id) as sp:
-            stages = try_place_chain(self.state, new_sfc, self.base.virtual_stages)
-            sp.set(placed=stages is not None)
-        if stages is None:
-            self.state.restore(snap)
-            return self._reject(
-                tenant_id, "modify", "no-feasible-placement",
-                "new chain does not fit the residual resources", timer,
-            )
-
-        hitless = True
-        if self.with_dataplane:
-            assert self.installer is not None
-            created: list[tuple[int, str]] = []
-            try:
-                self._ensure_physical(snap.physical, created)
-                outcome = self.installer.replace(self._logical(new_sfc), stages)
-                hitless = outcome.hitless
-            except DataPlaneError as exc:
-                self._undo_physical(created)
-                self.state.restore(snap)
-                self.metrics.inc("installs_rolled_back")
-                return self._reject(
-                    tenant_id, "modify", "dataplane-rejected", str(exc), timer
-                )
-
-        self.tenants[tenant_id] = TenantRecord(sfc=new_sfc, stages=stages)
-        self._renormalize_backplane()
-        added = sum(rule_churn_by_stage(new_sfc, stages, S).values())
-        deleted = sum(rule_churn_by_stage(record.sfc, record.stages, S).values())
-        self.metrics.inc("modified")
-        self.metrics.inc("rules_inserted", added)
-        self.metrics.inc("rules_deleted", deleted)
-        if not hitless:
-            self.metrics.inc("updates_break_before_make")
-        self._refresh_gauges()
-        return OpResult(
-            ok=True,
-            tenant_id=tenant_id,
-            op="modify",
-            stages=stages,
-            hitless=hitless,
-            rules_added=added,
-            rules_deleted=deleted,
-            latency_s=timer.elapsed_s,
+        return self._commit_chain(
+            new_sfc, snap, record,
+            "new chain does not fit the residual resources", timer,
         )
 
     # ------------------------------------------------------------------

@@ -25,30 +25,32 @@ incremental fabric state (per-switch arrays + backplane floats + link
 floats) stays **bit-identical** to a from-scratch recomputation —
 :meth:`check_invariant` asserts exactly that, per shard and per link.
 
-**Concurrency.**  The fabric is safe to drive from the concurrent front
+**Lock scopes.**  The fabric is safe to drive from the concurrent front
 end's shard workers (:mod:`repro.frontend.workers`).  Every shard has its
-own lock; the ``*_local`` fast paths (:meth:`admit_local`,
-:meth:`evict_local`, :meth:`modify_local`) decide single-shard intents
-under exactly one shard lock, so workers on different shards run
-concurrently.  Anything cross-shard — spillover, stitching, drain — goes
-through the public lifecycle methods, which acquire *every* shard lock in
-sorted-name order (a total order, hence deadlock-free against fast paths,
-which never hold more than one shard lock).  The shared tenant directory,
-link loads, and gauges sit under an inner ``_dir_lock``.  Callers must
-keep per-tenant program order themselves (the intent queue's
-at-most-one-in-flight-per-tenant rule); read paths (``digest``,
-``summary``, ``check_invariant``) are quiesce-only — call them with no op
-in flight.
+own lock, and each tenant op is one body (``_admit`` / ``_evict`` /
+``_modify``) run by one skeleton (``_run``) under the scope its entry point
+picks.  The public lifecycle methods — like drain and ``reopt_step`` —
+hold *every* shard lock, acquired in sorted-name order (a total order,
+hence deadlock-free).  The ``*_local`` entry points (:meth:`admit_local`,
+:meth:`evict_local`, :meth:`modify_local`) hold exactly one, so workers on
+different shards run concurrently, and return ``None`` — escalate to the
+public method — exactly where the body would need a second shard:
+spillover, stitching, re-homing, a stitched or just-moved tenant, a
+drained switch.  The shared tenant directory, link loads, and gauges sit
+under an inner ``_dir_lock``.  Callers must keep per-tenant program order
+themselves (the intent queue's at-most-one-in-flight-per-tenant rule);
+read paths (``digest``, ``summary``, ``check_invariant``) are quiesce-only
+— call them with no op in flight.
 
-**Journaling.**  Every committed op is one record in the one fabric journal,
-and the record carries what the committer's lock scope can vouch for.  The
-public lifecycle methods and ``reopt_step`` hold every shard lock, so they
-journal the fabric-wide ``digest`` and may trigger the coordinator's
-auto-checkpoint (both read the whole fabric).  A ``*_local`` fast path
-holds one shard lock, so it journals ``shard_digests: {switch: digest}``
-for that shard alone and never checkpoints.  Either append happens before
-the lock is released, so journal order is execution order per shard, and
-recovery verifies whichever key a record carries at its LSN.
+**Journaling.**  Every committed op is one record in the one fabric
+journal, and the method that holds the locks picks the key: all of them
+vouch for the fabric-wide ``digest`` (and may trigger the coordinator's
+auto-checkpoint, which also reads the whole fabric); one vouches for
+``shard_digests: {switch: digest}`` of that shard alone and never
+checkpoints.  The append happens before the scope's lock is released, so
+journal order is execution order per shard and per tenant, and recovery
+verifies whichever key a record carries at its LSN.  DESIGN §14 tabulates
+op × scope.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -125,6 +129,11 @@ class FabricOpResult:
     latency_s: float = 0.0
     rules_added: int = 0
     rules_deleted: int = 0
+
+
+#: A lifecycle body as :meth:`FabricOrchestrator._run` calls it:
+#: ``body(timer, scope)`` -> the result, or ``None`` to escalate.
+_Body = Callable[[Timer, "str | None"], "FabricOpResult | None"]
 
 
 @dataclass(frozen=True)
@@ -211,7 +220,7 @@ class FabricOrchestrator:
         self.drained: set[str] = set()
         self.metrics = MetricsRegistry()
         # -- concurrency seams (see the module docstring) ----------------
-        #: One lock per shard.  Fast paths hold exactly one; the public
+        #: One lock per shard.  ``*_local`` ops hold exactly one; the public
         #: lifecycle methods acquire all of them in sorted-name order.
         self._shard_locks: dict[str, threading.RLock] = {
             name: threading.RLock() for name in topology.switch_names
@@ -220,7 +229,7 @@ class FabricOrchestrator:
             sorted(topology.switch_names)
         )
         #: Guards the tenant directory, link loads, and gauge refreshes —
-        #: the state single-shard fast paths on *different* shards share.
+        #: the state one-shard scopes on *different* shards share.
         self._dir_lock = threading.RLock()
         #: Optional durability coordinator (:class:`~repro.durability.
         #: checkpoint.FabricDurability`), set by ``attach()``.  Every
@@ -337,8 +346,8 @@ class FabricOrchestrator:
     def _fabric_locked(self):
         """Hold every shard lock, acquired in sorted-name order — the
         fabric-wide total order that makes cross-shard ops deadlock-free
-        against single-shard fast paths (which never hold more than one
-        shard lock, so they can never close a cycle)."""
+        against the ``*_local`` entry points (which never hold more than
+        one shard lock, so they can never close a cycle)."""
         for name in self._lock_order:
             self._shard_locks[name].acquire()
         try:
@@ -377,8 +386,8 @@ class FabricOrchestrator:
     ) -> None:
         """Journal one successful fabric op with the post-op digest the
         caller's locks make consistent — recovery's per-LSN oracle.
-        ``shard`` names the one shard lock a fast path holds; ``None``
-        means the caller holds them all."""
+        ``shard`` names the one shard lock the caller holds; ``None``
+        means it holds them all."""
         if self.durability is None:
             return
         payload = dict(data)
@@ -470,77 +479,87 @@ class FabricOrchestrator:
             self.shards[plan.head_switch].evict(sfc.tenant_id)
             return None
         self.links[plan.link].add_load(sfc.bandwidth_gbps)
-        self.tenants[sfc.tenant_id] = FabricTenant(
-            sfc=sfc,
-            segments=(
-                Segment(
-                    switch=plan.head_switch,
-                    sfc=plan.head,
-                    start=0,
-                    stop=plan.split,
-                    stages=head_res.stages,
-                ),
-                Segment(
-                    switch=plan.tail_switch,
-                    sfc=plan.tail,
-                    start=plan.split,
-                    stop=sfc.length,
-                    stages=tail_res.stages,
-                ),
-            ),
-            links=(plan.link,),
+        result = self._file(
+            sfc, op,
+            [
+                (plan.head_switch, plan.head, head_res),
+                (plan.tail_switch, plan.tail, tail_res),
+            ],
+            timer, order.index(plan.head_switch), (plan.link,),
         )
         self._renormalize_links()
         self.metrics.inc("stitched")
+        return result
+
+    def _file(
+        self, sfc: SFC, op: str, parts: list[tuple[str, SFC, OpResult]],
+        timer: Timer, spillover: int = 0, links: tuple[LinkKey, ...] = (),
+    ) -> FabricOpResult:
+        """File ``sfc`` in the directory as hosted on ``parts`` — one
+        ``(switch, segment chain, that shard's accepting result)`` per
+        segment in chain order: one for a tenant homed whole on a switch,
+        two for a stitched one — and build the fabric result from the
+        shards'."""
+        segments: list[Segment] = []
+        for switch, seg_sfc, shard_res in parts:
+            start = segments[-1].stop if segments else 0
+            segments.append(
+                Segment(
+                    switch=switch,
+                    sfc=seg_sfc,
+                    start=start,
+                    stop=start + seg_sfc.length,
+                    stages=shard_res.stages,
+                )
+            )
+        with self._dir_lock:
+            self.tenants[sfc.tenant_id] = FabricTenant(
+                sfc=sfc, segments=tuple(segments), links=links
+            )
+        results = [shard_res for _switch, _sfc, shard_res in parts]
         return FabricOpResult(
             ok=True,
             tenant_id=sfc.tenant_id,
             op=op,
-            switches=(plan.head_switch, plan.tail_switch),
-            stitched=True,
-            spillover=order.index(plan.head_switch),
-            rules_added=head_res.rules_added + tail_res.rules_added,
+            switches=tuple(seg.switch for seg in segments),
+            stitched=len(segments) > 1,
+            spillover=spillover,
+            hitless=all(res.hitless for res in results),
+            rules_added=sum(res.rules_added for res in results),
+            rules_deleted=sum(res.rules_deleted for res in results),
             latency_s=timer.elapsed_s,
         )
 
-    def _place(self, sfc: SFC, op: str, timer: Timer) -> FabricOpResult:
+    def _place(
+        self, sfc: SFC, op: str, timer: Timer, scope: str | None = None
+    ) -> FabricOpResult | None:
         """Route one chain: preferred shard first, spillover down the
-        partitioner order, cross-switch stitching as the last resort."""
-        order = self.partitioner.order(sfc, self)
-        if not order:
-            return self._reject(
-                sfc.tenant_id, op, "no-active-switch",
-                "every fabric switch is drained", timer,
-            )
+        partitioner order, cross-switch stitching as the last resort.
+        Scoped to one shard, try exactly that shard and return ``None``
+        (escalate) if it is drained or refuses — everything past the first
+        choice needs a second shard."""
+        if scope is None:
+            order = self.partitioner.order(sfc, self)
+            if not order:
+                return self._reject(
+                    sfc.tenant_id, op, "no-active-switch",
+                    "every fabric switch is drained", timer,
+                )
+        elif scope in self.drained:
+            return None
+        else:
+            order = [scope]
         last: OpResult | None = None
         for rank, name in enumerate(order):
             result = self.shards[name].admit(sfc)
             self._observe_admit(name, result)
             if result.ok:
-                self.tenants[sfc.tenant_id] = FabricTenant(
-                    sfc=sfc,
-                    segments=(
-                        Segment(
-                            switch=name,
-                            sfc=sfc,
-                            start=0,
-                            stop=sfc.length,
-                            stages=result.stages,
-                        ),
-                    ),
-                )
                 if rank:
                     self.metrics.inc("spillovers")
-                return FabricOpResult(
-                    ok=True,
-                    tenant_id=sfc.tenant_id,
-                    op=op,
-                    switches=(name,),
-                    spillover=rank,
-                    rules_added=result.rules_added,
-                    latency_s=timer.elapsed_s,
-                )
+                return self._file(sfc, op, [(name, sfc, result)], timer, rank)
             last = result
+        if scope is not None:
+            return None
         plan = plan_stitch(self, sfc, order)
         if plan is not None:
             stitched = self._commit_stitch(sfc, plan, op, order, timer)
@@ -572,32 +591,113 @@ class FabricOrchestrator:
     # ------------------------------------------------------------------
     # Lifecycle operations
     # ------------------------------------------------------------------
+    #: What each op's span reports next to ``ok``.
+    _SPAN_ATTRS = {
+        "admit": lambda r: {"switches": list(r.switches), "stitched": r.stitched},
+        "evict": lambda r: {"switches": list(r.switches)},
+        "modify": lambda r: {"hitless": r.hitless},
+    }
+
+    def _run(
+        self, op: str, tenant_id: int, scope: str | None, body: _Body,
+        sfc: SFC | None = None,
+    ) -> FabricOpResult | None:
+        """The lifecycle skeleton: span + timer → ``body(timer, scope)`` →
+        flight-record → journal under the key ``scope`` can vouch for.  The
+        caller holds the scope's lock(s); ``sfc`` is the chain replay needs
+        to re-drive the op."""
+        with maybe_span(
+            self.tracer, f"fabric.{op}", tenant=tenant_id
+        ) as span, self.metrics.timer(f"op_latency_s.{op}") as timer:
+            result = body(timer, scope)
+            if result is None:
+                span.set(escalated=True)
+                return None
+            span.set(ok=result.ok, **self._SPAN_ATTRS[op](result))
+        self._record_op(result)
+        # Failed modifies are journaled too (unless trivially rejected): a
+        # refused re-home still evicts + re-places the old chain, which can
+        # land the tenant on different switches — a state change replay
+        # must re-drive.
+        if result.ok or (op == "modify" and result.reason != "unknown-tenant"):
+            data: dict = {"tenant_id": tenant_id}
+            if sfc is not None:
+                data["sfc"] = sfc.to_dict()
+            if op == "modify":
+                data["ok"] = result.ok
+            self._commit_durable(op, data, shard=scope)
+        return result
+
+    def _run_at_home(
+        self, op: str, tenant_id: int, body: _Body, sfc: SFC | None = None
+    ) -> FabricOpResult | None:
+        """:meth:`_run` an evict/modify body under the tenant's home-shard
+        lock alone.  An unknown tenant is rejected without taking any shard
+        lock; a stitched one touches two shards and a link, so it
+        escalates."""
+        with self._dir_lock:
+            record = self.tenants.get(tenant_id)
+        if record is None:
+            # A rejection journals nothing, so the scope is moot.
+            return self._run(
+                op, tenant_id, None, partial(self._unknown_tenant, tenant_id, op)
+            )
+        if record.stitched:
+            return None
+        home = record.segments[0].switch
+        with self._shard_locks[home]:
+            # Revalidate under the lock: a cross-shard op (drain is keyed
+            # by switch, so the queue does not serialize it against this
+            # tenant's intents) may have re-homed or evicted the tenant
+            # between routing and locking.  Mutating through a stale home
+            # lock would race the real home's worker, so escalate instead.
+            if self.home_switch(tenant_id) != home:
+                return None
+            return self._run(op, tenant_id, home, body, sfc)
+
+    def _unknown_tenant(
+        self, tenant_id: int, op: str, timer: Timer, _scope: str | None = None
+    ) -> FabricOpResult:
+        return self._reject(
+            tenant_id, op, "unknown-tenant",
+            f"tenant {tenant_id} has no live chain", timer,
+        )
+
     def admit(self, sfc: SFC) -> FabricOpResult:
         """Admit one tenant chain somewhere on the fabric."""
         with self._fabric_locked():
-            with maybe_span(
-                self.tracer, "fabric.admit", tenant=sfc.tenant_id
-            ) as span, self.metrics.timer("op_latency_s.admit") as timer:
-                result = self._admit(sfc, timer)
-                span.set(
-                    ok=result.ok, switches=list(result.switches),
-                    stitched=result.stitched,
-                )
-            self._record_op(result)
-            if result.ok:
-                self._commit_durable(
-                    "admit", {"tenant_id": sfc.tenant_id, "sfc": sfc.to_dict()}
-                )
-        return result
+            return self._run(
+                "admit", sfc.tenant_id, None, partial(self._admit, sfc), sfc
+            )
 
-    def _admit(self, sfc: SFC, timer: Timer) -> FabricOpResult:
-        if sfc.tenant_id in self.tenants:
+    def admit_local(self, sfc: SFC, switch: str) -> FabricOpResult | None:
+        """One-shard admit: try exactly ``switch`` (the caller's routing
+        choice, normally :meth:`preferred_switch`) under that shard's lock
+        alone.  Returns the result when the outcome is decided locally —
+        success, or a duplicate-tenant rejection — and ``None`` when this
+        shard is drained or refuses and the caller must escalate to
+        :meth:`admit` (spillover / stitching need the fabric-wide lock
+        order)."""
+        lock = self._shard_locks.get(switch)
+        if lock is None:
+            raise PlacementError(f"unknown switch {switch!r}")
+        with lock:
+            return self._run(
+                "admit", sfc.tenant_id, switch, partial(self._admit, sfc), sfc
+            )
+
+    def _admit(
+        self, sfc: SFC, timer: Timer, scope: str | None
+    ) -> FabricOpResult | None:
+        with self._dir_lock:
+            duplicate = sfc.tenant_id in self.tenants
+        if duplicate:
             return self._reject(
                 sfc.tenant_id, "admit", "duplicate-tenant",
                 f"tenant {sfc.tenant_id} already has a live chain", timer,
             )
-        result = self._place(sfc, "admit", timer)
-        if result.ok:
+        result = self._place(sfc, "admit", timer, scope)
+        if result is not None and result.ok:
             self.metrics.inc("admitted")
             self._refresh_gauges()
         return result
@@ -605,22 +705,27 @@ class FabricOrchestrator:
     def evict(self, tenant_id: int) -> FabricOpResult:
         """Tenant departure: tear down every segment, release links."""
         with self._fabric_locked():
-            with maybe_span(
-                self.tracer, "fabric.evict", tenant=tenant_id
-            ) as span, self.metrics.timer("op_latency_s.evict") as timer:
-                result = self._evict(tenant_id, timer)
-                span.set(ok=result.ok, switches=list(result.switches))
-            self._record_op(result)
-            if result.ok:
-                self._commit_durable("evict", {"tenant_id": tenant_id})
-        return result
-
-    def _evict(self, tenant_id: int, timer: Timer) -> FabricOpResult:
-        if tenant_id not in self.tenants:
-            return self._reject(
-                tenant_id, "evict", "unknown-tenant",
-                f"tenant {tenant_id} has no live chain", timer,
+            return self._run(
+                "evict", tenant_id, None, partial(self._evict, tenant_id)
             )
+
+    def evict_local(self, tenant_id: int) -> FabricOpResult | None:
+        """One-shard evict under the tenant's home-shard lock alone.
+        Decides unknown tenants (rejection) and single-homed tenants
+        locally; returns ``None`` for stitched (or just re-homed) tenants,
+        which must go through :meth:`evict`."""
+        return self._run_at_home(
+            "evict", tenant_id, partial(self._evict, tenant_id)
+        )
+
+    def _evict(
+        self, tenant_id: int, timer: Timer, _scope: str | None
+    ) -> FabricOpResult:
+        """Never escalates: a scoped caller (:meth:`_run_at_home`) only
+        lets a tenant homed whole on the scope's shard through, and
+        removing one touches no other shard."""
+        if tenant_id not in self.tenants:
+            return self._unknown_tenant(tenant_id, "evict", timer)
         record, deleted = self._remove(tenant_id)
         self.metrics.inc("evicted")
         self._refresh_gauges()
@@ -643,65 +748,43 @@ class FabricOrchestrator:
         freed, so the same routing re-places it) and the rejection is
         returned."""
         with self._fabric_locked():
-            with maybe_span(
-                self.tracer, "fabric.modify", tenant=tenant_id
-            ) as span, self.metrics.timer("op_latency_s.modify") as timer:
-                result = self._modify(tenant_id, new_chain, timer)
-                span.set(ok=result.ok, hitless=result.hitless)
-            self._record_op(result)
-            # Failed modifies are journaled too (unless trivially rejected):
-            # a refused re-home still evicts + re-places the old chain, which
-            # can land the tenant on different switches — a state change
-            # replay must re-drive.
-            if result.ok or result.reason != "unknown-tenant":
-                self._commit_durable(
-                    "modify",
-                    {
-                        "tenant_id": tenant_id,
-                        "sfc": new_chain.to_dict(),
-                        "ok": result.ok,
-                    },
-                )
-        return result
+            return self._run(
+                "modify", tenant_id, None,
+                partial(self._modify, tenant_id, new_chain), new_chain,
+            )
+
+    def modify_local(
+        self, tenant_id: int, new_chain: SFC
+    ) -> FabricOpResult | None:
+        """One-shard modify: hitless in-place swap on a single-homed
+        tenant's home shard, under that shard's lock alone.  Returns
+        ``None`` for stitched tenants or when the home shard refuses the
+        in-place swap — re-homing evicts and re-routes, so it must go
+        through :meth:`modify`."""
+        return self._run_at_home(
+            "modify", tenant_id,
+            partial(self._modify, tenant_id, new_chain), new_chain,
+        )
 
     def _modify(
-        self, tenant_id: int, new_chain: SFC, timer: Timer
-    ) -> FabricOpResult:
+        self, tenant_id: int, new_chain: SFC, timer: Timer, scope: str | None
+    ) -> FabricOpResult | None:
         record = self.tenants.get(tenant_id)
         if record is None:
-            return self._reject(
-                tenant_id, "modify", "unknown-tenant",
-                f"tenant {tenant_id} has no live chain", timer,
-            )
+            return self._unknown_tenant(tenant_id, "modify", timer)
         new_sfc = replace(new_chain, tenant_id=tenant_id)
         if not record.stitched:
             home = record.segments[0].switch
             result = self.shards[home].modify(tenant_id, new_sfc)
             if result.ok:
-                self.tenants[tenant_id] = FabricTenant(
-                    sfc=new_sfc,
-                    segments=(
-                        Segment(
-                            switch=home,
-                            sfc=new_sfc,
-                            start=0,
-                            stop=new_sfc.length,
-                            stages=result.stages,
-                        ),
-                    ),
+                placed = self._file(
+                    new_sfc, "modify", [(home, new_sfc, result)], timer
                 )
                 self.metrics.inc("modified")
                 self._refresh_gauges()
-                return FabricOpResult(
-                    ok=True,
-                    tenant_id=tenant_id,
-                    op="modify",
-                    switches=(home,),
-                    hitless=result.hitless,
-                    rules_added=result.rules_added,
-                    rules_deleted=result.rules_deleted,
-                    latency_s=timer.elapsed_s,
-                )
+                return placed
+        if scope is not None:
+            return None  # re-homing needs the fabric-wide lock order
         old_record, deleted = self._remove(tenant_id)
         placed = self._place(new_sfc, "modify", timer)
         if placed.ok:
@@ -825,16 +908,8 @@ class FabricOrchestrator:
         return self.reoptimize(**kwargs)
 
     # ------------------------------------------------------------------
-    # Single-shard fast paths (the concurrent front end's entry points)
+    # Routing views (how the concurrent front end picks a worker)
     # ------------------------------------------------------------------
-    # Each ``*_local`` decides an intent under exactly one shard lock when
-    # the outcome is provably single-shard, and returns ``None`` when the
-    # caller must escalate to the matching public method (which takes the
-    # fabric-wide lock order).  Callers must serialize ops per tenant
-    # (the intent queue's at-most-one-in-flight rule); the journaled
-    # record order then matches execution order per shard and per tenant,
-    # because the journal append happens before the shard lock is
-    # released.
     def preferred_switch(self, sfc: SFC) -> str | None:
         """The partitioner's first active choice for ``sfc`` — the shard
         the front end routes an admit intent to (``None`` = all drained).
@@ -852,207 +927,6 @@ class FabricOrchestrator:
             if record is None or record.stitched:
                 return None
             return record.segments[0].switch
-
-    def admit_local(self, sfc: SFC, switch: str) -> FabricOpResult | None:
-        """Fast-path admit: try exactly ``switch`` (the caller's routing
-        choice, normally :meth:`preferred_switch`) under that shard's lock
-        alone.  Returns the result when the outcome is decided locally —
-        success, or a duplicate-tenant rejection — and ``None`` when this
-        shard refuses and the caller must escalate to :meth:`admit`
-        (spillover / stitching need the fabric-wide lock order)."""
-        lock = self._shard_locks.get(switch)
-        if lock is None:
-            raise PlacementError(f"unknown switch {switch!r}")
-        with lock:
-            with maybe_span(
-                self.tracer, "fabric.admit", tenant=sfc.tenant_id
-            ) as span, self.metrics.timer("op_latency_s.admit") as timer:
-                with self._dir_lock:
-                    duplicate = sfc.tenant_id in self.tenants
-                    drained = switch in self.drained
-                if duplicate:
-                    result = self._reject(
-                        sfc.tenant_id, "admit", "duplicate-tenant",
-                        f"tenant {sfc.tenant_id} already has a live chain",
-                        timer,
-                    )
-                    span.set(ok=False, switches=[], stitched=False)
-                    self._record_op(result)
-                    return result
-                if drained:
-                    span.set(escalated=True)
-                    return None
-                shard_res = self.shards[switch].admit(sfc)
-                self._observe_admit(switch, shard_res)
-                if not shard_res.ok:
-                    span.set(escalated=True)
-                    return None
-                with self._dir_lock:
-                    self.tenants[sfc.tenant_id] = FabricTenant(
-                        sfc=sfc,
-                        segments=(
-                            Segment(
-                                switch=switch,
-                                sfc=sfc,
-                                start=0,
-                                stop=sfc.length,
-                                stages=shard_res.stages,
-                            ),
-                        ),
-                    )
-                    self.metrics.inc("admitted")
-                    self._refresh_gauges()
-                result = FabricOpResult(
-                    ok=True,
-                    tenant_id=sfc.tenant_id,
-                    op="admit",
-                    switches=(switch,),
-                    rules_added=shard_res.rules_added,
-                    latency_s=timer.elapsed_s,
-                )
-                span.set(ok=True, switches=[switch], stitched=False)
-            self._record_op(result)
-            self._commit_durable(
-                "admit",
-                {"tenant_id": sfc.tenant_id, "sfc": sfc.to_dict()},
-                shard=switch,
-            )
-        return result
-
-    def evict_local(self, tenant_id: int) -> FabricOpResult | None:
-        """Fast-path evict under the tenant's home-shard lock alone.
-        Decides unknown tenants (rejection) and single-homed tenants
-        locally; returns ``None`` for stitched tenants, which touch two
-        shards and a link and must go through :meth:`evict`."""
-        with self._dir_lock:
-            record = self.tenants.get(tenant_id)
-        if record is None:
-            with maybe_span(
-                self.tracer, "fabric.evict", tenant=tenant_id
-            ) as span, self.metrics.timer("op_latency_s.evict") as timer:
-                result = self._reject(
-                    tenant_id, "evict", "unknown-tenant",
-                    f"tenant {tenant_id} has no live chain", timer,
-                )
-                span.set(ok=False, switches=[])
-            self._record_op(result)
-            return result
-        if record.stitched:
-            return None
-        home = record.segments[0].switch
-        with self._shard_locks[home]:
-            # Revalidate under the lock: a cross-shard op (drain is keyed
-            # by switch, so the queue does not serialize it against this
-            # tenant's intents) may have re-homed or evicted the tenant
-            # between routing and locking.  Mutating through a stale home
-            # lock would race the real home's worker, so escalate instead.
-            with self._dir_lock:
-                record = self.tenants.get(tenant_id)
-            if (
-                record is None
-                or record.stitched
-                or record.segments[0].switch != home
-            ):
-                return None
-            with maybe_span(
-                self.tracer, "fabric.evict", tenant=tenant_id
-            ) as span, self.metrics.timer("op_latency_s.evict") as timer:
-                record, deleted = self._remove(tenant_id)
-                self.metrics.inc("evicted")
-                self._refresh_gauges()
-                result = FabricOpResult(
-                    ok=True,
-                    tenant_id=tenant_id,
-                    op="evict",
-                    switches=record.switches,
-                    rules_deleted=deleted,
-                    latency_s=timer.elapsed_s,
-                )
-                span.set(ok=True, switches=list(record.switches))
-            self._record_op(result)
-            self._commit_durable("evict", {"tenant_id": tenant_id}, shard=home)
-        return result
-
-    def modify_local(
-        self, tenant_id: int, new_chain: SFC
-    ) -> FabricOpResult | None:
-        """Fast-path modify: hitless in-place swap on a single-homed
-        tenant's home shard, under that shard's lock alone.  Returns
-        ``None`` for stitched tenants or when the home shard refuses the
-        in-place swap — re-homing evicts and re-routes, so it must go
-        through :meth:`modify`."""
-        with self._dir_lock:
-            record = self.tenants.get(tenant_id)
-        if record is None:
-            with maybe_span(
-                self.tracer, "fabric.modify", tenant=tenant_id
-            ) as span, self.metrics.timer("op_latency_s.modify") as timer:
-                result = self._reject(
-                    tenant_id, "modify", "unknown-tenant",
-                    f"tenant {tenant_id} has no live chain", timer,
-                )
-                span.set(ok=False, hitless=True)
-            self._record_op(result)
-            return result
-        if record.stitched:
-            return None
-        home = record.segments[0].switch
-        with self._shard_locks[home]:
-            # Same revalidation as evict_local: a concurrent drain may
-            # have moved or evicted the tenant while we routed here.
-            with self._dir_lock:
-                record = self.tenants.get(tenant_id)
-            if (
-                record is None
-                or record.stitched
-                or record.segments[0].switch != home
-            ):
-                return None
-            with maybe_span(
-                self.tracer, "fabric.modify", tenant=tenant_id
-            ) as span, self.metrics.timer("op_latency_s.modify") as timer:
-                new_sfc = replace(new_chain, tenant_id=tenant_id)
-                shard_res = self.shards[home].modify(tenant_id, new_sfc)
-                if not shard_res.ok:
-                    span.set(escalated=True)
-                    return None
-                with self._dir_lock:
-                    self.tenants[tenant_id] = FabricTenant(
-                        sfc=new_sfc,
-                        segments=(
-                            Segment(
-                                switch=home,
-                                sfc=new_sfc,
-                                start=0,
-                                stop=new_sfc.length,
-                                stages=shard_res.stages,
-                            ),
-                        ),
-                    )
-                    self.metrics.inc("modified")
-                    self._refresh_gauges()
-                result = FabricOpResult(
-                    ok=True,
-                    tenant_id=tenant_id,
-                    op="modify",
-                    switches=(home,),
-                    hitless=shard_res.hitless,
-                    rules_added=shard_res.rules_added,
-                    rules_deleted=shard_res.rules_deleted,
-                    latency_s=timer.elapsed_s,
-                )
-                span.set(ok=True, hitless=shard_res.hitless)
-            self._record_op(result)
-            self._commit_durable(
-                "modify",
-                {
-                    "tenant_id": tenant_id,
-                    "sfc": new_chain.to_dict(),
-                    "ok": True,
-                },
-                shard=home,
-            )
-        return result
 
     # ------------------------------------------------------------------
     # Verification

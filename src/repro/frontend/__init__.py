@@ -5,7 +5,7 @@ Tenant intents enter through :class:`~repro.frontend.server.FrontendServer`
 are ordered by the bounded per-tenant
 :class:`~repro.frontend.queue.IntentQueue`, and execute on the
 one-worker-per-switch :class:`~repro.frontend.workers.ShardWorkerPool`
-through the orchestrator's single-shard fast paths — concurrent admission
+through the orchestrator's one-shard entry points — concurrent admission
 across shards with every fabric invariant intact.  See DESIGN.md §14.
 """
 

@@ -24,8 +24,10 @@ Status codes carry the backpressure semantics: **200** for every decided
 fabric op (including rejections — the body's ``ok``/``reason`` tell the
 tenant why), **429** with a ``Retry-After`` header when the intent queue
 refuses the submission (per-tenant FIFO or global bound full), **503**
-once the server is draining for shutdown, **400** for malformed JSON and
-**404** for unknown routes.  Under HA, writes on a standby — or on a
+once the server is draining for shutdown, **400** for malformed JSON or a
+malformed ``Content-Length``, **413** for a body over
+:data:`MAX_BODY_BYTES` (both length errors close the connection, the body
+unread) and **404** for unknown routes.  Under HA, writes on a standby — or on a
 primary whose lease fence tripped — return **503** with the primary's URL
 in both the ``Location`` header and the body, so clients redirect instead
 of retrying a node that can never acknowledge.
@@ -49,6 +51,20 @@ from repro.fabric.orchestrator import FabricOrchestrator
 from repro.frontend.client import result_to_dict
 from repro.frontend.queue import Intent, IntentQueue
 from repro.frontend.workers import ShardWorkerPool
+
+#: Largest request body the server will read (a tenant's SFC is a few
+#: hundred bytes).  A longer ``Content-Length`` is refused unread.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _UnreadBody(FrontendError):
+    """The declared ``Content-Length`` was refused before reading: reply
+    ``status`` and close the connection — the body still in the socket
+    would otherwise be parsed as the next keep-alive request."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -77,13 +93,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise _UnreadBody(
+                413 if length > 0 else 400,
+                f"Content-Length {declared!r} is not an integer in "
+                f"[0, {MAX_BODY_BYTES}]",
+            )
         if length == 0:
             return {}
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
             raise FrontendError(f"bad JSON body: {exc}") from None
         if not isinstance(body, dict):
             raise FrontendError("JSON body must be an object")
@@ -104,13 +130,18 @@ class _Handler(BaseHTTPRequestHandler):
             headers["Location"] = frontend.primary_url
         self._send(503, body, headers)
 
+    def _refused_as_standby(self) -> bool:
+        """The role gate every write passes first: on a standby, reply
+        503 + the primary's location and return ``True``."""
+        if getattr(self.frontend.fabric, "role", "primary") == "primary":
+            return False
+        self._send_not_primary("this node is a standby; writes go to the primary")
+        return True
+
     def _run_intent(self, intent: Intent) -> None:
         """Submit one intent and reply with its executed result."""
         frontend = self.frontend
-        if getattr(frontend.fabric, "role", "primary") != "primary":
-            self._send_not_primary(
-                "this node is a standby; writes go to the primary"
-            )
+        if self._refused_as_standby():
             return
         try:
             ticket = frontend.pool.submit(intent)
@@ -155,6 +186,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._delete(parts)
             else:  # pragma: no cover — stdlib routes known verbs only
                 self._send(405, {"error": f"unsupported method {method}"})
+        except _UnreadBody as exc:
+            self._send(exc.status, {"error": str(exc)}, {"Connection": "close"})
         except FrontendError as exc:
             self._send(400, {"error": str(exc)})
         except ReproError as exc:
@@ -203,13 +236,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _reoptimize(self, body: dict) -> None:
         """Run one global re-optimization pass and reply with its summary.
         Cross-shard by construction, so it bypasses the per-shard intent
-        queue and executes directly under the fabric-wide lock order (the
-        same role gate as writes applies: standbys refuse)."""
+        queue and executes directly under the fabric-wide lock order — past
+        the same gates as queued writes: standbys refuse, and so does a
+        primary whose lease fence trips at the door or during the pass."""
         frontend = self.frontend
-        if getattr(frontend.fabric, "role", "primary") != "primary":
-            self._send_not_primary(
-                "this node is a standby; writes go to the primary"
-            )
+        if self._refused_as_standby():
             return
         mode = body.get("mode", "auto")
         if mode not in ("auto", "ilp", "greedy"):
@@ -221,12 +252,18 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except (TypeError, ValueError) as exc:
             raise FrontendError(f"bad reoptimize body: {exc}") from None
-        report = frontend.fabric.reoptimize(
-            mode=mode,
-            min_benefit=min_benefit,
-            max_moves=max_moves,
-            execute=bool(body.get("execute", True)),
-        )
+        try:
+            if frontend.pool.fence is not None:
+                frontend.pool.fence()
+            report = frontend.fabric.reoptimize(
+                mode=mode,
+                min_benefit=min_benefit,
+                max_moves=max_moves,
+                execute=bool(body.get("execute", True)),
+            )
+        except FencedError as exc:
+            self._send_not_primary(str(exc))
+            return
         self._send(200, {"ok": report.ok, **report.summary()})
 
     def _put(self, parts: list[str]) -> None:

@@ -2,27 +2,27 @@
 
 :class:`ShardWorkerPool` spawns one :class:`ShardWorker` per switch.  Each
 worker pulls intents routed to its shard from the shared
-:class:`~repro.frontend.queue.IntentQueue` and drives them through the
-orchestrator's single-shard fast paths
+:class:`~repro.frontend.queue.IntentQueue` and runs them through the
+orchestrator's one-shard entry points
 (:meth:`~repro.fabric.orchestrator.FabricOrchestrator.admit_local` and
-friends), so admissions on different shards run concurrently: while one
-worker's WAL fdatasync is parked in the kernel (the GIL is released for
-the syscall), the other workers keep admitting, and concurrent committers
-on the shared fabric journal ride the WAL's leader-based group commit.
+friends — the same lifecycle bodies as the public methods, run under that
+shard's lock alone), so admissions on different shards run concurrently:
+while one worker's WAL fdatasync is parked in the kernel (the GIL is
+released for the syscall), the other workers keep admitting, and
+concurrent committers on the shared fabric journal ride the WAL's
+leader-based group commit.
 
 The **single-writer rule**: a shard's state is only ever mutated by its
-own worker's fast paths — or by a cross-shard intent (spillover,
-stitching, drain) that any worker executes through the public fabric
-methods, which take every shard lock in sorted-name order.  A fast path
-holds exactly one shard lock and a cross-shard op holds them all, so the
+own worker under that shard's lock — or by an escalated intent (spillover,
+stitching, re-home, drain) that any worker executes through the public
+fabric methods, which take every shard lock in sorted-name order.  One
+scope holds exactly one shard lock and the other holds them all, so the
 two can never interleave on a shard, and the sorted acquisition order
 makes cross-shard ops deadlock-free among themselves.
 
-The pool changes nothing about how the fabric journals: the lock scope of
-each op decides what its record carries (a fast path journals its own
-shard's digest, an escalated intent the fabric-wide digest and — holding
-every lock — possibly an auto-checkpoint), whether or not a pool is
-running.  See :mod:`repro.fabric.orchestrator`.
+The pool changes nothing about how the fabric journals: the method that
+holds the locks picks the record's digest key (DESIGN §14), whether or
+not a pool is running.
 """
 
 from __future__ import annotations
@@ -63,39 +63,32 @@ class ShardWorker(threading.Thread):
 
     # -- execution -----------------------------------------------------
     def execute(self, intent: Intent):
-        """Run one intent: fast path when routed here, escalation to the
-        fabric-wide lock order otherwise (or when the fast path defers)."""
+        """Run one intent (validated at submission): under one shard's lock
+        when the op has a ``*_local`` entry point and a shard to aim it at,
+        escalating to the public method — every shard lock — when there is
+        none (operator intents, unrouted admits) or when the one-shard
+        scope defers by returning ``None``."""
         fabric = self.pool.fabric
-        if intent.kind == "admit":
-            assert intent.sfc is not None
+        kind = intent.kind
+        local = None
+        if kind == "admit":
+            args = (intent.sfc,)
             if intent.routed_to is not None:
-                result = fabric.admit_local(intent.sfc, intent.routed_to)
-                if result is not None:
-                    return result
-            self.escalated += 1
-            return fabric.admit(intent.sfc)
-        if intent.kind == "evict":
-            result = fabric.evict_local(intent.tenant_id)
+                local = (intent.sfc, intent.routed_to)
+        elif kind == "evict":
+            args = local = (intent.tenant_id,)
+        elif kind == "modify":
+            args = local = (intent.tenant_id, intent.sfc)
+        elif kind in ("drain", "undrain"):
+            args = (intent.switch,)
+        else:
+            raise FrontendError(f"unknown intent kind {intent.kind!r}")
+        if local is not None:
+            result = getattr(fabric, f"{kind}_local")(*local)
             if result is not None:
                 return result
-            self.escalated += 1
-            return fabric.evict(intent.tenant_id)
-        if intent.kind == "modify":
-            assert intent.sfc is not None
-            result = fabric.modify_local(intent.tenant_id, intent.sfc)
-            if result is not None:
-                return result
-            self.escalated += 1
-            return fabric.modify(intent.tenant_id, intent.sfc)
-        if intent.kind == "drain":
-            assert intent.switch is not None
-            self.escalated += 1
-            return fabric.drain(intent.switch)
-        if intent.kind == "undrain":
-            assert intent.switch is not None
-            self.escalated += 1
-            return fabric.undrain(intent.switch)
-        raise FrontendError(f"unknown intent kind {intent.kind!r}")
+        self.escalated += 1
+        return getattr(fabric, kind)(*args)
 
     def run(self) -> None:  # pragma: no cover — exercised via the pool
         queue = self.pool.queue

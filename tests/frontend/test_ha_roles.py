@@ -1,6 +1,7 @@
 """Role-aware front end: health/summary expose role + epoch + committed
 LSN, a standby answers writes with 503 (and points at the primary when it
-knows one), and a fenced pool refuses intents at the door."""
+knows one), and a fenced primary refuses intents — queued or the direct
+``POST /v1/reoptimize`` — at the door."""
 
 import json
 import urllib.error
@@ -11,6 +12,9 @@ import pytest
 from repro.durability import FabricDurability
 from repro.errors import FencedError, FrontendError
 from repro.frontend import FrontendServer, HttpFrontendClient
+
+from tests.globalopt.conftest import fragment
+from tests.globalopt.conftest import make_fabric as make_tight_fabric
 
 from .conftest import chain
 
@@ -100,3 +104,44 @@ def test_fenced_pool_maps_to_503(fabric):
         assert fabric.tenants == {}
     finally:
         server.close(timeout=10.0)
+
+
+def fenced():
+    raise FencedError("node 'a' fenced: lease now held by 'b' at epoch 2")
+
+
+@pytest.mark.parametrize("trips", ["at-the-door", "during-the-pass"])
+def test_fenced_reoptimize_maps_to_503_with_redirect(trips, tmp_path):
+    """The direct (unqueued) write passes the same lease gate as queued
+    intents: checked before the pass starts, and a fence that trips at the
+    first journal append mid-pass is a redirect too, not a 500."""
+    fabric = make_tight_fabric()
+    assert len(fragment(fabric)) >= 2  # so a pass has moves to journal
+    durability = FabricDurability(tmp_path, fsync="off", checkpoint_every=0)
+    durability.attach(fabric)
+    if trips == "during-the-pass":
+        durability.set_fence(fenced)
+    server = FrontendServer(
+        fabric,
+        port=0,
+        primary_url="http://primary.example:7070",
+        fence=fenced if trips == "at-the-door" else None,
+    ).start()
+    try:
+        request = urllib.request.Request(
+            f"{server.url}/v1/reoptimize",
+            data=json.dumps({"mode": "greedy"}).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert excinfo.value.code == 503
+        assert excinfo.value.headers["Location"] == "http://primary.example:7070"
+        assert "fenced" in json.loads(excinfo.value.read())["error"]
+        assert durability.wal.last_lsn == 0  # nothing was acknowledged
+        if trips == "at-the-door":
+            counters = fabric.metrics.snapshot()["counters"]
+            assert counters.get("globalopt.runs", 0) == 0
+    finally:
+        server.close(timeout=10.0)
+        durability.abort()

@@ -2,6 +2,7 @@
 503), and graceful shutdown with a quiesce checkpoint."""
 
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -9,12 +10,14 @@ import urllib.request
 import pytest
 
 from repro.errors import FrontendError, QueueFullError
+from repro.fabric import FabricOrchestrator, FabricTopology
 from repro.frontend import (
     FrontendServer,
     HttpFrontendClient,
     Intent,
     IntentQueue,
 )
+from repro.frontend.server import MAX_BODY_BYTES
 from repro.frontend.workers import ShardWorker
 
 from .conftest import chain
@@ -94,6 +97,77 @@ def test_malformed_requests_400(server, client):
     except urllib.error.HTTPError as exc:
         assert exc.code == 400
         assert "bad JSON" in json.loads(exc.read())["error"]
+
+
+@pytest.fixture(scope="module")
+def shared_server():
+    """One server for all the hostile-body cases (none may change it)."""
+    fabric = FabricOrchestrator(
+        FabricTopology.full_mesh(2), num_types=3, with_dataplane=False
+    )
+    with FrontendServer(fabric, port=0) as server:
+        yield server
+
+
+def complete(reply: bytes) -> bool:
+    """Whether ``reply`` holds one whole HTTP response."""
+    head, sep, payload = reply.partition(b"\r\n\r\n")
+    if not sep:
+        return False
+    [length] = [
+        int(line.split(b":")[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    ]
+    return len(payload) >= length
+
+
+@pytest.mark.parametrize(
+    "content_length, body, status",
+    [
+        ("-1", b"", 400),
+        ("abc", b"", 400),
+        ("99999999999", b"", 413),
+        (str(MAX_BODY_BYTES + 1), b"x" * (MAX_BODY_BYTES + 1), 413),
+        ("100000", b"[" * 100_000, 400),
+    ],
+    ids=["negative", "non-integer", "huge", "over-bound", "deep-nesting"],
+)
+def test_hostile_bodies_get_a_typed_error_not_a_hang(
+    shared_server, content_length, body, status
+):
+    """A length the server will not read is refused *before* reading —
+    400/413 with a JSON error, connection closed so the unread bytes cannot
+    pose as the next request — and JSON nested past the recursion limit is
+    bad JSON like any other.  None of it reaches the fabric."""
+    fabric = shared_server.fabric
+    before = fabric.digest()
+    host, port = shared_server.address.split(":")
+    started = time.monotonic()
+    with socket.create_connection((host, int(port)), timeout=1.0) as sock:
+        sock.sendall(
+            b"POST /v1/tenants HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + content_length.encode() + b"\r\n\r\n"
+        )
+        try:
+            sock.sendall(body)
+        except OSError:
+            pass  # refused unread: the server may already have hung up
+        reply = b""
+        try:
+            # One full reply (head + Content-Length bytes): a fully-read
+            # request leaves the connection open, so EOF may never come.
+            while not complete(reply) and (chunk := sock.recv(65536)):
+                reply += chunk
+        except ConnectionResetError:
+            pass  # closed with our unread bytes still in its buffer
+    assert time.monotonic() - started < 1.0
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode()), reply[:200]
+    assert "error" in json.loads(payload)
+    if not body or status == 413:
+        assert b"connection: close" in head.lower()
+    assert fabric.digest() == before
 
 
 def test_backpressure_maps_to_429(fabric, monkeypatch):
