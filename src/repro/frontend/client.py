@@ -5,16 +5,16 @@
 the ticket — the zero-serialization path benchmarks use, with exactly the
 ordering/backpressure semantics of the HTTP server.
 
-:class:`HttpFrontendClient` speaks the server's JSON protocol over
-stdlib ``urllib`` — used by the server tests and the ``sfp serve`` demo
-driver; no third-party HTTP stack."""
+:class:`HttpFrontendClient` speaks the server's JSON protocol over one
+keep-alive stdlib ``http.client`` connection — used by the server tests
+and ``sfp reoptimize --url``; no third-party HTTP stack."""
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
 from dataclasses import asdict
+from urllib.parse import urlsplit
 
 from repro.core.spec import SFC
 from repro.errors import FrontendError, QueueFullError
@@ -84,30 +84,41 @@ class HttpFrontendClient:
     """Thin JSON-over-HTTP client for :class:`~repro.frontend.server.
     FrontendServer` (stdlib only).  Raises :class:`QueueFullError` on 429
     and :class:`FrontendError` on other protocol-level failures; fabric
-    rejections come back as normal ``{"ok": false, ...}`` payloads."""
+    rejections come back as normal ``{"ok": false, ...}`` payloads.
+
+    Holds one keep-alive connection, so — like the ``http.client``
+    connection it wraps — one client serves one thread at a time."""
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urlsplit(self.base_url)
+        self._conn = http.client.HTTPConnection(
+            url.hostname, url.port, timeout=timeout
+        )
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         data = None if body is None else json.dumps(body).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
+        headers = {"Content-Type": "application/json"}
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            payload = exc.read().decode("utf-8", errors="replace")
-            if exc.code == 429:
-                raise QueueFullError(payload) from None
-            raise FrontendError(
-                f"{method} {path} -> {exc.code}: {payload}"
-            ) from None
+            self._conn.request(method, path, body=data, headers=headers)
+            resp = self._conn.getresponse()
+        except ConnectionError:
+            # Stale keep-alive socket (the server closed it since the last
+            # reply): reconnect and send again, once.
+            self._conn.close()
+            self._conn.request(method, path, body=data, headers=headers)
+            resp = self._conn.getresponse()
+        payload = resp.read().decode("utf-8", errors="replace")
+        if resp.status == 429:
+            raise QueueFullError(payload)
+        if resp.status >= 400:
+            raise FrontendError(f"{method} {path} -> {resp.status}: {payload}")
+        return json.loads(payload)
+
+    def close(self) -> None:
+        """Drop the connection (the next request reconnects)."""
+        self._conn.close()
 
     def admit(self, sfc: SFC) -> dict:
         """POST the admit intent; returns the decided-result payload."""

@@ -72,6 +72,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "sfp-frontend/1.0"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY on accept; see _send
 
     # The ThreadingHTTPServer subclass below carries the frontend ref.
     @property
@@ -82,15 +83,34 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # the flight recorder and metrics are the log
 
     # -- plumbing ------------------------------------------------------
+    def handle(self) -> None:
+        """A client that vanished — reset while we read its next request or
+        while we wrote its reply — is not an error of ours: count it and let
+        ``finish`` close the socket, with no traceback on stderr."""
+        try:
+            super().handle()
+        except ConnectionError:
+            self.frontend.fabric.metrics.inc("frontend.http_client_gone")
+
     def _send(self, code: int, body: dict, headers: dict | None = None) -> None:
+        """Status line, headers and body leave in **one** write.  Two
+        small writes on a keep-alive socket stall 40 ms: Nagle holds the
+        second until the client's delayed ACK answers the first."""
         payload = json.dumps(body).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        for key, value in (headers or {}).items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        headers = headers or {}
+        head = [
+            f"{self.protocol_version} {code} {self.responses[code][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(payload)}",
+            *(f"{key}: {value}" for key, value in headers.items()),
+        ]
+        if headers.get("Connection") == "close":
+            self.close_connection = True
+        self.wfile.write(
+            "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + payload
+        )
 
     def _body(self) -> dict:
         declared = self.headers.get("Content-Length") or "0"
@@ -176,16 +196,21 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         parts = [p for p in self.path.split("?")[0].split("/") if p]
         try:
+            # Consume the request whole before routing: a body left unread
+            # (404, drain, DELETE) would pose as the next keep-alive request.
+            body = self._body()
             if method == "GET":
                 self._get(parts)
             elif method == "POST":
-                self._post(parts)
+                self._post(parts, body)
             elif method == "PUT":
-                self._put(parts)
+                self._put(parts, body)
             elif method == "DELETE":
                 self._delete(parts)
             else:  # pragma: no cover — stdlib routes known verbs only
                 self._send(405, {"error": f"unsupported method {method}"})
+        except ConnectionError:
+            raise  # client gone (see handle): no 500 onto a dead socket
         except _UnreadBody as exc:
             self._send(exc.status, {"error": str(exc)}, {"Connection": "close"})
         except FrontendError as exc:
@@ -216,9 +241,9 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send(404, {"error": f"no route GET /{'/'.join(parts)}"})
 
-    def _post(self, parts: list[str]) -> None:
+    def _post(self, parts: list[str], body: dict) -> None:
         if parts == ["v1", "tenants"]:
-            sfc = self._parse_sfc(self._body())
+            sfc = self._parse_sfc(body)
             self._run_intent(
                 Intent(kind="admit", tenant_id=sfc.tenant_id, sfc=sfc)
             )
@@ -229,7 +254,7 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             self._run_intent(Intent(kind=parts[3], switch=parts[2]))
         elif parts == ["v1", "reoptimize"]:
-            self._reoptimize(self._body())
+            self._reoptimize(body)
         else:
             self._send(404, {"error": f"no route POST /{'/'.join(parts)}"})
 
@@ -266,10 +291,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send(200, {"ok": report.ok, **report.summary()})
 
-    def _put(self, parts: list[str]) -> None:
+    def _put(self, parts: list[str], body: dict) -> None:
         if len(parts) == 3 and parts[:2] == ["v1", "tenants"]:
             tenant_id = self._parse_tenant_id(parts[2])
-            sfc = self._parse_sfc(self._body())
+            sfc = self._parse_sfc(body)
             self._run_intent(
                 Intent(kind="modify", tenant_id=tenant_id, sfc=sfc)
             )

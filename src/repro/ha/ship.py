@@ -187,6 +187,7 @@ class ReplicationListener:
             except OSError:
                 return  # listener closed
             try:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn.sendall(
                     encode_frame(
                         {

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from repro.errors import ModelError
 from repro.lp.constraint import Constraint, Sense
@@ -273,6 +272,8 @@ def _csr_rows(
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
     """``(A, b)`` for ``rows`` of ``(constraint, row_sign)``, straight from
     each constraint's ``{index: coeff}`` dict."""
+    import scipy.sparse  # lazy: the serving path imports Model, never exports
+
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []

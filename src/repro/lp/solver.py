@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import scipy.optimize
 
 from repro.errors import SolverError
 from repro.lp.model import MatrixForm, Model
@@ -68,6 +67,8 @@ def solve(
 
 def _solve_lp(form: MatrixForm) -> Solution:
     """Solve the LP (relaxation) of ``form`` with HiGHS ``linprog``."""
+    import scipy.optimize  # lazy: only a process that solves pays for it
+
     result = scipy.optimize.linprog(
         c=form.c,
         A_ub=form.A_ub if form.A_ub.shape[0] else None,
@@ -94,6 +95,8 @@ def _solve_milp(form: MatrixForm, time_limit: float | None, mip_gap: float) -> S
     HiGHS returns its incumbent, which is exactly the behaviour the paper's
     early-termination experiment (Fig. 9) relies on.
     """
+    import scipy.optimize  # lazy, as in _solve_lp
+
     constraints = []
     if form.A_ub.shape[0]:
         constraints.append(scipy.optimize.LinearConstraint(form.A_ub, -np.inf, form.b_ub))

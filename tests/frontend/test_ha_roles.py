@@ -46,6 +46,7 @@ def test_health_and_summary_report_role_epoch_and_lsn(fabric, tmp_path):
         assert summary["ha"]["role"] == "primary"
         assert summary["ha"]["epoch"] == 7
         assert summary["ha"]["committed_lsn"] == durability.wal.last_lsn
+        client.close()
     finally:
         server.close(timeout=10.0)
         durability.close()
@@ -72,6 +73,7 @@ def test_standby_rejects_writes_with_503_and_redirect(fabric):
         counters = client.metrics()["counters"]
         assert counters["frontend.http_not_primary"] == 1
         assert fabric.tenants == {}  # nothing reached the fabric
+        client.close()
     finally:
         server.close(timeout=10.0)
 
@@ -102,6 +104,7 @@ def test_fenced_pool_maps_to_503(fabric):
         with pytest.raises(FrontendError, match="-> 503"):
             client.admit(chain(1))
         assert fabric.tenants == {}
+        client.close()
     finally:
         server.close(timeout=10.0)
 

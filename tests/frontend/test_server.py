@@ -1,15 +1,21 @@
 """FrontendServer HTTP tests: route coverage, error mapping (400/404/429/
-503), and graceful shutdown with a quiesce checkpoint."""
+503), the wire contract (one write per reply, ``TCP_NODELAY``, a vanished
+client is not an error), and graceful shutdown with a quiesce checkpoint."""
 
+import http.client
 import json
 import socket
+import statistics
+import struct
 import threading
 import time
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import FrontendError, QueueFullError
+from repro.durability import FabricDurability, recover_fabric
+from repro.errors import FencedError, FrontendError, QueueFullError
 from repro.fabric import FabricOrchestrator, FabricTopology
 from repro.frontend import (
     FrontendServer,
@@ -17,7 +23,7 @@ from repro.frontend import (
     Intent,
     IntentQueue,
 )
-from repro.frontend.server import MAX_BODY_BYTES
+from repro.frontend.server import MAX_BODY_BYTES, _Handler
 from repro.frontend.workers import ShardWorker
 
 from .conftest import chain
@@ -32,7 +38,9 @@ def server(fabric):
 
 @pytest.fixture
 def client(server):
-    return HttpFrontendClient(server.url, timeout=10.0)
+    client = HttpFrontendClient(server.url, timeout=10.0)
+    yield client
+    client.close()
 
 
 def test_health_and_introspection_routes(server, client):
@@ -170,9 +178,9 @@ def test_hostile_bodies_get_a_typed_error_not_a_hang(
     assert fabric.digest() == before
 
 
-def test_backpressure_maps_to_429(fabric, monkeypatch):
-    """Stall the workers, fill one tenant's FIFO, and watch the server
-    push back with 429 + Retry-After instead of queueing unboundedly."""
+@pytest.fixture
+def gate(monkeypatch):
+    """Every shard worker stalls before executing until the gate is set."""
     gate = threading.Event()
     original = ShardWorker.execute
 
@@ -181,13 +189,21 @@ def test_backpressure_maps_to_429(fabric, monkeypatch):
         return original(self, intent)
 
     monkeypatch.setattr(ShardWorker, "execute", gated)
+    return gate
+
+
+def test_backpressure_maps_to_429(fabric, gate):
+    """Stall the workers, fill one tenant's FIFO, and watch the server
+    push back with 429 + Retry-After instead of queueing unboundedly."""
     server = FrontendServer(
         fabric, port=0, queue=IntentQueue(capacity=64, per_tenant=1)
     ).start()
     try:
         client = HttpFrontendClient(server.url, timeout=10.0)
+        # One keep-alive connection per client: the blocked admit gets its own.
+        blocked = HttpFrontendClient(server.url, timeout=10.0)
         background = threading.Thread(
-            target=client.admit, args=(chain(7),), daemon=True
+            target=blocked.admit, args=(chain(7),), daemon=True
         )
         background.start()  # blocks in the gated worker
         deadline = time.monotonic() + 5.0
@@ -203,6 +219,8 @@ def test_backpressure_maps_to_429(fabric, monkeypatch):
             client.evict(7)
         gate.set()
         background.join(timeout=10.0)
+        client.close()
+        blocked.close()
     finally:
         gate.set()
         server.close(timeout=10.0)
@@ -210,6 +228,138 @@ def test_backpressure_maps_to_429(fabric, monkeypatch):
         fabric.metrics_snapshot()["counters"]["frontend.http_backpressure"]
         == 1
     )
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    """What every handler put on its socket: the bytes of each
+    ``wfile.write`` and the accepted socket's ``TCP_NODELAY``."""
+    seen = SimpleNamespace(writes=[], nodelay=[])
+    original = _Handler.setup
+
+    def setup(self):
+        original(self)
+        seen.nodelay.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        write = self.wfile.write
+
+        def recorded(data):
+            seen.writes.append(bytes(data))
+            return write(data)
+
+        self.wfile.write = recorded
+
+    monkeypatch.setattr(_Handler, "setup", setup)
+    return seen
+
+
+def refuse(exc):
+    def submit(_intent):
+        raise exc
+
+    return submit
+
+
+@pytest.mark.parametrize(
+    "status, header, submit, content_length",
+    [
+        (200, b"Content-Type: application/json", None, None),
+        (429, b"Retry-After: 1", refuse(QueueFullError("tenant fifo full")), None),
+        (413, b"Connection: close", None, str(MAX_BODY_BYTES + 1)),
+        (503, b"Location: http://primary:1", refuse(FencedError("lease lost")), None),
+    ],
+    ids=["200", "429-retry-after", "413-close", "503-location"],
+)
+def test_each_reply_is_one_write_on_a_nodelay_socket(
+    fabric, wire, status, header, submit, content_length
+):
+    """Head and body in two writes is a 40 ms reply: Nagle holds the second
+    until the client's delayed ACK answers the first."""
+    body = json.dumps({"sfc": chain(1).to_dict()}).encode()
+    headers = {"Content-Length": content_length} if content_length else {}
+    with FrontendServer(fabric, port=0, primary_url="http://primary:1") as server:
+        if submit is not None:
+            server.pool.submit = submit
+        host, port = server.address.split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10.0)
+        conn.request("POST", "/v1/tenants", body=body, headers=headers)
+        response = conn.getresponse()
+        payload = response.read()
+        conn.close()
+    assert response.status == status
+    assert wire.nodelay == [1]
+    [reply] = wire.writes
+    head, _, sent_payload = reply.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    assert header in head.split(b"\r\n")
+    assert sent_payload == payload and json.loads(payload)
+
+
+def test_keep_alive_round_trip_is_milliseconds(server):
+    """50 admit -> evict cycles on one connection.  Replies split in two
+    segments took 44 ms each; joined they take about 2 ms."""
+    host, port = server.address.split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10.0)
+    rtts = []
+    for tenant in range(50):
+        admit = json.dumps({"sfc": chain(tenant).to_dict()}).encode()
+        for method, path, body in [
+            ("POST", "/v1/tenants", admit),
+            ("DELETE", f"/v1/tenants/{tenant}", None),
+        ]:
+            started = time.perf_counter()
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            rtts.append(time.perf_counter() - started)
+            assert response.status == 200 and payload["ok"]
+    conn.close()
+    assert statistics.median(rtts) < 0.010
+
+
+def test_vanished_client_is_counted_not_a_traceback(
+    fabric, tmp_path, gate, capfd
+):
+    """A client that resets its connection before the reply: the op it
+    submitted still commits, the handler closes quietly (nothing on
+    stderr, no 500 written onto the dead socket) and counts it."""
+    FabricDurability(tmp_path, fsync="off").attach(fabric)
+    server = FrontendServer(fabric, port=0).start()
+    try:
+        host, port = server.address.split(":")
+        body = json.dumps({"sfc": chain(7).to_dict()}).encode()
+        sock = socket.create_connection((host, int(port)), timeout=10.0)
+        sock.sendall(
+            b"POST /v1/tenants HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        deadline = time.monotonic() + 5.0
+        while server.queue.snapshot()["in_flight"] != 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        # SO_LINGER 0: close() sends RST, not FIN.
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        gate.set()
+        client = HttpFrontendClient(server.url, timeout=10.0)
+        while "frontend.http_client_gone" not in (
+            counters := client.metrics()["counters"]
+        ):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        client.close()
+    finally:
+        gate.set()
+        server.close(timeout=10.0)
+    assert counters["frontend.http_client_gone"] == 1
+    assert "frontend.http_internal_errors" not in counters
+    assert capfd.readouterr().err == ""
+    assert 7 in fabric.tenants and fabric.check_invariant() == []
+    recovered, report = recover_fabric(tmp_path, with_dataplane=False)
+    assert report.ok and recovered.digest() == fabric.digest()
 
 
 def test_draining_server_returns_503(server, client):
@@ -224,14 +374,12 @@ def test_draining_server_returns_503(server, client):
 
 
 def test_graceful_close_takes_quiesce_checkpoint(fabric, tmp_path):
-    from repro.durability.checkpoint import FabricDurability
-    from repro.durability.recover import recover_fabric
-
     FabricDurability(tmp_path, fsync="off").attach(fabric)
     server = FrontendServer(fabric, port=0).start()
     client = HttpFrontendClient(server.url, timeout=10.0)
     for t in range(10):
         assert client.admit(chain(t))["ok"]
+    client.close()
     server.close(timeout=10.0)
     server.close(timeout=10.0)  # idempotent
     recovered, report = recover_fabric(tmp_path, with_dataplane=False)
@@ -244,4 +392,5 @@ def test_context_manager_start_close(fabric):
     with FrontendServer(fabric, port=0) as server:
         client = HttpFrontendClient(server.url, timeout=10.0)
         assert client.health()["ok"]
+        client.close()
     assert not server.pool._running
