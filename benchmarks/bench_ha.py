@@ -125,9 +125,7 @@ def build_oracle(events) -> dict[int, str]:
 # ----------------------------------------------------------------------
 def measure_replication(events) -> dict:
     with tempfile.TemporaryDirectory() as root:
-        cluster = HaCluster(
-            root, make_fabric, ttl_s=30.0, checkpoint_every=32, verify_every=8
-        )
+        cluster = HaCluster(root, make_fabric, ttl_s=30.0, checkpoint_every=32)
         cluster.start()
         engine = ChurnEngine(cluster.fabric)
         lags_before: list[int] = []
@@ -187,7 +185,7 @@ def failover_sweep(events, oracle, points) -> list[dict]:
             injector = FaultInjector(point)
             cluster = HaCluster(
                 root, make_fabric, ttl_s=SWEEP_TTL_S,
-                checkpoint_every=16, verify_every=4, fault_hook=injector,
+                checkpoint_every=16, fault_hook=injector,
             )
             cluster.start()
             engine = ChurnEngine(cluster.fabric)

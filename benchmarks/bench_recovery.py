@@ -18,7 +18,7 @@ Run directly (no pytest needed):
     python benchmarks/bench_recovery.py --smoke    # CI regression guard
 
 ``--smoke`` replays a shorter stream and fails if the batched-fsync WAL
-costs more than 10% on top of the bare controller work, if the journaled
+costs more than 30% on top of the bare controller work, if the journaled
 run's final state diverges from the bare run's (the WAL must be
 semantically invisible), or if recovery does not land digest-identical to
 the state it is recovering.
@@ -43,8 +43,12 @@ from repro.durability import ControllerDurability, recover_controller
 from repro.rng import DEFAULT_SEED
 from repro.traffic.workload import WorkloadConfig, make_instance
 
-#: The CI guard's ceiling on batched-WAL throughput overhead.
-SMOKE_MAX_BATCH_OVERHEAD_PCT = 10.0
+#: The CI guard's ceiling on batched-WAL throughput overhead.  It was 10 %
+#: while the controller re-summed its backplane float after every op; with
+#: that pass gone the work under the journal is ~3x cheaper, so the same
+#: ~30 us of journaling per op reads as ~20 % (measured: 9.3 % of 359 us
+#: before, 20 % of 140 us after).  The ceiling follows the denominator.
+SMOKE_MAX_BATCH_OVERHEAD_PCT = 30.0
 
 WORKLOAD = WorkloadConfig(
     num_sfcs=0, num_types=6, avg_chain_length=3, chain_length_spread=2,

@@ -546,8 +546,7 @@ def _cmd_ha(args: argparse.Namespace) -> int:
         from repro.ha import HaCluster
 
         cluster = HaCluster(
-            root, make_fabric, ttl_s=args.ttl,
-            checkpoint_every=16, verify_every=4,
+            root, make_fabric, ttl_s=args.ttl, checkpoint_every=16
         )
         cluster.start()
         print(f"primary elected at epoch {cluster.primary_lease.epoch}; "

@@ -107,15 +107,15 @@ def check_admission(
         # A chain of J NFs needs at least ceil(J / S) passes, each carrying
         # the tenant's full bandwidth across the backplane (Eq. 12 LHS).
         min_passes = -(-sfc.length // switch.stages)
-        demand = min_passes * sfc.bandwidth_gbps
-        residual = switch.capacity_gbps - state.backplane_gbps
-        if demand > residual + 1e-9:
+        if not state.backplane_fits(min_passes * sfc.bw_bps):
+            residual = switch.capacity_gbps - state.backplane_gbps
             return AdmissionDecision(
                 admitted=False,
                 reason="backplane-exhausted",
                 detail=(
-                    f"needs >= {demand:.1f} Gbps backplane "
-                    f"({min_passes} passes x {sfc.bandwidth_gbps:.1f} Gbps), "
+                    f"needs >= {min_passes * sfc.bandwidth_gbps:.1f} Gbps "
+                    f"backplane ({min_passes} passes x "
+                    f"{sfc.bandwidth_gbps:.1f} Gbps), "
                     f"residual {residual:.1f} Gbps"
                 ),
             )

@@ -21,10 +21,9 @@ pre-event snapshot, so the two sides never diverge.
 The controller maintains one strict invariant, exercised by the churn test
 suite: after any event sequence, its incremental
 :class:`~repro.core.state.PipelineState` is **bit-identical** (exact integer
-arrays, exact float backplane) to a from-scratch recomputation over the
-surviving placement.  Float-exactness holds because the controller
-renormalizes the backplane sum in sorted-tenant order after every event —
-the same order :meth:`PipelineState.from_placement` accumulates in.
+arrays, exact integer backplane) to a from-scratch recomputation over the
+surviving placement — by construction: bandwidth is integer bits per
+second, so add-on-admit / subtract-on-evict is exact in any order.
 
 Like the paper's incremental updater, drift from the global optimum can be
 bounded: :meth:`SfcController.maybe_reconfigure` compares the live placement
@@ -55,6 +54,7 @@ from repro.nfs.registry import get_nf, install_physical_nf
 from repro.telemetry.metrics import MetricsRegistry, Timer
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.spans import Tracer, maybe_span
+from repro.units import GBPS
 
 #: ``rule_factory(sfc, position, nf_name) -> rules`` — the concrete table
 #: entries carried by one NF of a tenant's chain on the functional data
@@ -77,9 +77,9 @@ class TenantRecord:
     sfc: SFC
     stages: tuple[int, ...]
 
-    def assignment(self, index: int) -> NFAssignment:
-        """The tenant's chain assignment keyed as SFC ``index``."""
-        return NFAssignment(sfc_index=index, stages=self.stages)
+    def backplane_bps(self, stages_per_pass: int) -> int:
+        """The chain's Eq. 12 charge: its bandwidth once per pipeline pass."""
+        return -(-self.stages[-1] // stages_per_pass) * self.sfc.bw_bps
 
 
 @dataclass
@@ -143,6 +143,8 @@ class SfcController:
             reserve_physical_block=reserve_physical_block,
         )
         self.tenants: dict[int, TenantRecord] = {}
+        #: Eq. 1/14's objective Σ ``bw_bps × J``, kept by :meth:`_book`.
+        self._objective_bps = 0
         self.metrics = MetricsRegistry()
         self.tracer = tracer
         self.recorder = recorder
@@ -197,16 +199,13 @@ class SfcController:
 
     @property
     def placement(self) -> Placement:
-        """The live placement over :attr:`population_instance`.
-
-        Assignments are keyed (and inserted) in sorted-tenant order, so
-        :meth:`PipelineState.from_placement` over this placement accumulates
-        the backplane float sum in exactly the controller's renormalization
-        order — the bit-identity the churn invariant test asserts.
-        """
+        """The live placement over :attr:`population_instance` (assignments
+        keyed in sorted-tenant order) — what the churn invariant rebuilds a
+        reference :class:`PipelineState` from."""
         ordered = sorted(self.tenants)
         assignments = {
-            idx: self.tenants[t].assignment(idx) for idx, t in enumerate(ordered)
+            idx: NFAssignment(sfc_index=idx, stages=self.tenants[t].stages)
+            for idx, t in enumerate(ordered)
         }
         return Placement(
             instance=self.population_instance,
@@ -240,24 +239,25 @@ class SfcController:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _renormalize_backplane(self) -> None:
-        """Recompute the backplane float sum in sorted-tenant order — the
-        exact accumulation order (and arithmetic) of
-        :meth:`PipelineState.from_placement`, so incremental state stays
-        bit-identical to a from-scratch recomputation."""
-        S = self.base.switch.stages
-        total = 0.0
-        for idx, t in enumerate(sorted(self.tenants)):
-            record = self.tenants[t]
-            total += record.assignment(idx).passes(S) * record.sfc.bandwidth_gbps
-        self.state.backplane_gbps = total
+    def _book(
+        self, tenant_id: int, record: TenantRecord | None
+    ) -> TenantRecord | None:
+        """The seam :attr:`tenants` changes through: file ``record``
+        (``None`` = remove), keep the objective in step, return the old."""
+        old = self.tenants.get(tenant_id)
+        if old is not None:
+            self._objective_bps -= old.sfc.bw_bps * old.sfc.length
+        if record is None:
+            self.tenants.pop(tenant_id, None)
+        else:
+            self.tenants[tenant_id] = record  # in place: keeps dict position
+            self._objective_bps += record.sfc.bw_bps * record.sfc.length
+        return old
 
     def _refresh_gauges(self) -> None:
         self.metrics.gauge("tenants").set(len(self.tenants))
         self.metrics.gauge("backplane_gbps").set(self.state.backplane_gbps)
-        self.metrics.gauge("objective").set(
-            sum(rec.sfc.weight for rec in self.tenants.values())
-        )
+        self.metrics.gauge("objective").set(self._objective_bps / GBPS)
 
     def _reject(
         self, tenant_id: int, op: str, reason: str, detail: str, timer: Timer
@@ -298,6 +298,15 @@ class SfcController:
             payload["stages"] = list(result.stages)
         payload["digest"] = self.state.digest()
         self.durability.commit_op(self, op, payload)
+
+    def _release(self, record: TenantRecord) -> None:
+        """Return a chain's rule entries and backplane charge to the state."""
+        S = self.base.switch.stages
+        for j, k in enumerate(record.stages):
+            self.state.remove_logical_nf(
+                record.sfc.nf_types[j] - 1, (k - 1) % S, record.sfc.rules[j]
+            )
+        self.state.release_backplane(record.backplane_bps(S))
 
     def _logical(self, sfc: SFC) -> LogicalSFC:
         """Lower a control-plane SFC to the data plane's logical form, with
@@ -420,8 +429,7 @@ class SfcController:
                     tenant_id, op, "dataplane-rejected", str(exc), timer
                 )
 
-        self.tenants[tenant_id] = TenantRecord(sfc=sfc, stages=stages)
-        self._renormalize_backplane()
+        self._book(tenant_id, TenantRecord(sfc=sfc, stages=stages))
         S = self.base.switch.stages
         added = sum(rule_churn_by_stage(sfc, stages, S).values())
         deleted = 0
@@ -473,18 +481,14 @@ class SfcController:
         return self._run("evict", tenant_id, partial(self._evict, tenant_id), {})
 
     def _evict(self, tenant_id: int, timer: Timer) -> OpResult:
-        record = self.tenants.pop(tenant_id, None)
+        record = self._book(tenant_id, None)
         if record is None:
             return self._reject(
                 tenant_id, "evict", "unknown-tenant",
                 f"tenant {tenant_id} has no live chain", timer,
             )
         S = self.base.switch.stages
-        for j, k in enumerate(record.stages):
-            self.state.remove_logical_nf(
-                record.sfc.nf_types[j] - 1, (k - 1) % S, record.sfc.rules[j]
-            )
-        self._renormalize_backplane()
+        self._release(record)
         if self.with_dataplane:
             assert self.installer is not None
             self.installer.evict(tenant_id)
@@ -523,13 +527,7 @@ class SfcController:
             )
         new_sfc = replace(new_chain, tenant_id=tenant_id)
         snap = self.state.snapshot()
-        S = self.base.switch.stages
-        for j, k in enumerate(record.stages):
-            self.state.remove_logical_nf(
-                record.sfc.nf_types[j] - 1, (k - 1) % S, record.sfc.rules[j]
-            )
-        old_passes = -(-record.stages[-1] // S)
-        self.state.release_backplane(old_passes * record.sfc.bandwidth_gbps)
+        self._release(record)
         return self._commit_chain(
             new_sfc, snap, record,
             "new chain does not fit the residual resources", timer,
@@ -584,18 +582,19 @@ class SfcController:
                 f"{len(stages)} recorded stages"
             )
         prev_physical = self.state.physical.copy()
+        record = TenantRecord(sfc=sfc, stages=stages)
         S = self.base.switch.stages
         for j, k in enumerate(stages):
             self.state.add_logical_nf(
                 sfc.nf_types[j] - 1, (k - 1) % S, sfc.rules[j]
             )
+        self.state.add_backplane(record.backplane_bps(S))
         if self.with_dataplane:
             assert self.installer is not None
             created: list[tuple[int, str]] = []
             self._ensure_physical(prev_physical, created)
             self.installer.install(self._logical(sfc), stages)
-        self.tenants[sfc.tenant_id] = TenantRecord(sfc=sfc, stages=stages)
-        self._renormalize_backplane()
+        self._book(sfc.tenant_id, record)
         self._refresh_gauges()
 
     # ------------------------------------------------------------------
@@ -665,11 +664,10 @@ class SfcController:
                 self.installer.replace(self._logical(record.sfc), record.stages)
             self._sweep_stale_tables(reference.physical)
 
-        self.tenants = survivors
+        self.tenants = survivors  # same chains, new stages: objective unchanged
         self.state = PipelineState.from_placement(
             reference, reserve_physical_block=self.reserve_physical_block
         )
-        self._renormalize_backplane()
         self.metrics.inc("reconfigurations")
         self.metrics.inc("rules_inserted", sum(added.values()))
         self.metrics.inc("rules_deleted", sum(deleted.values()))

@@ -87,11 +87,11 @@ def try_place_chain(
         stages.append(chosen)
         prev_k = chosen
 
-    passes = -(-stages[-1] // S)
-    if state.backplane_gbps + passes * sfc.bandwidth_gbps > state.switch.capacity_gbps + 1e-9:
+    charge = -(-stages[-1] // S) * sfc.bw_bps
+    if not state.backplane_fits(charge):
         state.restore(snap)
         return None
-    state.add_backplane(passes * sfc.bandwidth_gbps)
+    state.add_backplane(charge)
     return tuple(stages)
 
 

@@ -24,9 +24,10 @@ the paper's ``s_l = 0`` convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import PlacementError
+from repro.units import to_bps
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ class SFC:
     rules: tuple[int, ...]
     bandwidth_gbps: float
     tenant_id: int = 0
+    #: ``T_l`` in whole bits per second: the one rounding this chain's
+    #: demand gets before integer accounting (:mod:`repro.core.state`).
+    bw_bps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.nf_types) == 0:
@@ -107,6 +111,7 @@ class SFC:
         # Dataclass is frozen; normalize via object.__setattr__.
         object.__setattr__(self, "nf_types", tuple(int(t) for t in self.nf_types))
         object.__setattr__(self, "rules", tuple(int(r) for r in self.rules))
+        object.__setattr__(self, "bw_bps", to_bps(self.bandwidth_gbps))
 
     def to_dict(self) -> dict:
         """JSON-native form — the shape shared by churn traces

@@ -4,7 +4,11 @@ algorithm's constructive assignment, and the runtime-update engine.
 Tracks, per (NF type, physical stage): whether a physical NF is installed and
 how many rule entries the logical NFs mapped there consume, plus the
 backplane bandwidth in use — i.e. exactly the state the data plane's control
-API would mirror.  Supports both memory-accounting variants (Eq. 24
+API would mirror.  Bandwidth is accounted in integer bits per second (one
+rounding per chain, ``SFC.bw_bps``), so sums are exact and add/release in
+any order lands on what :meth:`PipelineState.from_placement` computes;
+``backplane_gbps`` / ``load_gbps`` are derived floats for reading.
+Supports both memory-accounting variants (Eq. 24
 consolidation / Eq. 25 per-NF blocks) and cheap snapshot/rollback, which the
 greedy algorithm uses for its try-then-commit placement attempts.
 
@@ -26,14 +30,17 @@ import numpy as np
 from repro.core.placement import NFAssignment, Placement
 from repro.core.spec import ProblemInstance
 from repro.errors import PlacementError
+from repro.units import GBPS, to_bps
+
+#: Eq. 12's comparison tolerance, 1e-9 Gbps, in accounting units.
+TOLERANCE_BPS = 1
 
 
 def stable_digest(payload: object) -> str:
     """A short stable blake2b hex digest of a JSON-native payload.
 
     The payload is serialized canonically (sorted keys, no whitespace), so
-    equal values always hash equal; floats must already be in a bit-exact
-    encoding (use ``float.hex()``) when bit-identity matters.
+    equal values always hash equal.
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
@@ -46,7 +53,7 @@ class _Snapshot:
     nf_blocks: np.ndarray
     charged: np.ndarray
     stage_blocks: np.ndarray
-    backplane_gbps: float
+    backplane_bps: int
 
 
 class LinkState:
@@ -67,42 +74,36 @@ class LinkState:
                 f"link capacity must be positive, got {capacity_gbps}"
             )
         self.capacity_gbps = float(capacity_gbps)
-        #: Gbps committed to chains stitched across this link.
-        self.load_gbps = 0.0
+        self.capacity_bps = to_bps(capacity_gbps)
+        #: Bits/s committed to chains stitched across this link.
+        self.load_bps = 0
 
     @property
-    def residual_gbps(self) -> float:
-        """Uncommitted link bandwidth."""
-        return self.capacity_gbps - self.load_gbps
+    def load_gbps(self) -> float:
+        """Committed link bandwidth in Gbps (derived from the integer)."""
+        return self.load_bps / GBPS
 
-    def fits(self, gbps: float) -> bool:
-        """Whether another ``gbps`` of stitched traffic fits this link."""
-        return self.load_gbps + gbps <= self.capacity_gbps + 1e-9
+    def fits(self, bps: int) -> bool:
+        """Whether another ``bps`` of stitched traffic fits this link."""
+        return self.load_bps + bps <= self.capacity_bps + TOLERANCE_BPS
 
-    def add_load(self, gbps: float) -> None:
+    def add_load(self, bps: int) -> None:
         """Commit stitched-chain bandwidth; raises beyond capacity."""
-        if not self.fits(gbps):
+        if not self.fits(bps):
             raise PlacementError(
-                f"link capacity exceeded: {self.load_gbps + gbps:.1f} "
+                f"link capacity exceeded: {(self.load_bps + bps) / GBPS:.1f} "
                 f"> {self.capacity_gbps:.1f} Gbps"
             )
-        self.load_gbps += gbps
+        self.load_bps += bps
 
-    def release_load(self, gbps: float) -> None:
-        """Return stitched-chain bandwidth (tenant departure)."""
-        self.load_gbps = max(0.0, self.load_gbps - gbps)
-
-    def digest(self) -> str:
-        """Stable blake2b digest of the link's exact state.  The load float
-        is hashed via ``float.hex()``, so two digests are equal iff the
-        loads are bit-identical — what invariant checks and crash-recovery
-        acceptance compare instead of deep structures."""
-        return stable_digest(
-            {
-                "capacity_gbps": self.capacity_gbps.hex(),
-                "load_gbps": self.load_gbps.hex(),
-            }
-        )
+    def release_load(self, bps: int) -> None:
+        """Return stitched-chain bandwidth (tenant departure); releasing
+        more than is committed is a double release, and raises."""
+        if bps > self.load_bps:
+            raise PlacementError(
+                f"link over-release: {bps} bps of {self.load_bps}"
+            )
+        self.load_bps -= bps
 
     def __repr__(self) -> str:
         return (
@@ -136,8 +137,14 @@ class PipelineState:
         self._charged = np.zeros((I, S), dtype=np.int64)
         #: Cached per-stage totals of ``_charged``.
         self._stage_blocks = np.zeros(S, dtype=np.int64)
-        #: Backplane Gbps in use, counting recirculation passes (Eq. 12 LHS).
-        self.backplane_gbps = 0.0
+        self.capacity_bps = to_bps(instance.switch.capacity_gbps)
+        #: Backplane bits/s in use, counting recirculation passes (Eq. 12 LHS).
+        self.backplane_bps = 0
+
+    @property
+    def backplane_gbps(self) -> float:
+        """Backplane bandwidth in use in Gbps (derived from the integer)."""
+        return self.backplane_bps / GBPS
 
     # ------------------------------------------------------------------
     # Physical layout access (kept cache-coherent)
@@ -248,43 +255,53 @@ class PipelineState:
             self._physical[i, s] = True
             self._refresh(i, s)
 
-    def add_backplane(self, gbps: float) -> None:
+    def backplane_fits(self, bps: int) -> bool:
+        """Whether another ``bps`` fits the backplane (Eq. 12)."""
+        return self.backplane_bps + bps <= self.capacity_bps + TOLERANCE_BPS
+
+    def add_backplane(self, bps: int) -> None:
         """Commit backplane bandwidth; raises beyond capacity (Eq. 12)."""
-        if self.backplane_gbps + gbps > self.switch.capacity_gbps + 1e-9:
+        if not self.backplane_fits(bps):
             raise PlacementError(
-                f"backplane capacity exceeded: {self.backplane_gbps + gbps:.1f} "
+                f"backplane capacity exceeded: "
+                f"{(self.backplane_bps + bps) / GBPS:.1f} "
                 f"> {self.switch.capacity_gbps:.1f} Gbps"
             )
-        self.backplane_gbps += gbps
+        self.backplane_bps += bps
 
-    def release_backplane(self, gbps: float) -> None:
-        """Return backplane bandwidth (tenant departure)."""
-        self.backplane_gbps = max(0.0, self.backplane_gbps - gbps)
+    def release_backplane(self, bps: int) -> None:
+        """Return backplane bandwidth (tenant departure); releasing more
+        than is committed is a double release, and raises."""
+        if bps > self.backplane_bps:
+            raise PlacementError(
+                f"backplane over-release: {bps} bps of {self.backplane_bps}"
+            )
+        self.backplane_bps -= bps
 
     def digest(self) -> str:
         """Stable blake2b digest over the sorted snapshot of the full
         resource state (physical layout, entry/block matrices, backplane).
 
-        The backplane float is hashed via ``float.hex()``, so two digests
-        are equal iff the states are **bit-identical** — the controller's
-        churn invariant and the durability subsystem's recovery acceptance
-        compare this short hash instead of deep structures.
-
-        The fields are hashed in a fixed sorted order over their raw array
-        bytes (shape included) rather than through a JSON round-trip: the
-        WAL journals one digest per committed op, so this sits on the
-        controller's hot path.
+        Every field is an exact integer, so two digests are equal iff the
+        states are **bit-identical** — the controller's churn invariant and
+        the durability subsystem's recovery acceptance compare this short
+        hash instead of deep structures.  Every journalled op hashes every
+        shard, so the fields go in straight from their array buffers.
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.backplane_gbps.hex().encode("ascii"))
-        h.update(b"|%d%d|" % (self.consolidate, self.reserve_physical_block))
-        for arr in (
-            self.entries.astype(np.int64, copy=False),
-            self.nf_blocks.astype(np.int64, copy=False),
-            self._physical,
-        ):
-            h.update(str(arr.shape).encode("ascii"))
-            h.update(np.ascontiguousarray(arr).tobytes())
+        h = hashlib.blake2b(
+            b"%d|%d%d|%d,%d|"
+            % (
+                self.backplane_bps, self.consolidate,
+                self.reserve_physical_block, *self._physical.shape,
+            ),
+            digest_size=16,
+        )
+        # int64 / int64 / bool, C-contiguous by construction (allocated
+        # here, mutated in place, replaced only by ``.copy()``); hashlib
+        # refuses a non-contiguous buffer rather than hashing it wrong.
+        h.update(self.entries)
+        h.update(self.nf_blocks)
+        h.update(self._physical)
         return h.hexdigest()
 
     # ------------------------------------------------------------------
@@ -298,7 +315,7 @@ class PipelineState:
             self.nf_blocks.copy(),
             self._charged.copy(),
             self._stage_blocks.copy(),
-            self.backplane_gbps,
+            self.backplane_bps,
         )
 
     def restore(self, snap: _Snapshot) -> None:
@@ -308,7 +325,7 @@ class PipelineState:
         self.nf_blocks = snap.nf_blocks.copy()
         self._charged = snap.charged.copy()
         self._stage_blocks = snap.stage_blocks.copy()
-        self.backplane_gbps = snap.backplane_gbps
+        self.backplane_bps = snap.backplane_bps
 
     # ------------------------------------------------------------------
     # Conversions
@@ -334,7 +351,7 @@ class PipelineState:
                 state.nf_blocks[i, s] += placement.instance.switch.blocks_for_entries(
                     sfc.rules[j]
                 )
-            state.backplane_gbps += asg.passes(S) * sfc.bandwidth_gbps
+            state.backplane_bps += asg.passes(S) * sfc.bw_bps
         state._recompute_all()
         return state
 

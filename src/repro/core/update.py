@@ -122,7 +122,7 @@ class RuntimeUpdater:
                 self.state.remove_logical_nf(
                     sfc.nf_types[j] - 1, (k - 1) % S, sfc.rules[j]
                 )
-            self.state.release_backplane(asg.passes(S) * sfc.bandwidth_gbps)
+            self.state.release_backplane(asg.passes(S) * sfc.bw_bps)
             merge_churn(self._pending_deleted, rule_churn_by_stage(sfc, asg.stages, S))
             removed.append(l)
         return removed

@@ -42,7 +42,14 @@ if TYPE_CHECKING:  # import cycle: controller/fabric import this module's users
     from repro.fabric.orchestrator import FabricOrchestrator
 
 MANIFEST_NAME = "MANIFEST.json"
-CHECKPOINT_VERSION = 1
+#: 2 = digests over integer bits/s.  A version-1 checkpoint restores to the
+#: same state but recorded digests over floats: it is restored unverified.
+CHECKPOINT_VERSION = 2
+
+
+def digests_comparable(checkpoint: dict) -> bool:
+    """Whether ``checkpoint`` recorded its digests in this format."""
+    return int(checkpoint.get("version", 1)) >= CHECKPOINT_VERSION
 
 
 # ----------------------------------------------------------------------
@@ -72,11 +79,11 @@ def restore_controller(controller: "SfcController", checkpoint: dict) -> None:
     """Rebuild a freshly constructed controller from a checkpoint.
 
     The physical layout is adopted wholesale (it includes NFs left installed
-    by since-evicted tenants — part of the live state), every tenant is
+    by since-evicted tenants — part of the live state) and every tenant is
     re-installed at its *recorded* stages through
-    :meth:`SfcController.restore_tenant`, and the backplane float is
-    renormalized in sorted-tenant order.  The result must match the
-    checkpoint's digest bit for bit, else the checkpoint is rejected.
+    :meth:`SfcController.restore_tenant`.  The result must match the
+    checkpoint's digest bit for bit (current-format checkpoints only), else
+    the checkpoint is rejected.
     """
     if controller.tenants:
         raise DurabilityError("checkpoint restore needs a fresh controller")
@@ -89,10 +96,9 @@ def restore_controller(controller: "SfcController", checkpoint: dict) -> None:
         controller.restore_tenant(
             SFC.from_dict(entry["sfc"]), tuple(entry["stages"])
         )
-    controller._renormalize_backplane()
     controller._refresh_gauges()
     digest = controller.state.digest()
-    if digest != checkpoint["digest"]:
+    if digests_comparable(checkpoint) and digest != checkpoint["digest"]:
         raise DurabilityError(
             f"checkpoint restore diverged: state digest {digest} != "
             f"recorded {checkpoint['digest']}"
@@ -140,8 +146,9 @@ def fabric_checkpoint(fabric: "FabricOrchestrator", lsn: int) -> dict:
 def restore_fabric(fabric: "FabricOrchestrator", checkpoint: dict) -> None:
     """Rebuild a freshly constructed fabric from a checkpoint: restore each
     shard's layout, re-install every directory segment at its recorded
-    stages, rebuild the directory and drained set, and renormalize link
-    loads.  Verified against the recorded per-shard and fabric digests."""
+    stages, and rebuild the directory (link loads move with it) and drained
+    set.  Verified against the recorded per-shard and fabric digests
+    (current-format checkpoints only)."""
     from repro.fabric.orchestrator import FabricTenant, Segment
 
     if fabric.tenants:
@@ -172,14 +179,18 @@ def restore_fabric(fabric: "FabricOrchestrator", checkpoint: dict) -> None:
                     stages=tuple(seg["stages"]),
                 )
             )
-        fabric.tenants[tenant_id] = FabricTenant(
-            sfc=SFC.from_dict(entry["sfc"]),
-            segments=tuple(segments),
-            links=tuple(tuple(key) for key in entry["links"]),
+        fabric._book(
+            tenant_id,
+            FabricTenant(
+                sfc=SFC.from_dict(entry["sfc"]),
+                segments=tuple(segments),
+                links=tuple(tuple(key) for key in entry["links"]),
+            ),
         )
     fabric.drained = set(checkpoint["drained"])
-    fabric._renormalize_links()
     fabric._refresh_gauges()
+    if not digests_comparable(checkpoint):
+        return
     for name, expected in checkpoint["shard_digests"].items():
         digest = fabric.shards[name].state.digest()
         if digest != expected:

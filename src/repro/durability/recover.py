@@ -30,7 +30,7 @@ the fault-injection suite sweeps across every crash site.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -41,11 +41,12 @@ from repro.durability.checkpoint import (
     CheckpointStore,
     ControllerDurability,
     FabricDurability,
+    digests_comparable,
     read_manifest,
     restore_controller,
     restore_fabric,
 )
-from repro.durability.wal import WalRecord, scan_wal
+from repro.durability.wal import WAL_VERSION, WalRecord, scan_wal
 from repro.errors import DurabilityError
 from repro.fabric.orchestrator import FabricOrchestrator
 from repro.fabric.partitioner import make_partitioner
@@ -290,6 +291,12 @@ def fabric_from_manifest(
     )
 
 
+#: Recovery's one note on a pre-integer-units directory: replayed like a
+#: record with neither digest key — unverified, never a problem — and
+#: rewritten in the current format by the post-recovery checkpoint.
+OLD_FORMAT_NOTE = "format v1: journalled digests not comparable"
+
+
 def _checkpoint_fallback_note(store: CheckpointStore, base_lsn: int) -> str | None:
     """The recovery note when checkpoints exist on disk but none loads:
     recovery silently falling back to a full replay would hide real damage.
@@ -360,6 +367,19 @@ def _recover(
     scan = scan_wal(directory / coordinator.WAL_NAME)
     store = CheckpointStore(directory)
     checkpoint = store.load_latest()
+    records = scan.records
+    if scan.version < WAL_VERSION:
+        records = tuple(
+            replace(r, data={
+                k: v for k, v in r.data.items()
+                if k not in ("digest", "shard_digests")
+            })
+            for r in records
+        )
+    if scan.version < WAL_VERSION or (
+        checkpoint is not None and not digests_comparable(checkpoint)
+    ):
+        notes.append(OLD_FORMAT_NOTE)
     checkpoint_lsn = 0
     if checkpoint is not None:
         try:
@@ -380,7 +400,7 @@ def _recover(
     engine = RecoveryEngine(
         lambda record: apply(target, record), applied_lsn=checkpoint_lsn
     )
-    engine.replay(scan.records)
+    engine.replay(records)
     problems.extend(engine.problems)
     problems.extend(audit(target))
 

@@ -70,8 +70,10 @@ FSYNC_POLICIES = ("always", "batch", "off")
 #: Reserved op name of the per-file base-LSN header record.
 HEADER_OP = "_header"
 
-#: On-disk format version written into every header record.
-WAL_VERSION = 1
+#: On-disk format version written into every header record.  2 = digests
+#: over integer bits/s; a version-1 file's records replay to the same state
+#: but their digests cannot be compared.
+WAL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,8 @@ class WalScan:
     good_offset: int
     dropped_bytes: int
     problems: tuple[str, ...]
+    #: Format version the file's header declares.
+    version: int = WAL_VERSION
 
     @property
     def last_lsn(self) -> int:
@@ -133,6 +137,7 @@ def scan_wal(path: str | Path) -> WalScan:
     raw = path.read_bytes()
     offset = 0
     base_lsn: int | None = None
+    version = WAL_VERSION
     records: list[WalRecord] = []
     problems: list[str] = []
     last_lsn = 0
@@ -151,6 +156,7 @@ def scan_wal(path: str | Path) -> WalScan:
                 problems.append(f"unexpected header record at byte {offset}")
                 break
             base_lsn = int(record.data.get("base_lsn", record.lsn))
+            version = int(record.data.get("version", 1))
             last_lsn = base_lsn
         else:
             if base_lsn is None:
@@ -174,6 +180,7 @@ def scan_wal(path: str | Path) -> WalScan:
         good_offset=offset,
         dropped_bytes=len(raw) - offset,
         problems=tuple(problems),
+        version=version,
     )
 
 

@@ -19,11 +19,13 @@ and the orchestrator owns only what is genuinely *cross*-switch:
   who moved and who could not be re-placed; the drained shard ends with
   zero tenant rules.
 
-The orchestrator inherits the controller's bookkeeping discipline: link
-loads are renormalized in sorted-tenant order after every event, so the
-incremental fabric state (per-switch arrays + backplane floats + link
-floats) stays **bit-identical** to a from-scratch recomputation —
-:meth:`check_invariant` asserts exactly that, per shard and per link.
+The orchestrator inherits the controller's bookkeeping discipline:
+bandwidth is integer bits per second, so the incremental fabric state is
+**bit-identical** to a from-scratch recomputation in any op order.  The
+directory changes through one seam (:meth:`FabricOrchestrator._book`) that
+moves the link loads and a running directory hash with it, so ``digest()``
+costs the same however many tenants are live; :meth:`check_invariant` is
+the from-scratch oracle, per shard, per link and for the directory.
 
 **Lock scopes.**  The fabric is safe to drive from the concurrent front
 end's shard workers (:mod:`repro.frontend.workers`).  Every shard has its
@@ -55,10 +57,11 @@ op × scope.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -66,7 +69,7 @@ import numpy as np
 from repro.controller.admission import AdmissionPolicy
 from repro.controller.controller import OpResult, RuleFactory, SfcController
 from repro.core.spec import SFC, ProblemInstance
-from repro.core.state import LinkState, PipelineState, stable_digest
+from repro.core.state import LinkState, PipelineState
 from repro.errors import PlacementError
 from repro.fabric.partitioner import ConsistentHashPartitioner, Partitioner
 from repro.fabric.stitching import StitchPlan, plan_stitch
@@ -102,6 +105,25 @@ class FabricTenant:
     def stitched(self) -> bool:
         return len(self.segments) > 1
 
+    @cached_property
+    def key(self) -> int:
+        """128-bit blake2b of what the fabric digest says about this tenant
+        (chain, segment layout and stages, link charges), computed once.
+        The directory hash is the sum of these mod 2**128 — an equality
+        oracle against bugs, not a MAC against an adversary."""
+        sfc = self.sfc
+        layout = tuple(
+            (seg.switch, seg.start, seg.stop, tuple(seg.stages))
+            for seg in self.segments
+        )
+        blob = repr((
+            sfc.name, sfc.nf_types, sfc.rules, float(sfc.bandwidth_gbps).hex(),
+            sfc.tenant_id, layout, tuple(map(tuple, self.links)),
+        ))
+        return int.from_bytes(
+            hashlib.blake2b(blob.encode("utf-8"), digest_size=16).digest(), "big"
+        )
+
     @property
     def switches(self) -> tuple[str, ...]:
         return tuple(seg.switch for seg in self.segments)
@@ -130,6 +152,8 @@ class FabricOpResult:
     rules_added: int = 0
     rules_deleted: int = 0
 
+
+_DIR_HASH_MOD = 1 << 128
 
 #: A lifecycle body as :meth:`FabricOrchestrator._run` calls it:
 #: ``body(timer, scope)`` -> the result, or ``None`` to escalate.
@@ -215,8 +239,13 @@ class FabricOrchestrator:
             key: LinkState(link.capacity_gbps)
             for key, link in topology.links.items()
         }
+        self._link_order: tuple[LinkKey, ...] = tuple(sorted(self.links))
         #: Fabric-level tenant directory (the only cross-switch state).
+        #: Changes only through :meth:`_book`, which keeps the link loads,
+        #: Σ ``FabricTenant.key`` mod 2**128 and the stitched count in step.
         self.tenants: dict[int, FabricTenant] = {}
+        self._dir_hash = 0
+        self._stitched = 0
         self.drained: set[str] = set()
         self.metrics = MetricsRegistry()
         # -- concurrency seams (see the module docstring) ----------------
@@ -261,36 +290,21 @@ class FabricOrchestrator:
 
     def digest(self) -> str:
         """Stable blake2b digest of the whole fabric: every shard's state
-        digest, every link's load digest, the tenant directory (chains,
-        segments, link charges) and the drained set.  Bit-identical fabric
-        states — and only those — hash equal; this is the quantity the
-        durability subsystem journals per LSN and recovery must reproduce.
+        digest, every link's integer load, the tenant directory (count +
+        running hash over chains, segments and link charges) and the
+        drained set.  Bit-identical fabric states — and only those — hash
+        equal; this is the quantity the durability subsystem journals per
+        LSN and recovery must reproduce.  O(shards + links): no tenant walk.
         """
-        return stable_digest(
-            {
-                "shards": {
-                    name: self.shards[name].state.digest()
-                    for name in self.topology.switch_names
-                },
-                "links": {
-                    f"{a}-{b}": self.links[(a, b)].digest()
-                    for a, b in sorted(self.links)
-                },
-                "tenants": [
-                    {
-                        "tenant_id": t,
-                        "sfc": self.tenants[t].sfc.to_dict(),
-                        "segments": [
-                            [seg.switch, seg.start, seg.stop, list(seg.stages)]
-                            for seg in self.tenants[t].segments
-                        ],
-                        "links": [list(key) for key in self.tenants[t].links],
-                    }
-                    for t in sorted(self.tenants)
-                ],
-                "drained": sorted(self.drained),
-            }
-        )
+        h = hashlib.blake2b(digest_size=16)
+        for name in self.topology.switch_names:
+            h.update(f"{name}={self.shards[name].state.digest()};".encode())
+        for a, b in self._link_order:
+            link = self.links[(a, b)]
+            h.update(f"{a}-{b}={link.load_bps}/{link.capacity_bps};".encode())
+        h.update(b"%d:%032x;" % (len(self.tenants), self._dir_hash))
+        h.update(",".join(sorted(self.drained)).encode())
+        return h.hexdigest()
 
     def summary(self) -> dict:
         """Aggregate fabric state as one JSON-native dict: per-switch
@@ -319,9 +333,7 @@ class FabricOrchestrator:
             "switches": switches,
             "links": links,
             "tenants": len(self.tenants),
-            "stitched_tenants": sum(
-                1 for rec in self.tenants.values() if rec.stitched
-            ),
+            "stitched_tenants": self._stitched,
             "globalopt": {
                 "runs": int(counters.get("globalopt.runs", 0)),
                 "moves_planned": int(
@@ -400,9 +412,7 @@ class FabricOrchestrator:
     def _refresh_gauges(self) -> None:
         with self._dir_lock:
             self.metrics.gauge("tenants").set(len(self.tenants))
-            self.metrics.gauge("stitched_tenants").set(
-                sum(1 for rec in self.tenants.values() if rec.stitched)
-            )
+            self.metrics.gauge("stitched_tenants").set(self._stitched)
             for name, shard in self.shards.items():
                 self.metrics.gauge(f"backplane_gbps.{name}").set(
                     shard.state.backplane_gbps
@@ -445,19 +455,31 @@ class FabricOrchestrator:
             )
         return problems
 
-    def _renormalize_links(self) -> None:
-        """Recompute every link's load in sorted-tenant order — the exact
-        accumulation a from-scratch recomputation over the directory uses,
-        so incremental link floats stay bit-identical to it (the fabric
-        analogue of the controller's backplane renormalization)."""
+    def _book(
+        self, tenant_id: int, record: FabricTenant | None
+    ) -> FabricTenant | None:
+        """The one seam the directory changes through: file ``record``
+        (``None`` = remove) and return the record it displaced.  Link loads
+        move by the difference of the two records' ``links`` (old released
+        first), and the directory hash and stitched count follow."""
         with self._dir_lock:
-            loads = {key: 0.0 for key in self.links}
-            for tenant_id in sorted(self.tenants):
-                record = self.tenants[tenant_id]
+            old = self.tenants.get(tenant_id)
+            if old is not None:
+                for key in old.links:
+                    self.links[key].release_load(old.sfc.bw_bps)
+                self._dir_hash = (self._dir_hash - old.key) % _DIR_HASH_MOD
+                self._stitched -= old.stitched
+            if record is None:
+                self.tenants.pop(tenant_id, None)
+            else:
                 for key in record.links:
-                    loads[key] += record.sfc.bandwidth_gbps
-            for key, total in loads.items():
-                self.links[key].load_gbps = total
+                    self.links[key].add_load(record.sfc.bw_bps)
+                # Assigned in place: a re-filed tenant keeps its position,
+                # so anything that walks the directory sees the same order.
+                self.tenants[tenant_id] = record
+                self._dir_hash = (self._dir_hash + record.key) % _DIR_HASH_MOD
+                self._stitched += record.stitched
+        return old
 
     def _observe_admit(self, switch: str, result: OpResult) -> None:
         self.metrics.observe(f"admit_latency_s.{switch}", result.latency_s)
@@ -478,7 +500,6 @@ class FabricOrchestrator:
         if not tail_res.ok:
             self.shards[plan.head_switch].evict(sfc.tenant_id)
             return None
-        self.links[plan.link].add_load(sfc.bandwidth_gbps)
         result = self._file(
             sfc, op,
             [
@@ -487,7 +508,6 @@ class FabricOrchestrator:
             ],
             timer, order.index(plan.head_switch), (plan.link,),
         )
-        self._renormalize_links()
         self.metrics.inc("stitched")
         return result
 
@@ -512,10 +532,10 @@ class FabricOrchestrator:
                     stages=shard_res.stages,
                 )
             )
-        with self._dir_lock:
-            self.tenants[sfc.tenant_id] = FabricTenant(
-                sfc=sfc, segments=tuple(segments), links=links
-            )
+        self._book(
+            sfc.tenant_id,
+            FabricTenant(sfc=sfc, segments=tuple(segments), links=links),
+        )
         results = [shard_res for _switch, _sfc, shard_res in parts]
         return FabricOpResult(
             ok=True,
@@ -576,16 +596,11 @@ class FabricOrchestrator:
         """Evict every segment of a directory tenant and release its link
         charges; returns the removed record and the rule-churn total.
         Caller holds the lock of every shard the tenant touches."""
-        with self._dir_lock:
-            record = self.tenants.pop(tenant_id)
+        record = self._book(tenant_id, None)
         deleted = 0
         for seg in record.segments:
             result = self.shards[seg.switch].evict(tenant_id)
             deleted += result.rules_deleted
-        with self._dir_lock:
-            for key in record.links:
-                self.links[key].release_load(record.sfc.bandwidth_gbps)
-            self._renormalize_links()
         return record, deleted
 
     # ------------------------------------------------------------------
@@ -900,9 +915,7 @@ class FabricOrchestrator:
         )
         if ops - self._last_reopt_ops < min_interval_ops:
             return None
-        with self._dir_lock:
-            stitched = sum(1 for r in self.tenants.values() if r.stitched)
-        if stitched < min_stitched:
+        if self._stitched < min_stitched:
             self._last_reopt_ops = ops
             return None
         return self.reoptimize(**kwargs)
@@ -966,9 +979,10 @@ class FabricOrchestrator:
 
         Per shard: the incremental :class:`PipelineState` must be
         bit-identical to :meth:`PipelineState.from_placement` over that
-        shard's surviving tenants.  Per link: the incremental load must
-        equal the sorted-tenant-order sum over the directory.  Plus
-        directory/shard cross-consistency and empty drained shards.
+        shard's surviving tenants.  Per link, and for the directory hash
+        and stitched count: the running value must equal its recomputation
+        from the directory.  Plus directory/shard cross-consistency and
+        empty drained shards.
         Returns human-readable problem strings (empty = invariant holds);
         any problem snaps the flight recorder so the run-up to the drift is
         preserved alongside the findings.
@@ -980,24 +994,22 @@ class FabricOrchestrator:
                 shard.placement,
                 reserve_physical_block=shard.reserve_physical_block,
             )
-            if not np.array_equal(shard.state.entries, reference.entries):
-                problems.append(f"{name}: entry matrix drifted")
-            if not np.array_equal(shard.state.nf_blocks, reference.nf_blocks):
-                problems.append(f"{name}: nf-block matrix drifted")
-            if not np.array_equal(shard.state.physical, reference.physical):
-                problems.append(f"{name}: physical layout drifted")
             for s in range(shard.base.switch.stages):
                 if shard.state.blocks_at_stage(s) != reference.blocks_at_stage(s):
                     problems.append(f"{name}: stage {s} block total drifted")
-            if shard.state.backplane_gbps != reference.backplane_gbps:
-                problems.append(
-                    f"{name}: backplane {shard.state.backplane_gbps!r} != "
-                    f"recomputed {reference.backplane_gbps!r}"
-                )
+            # Every field is an exact integer, so digest equality *is*
+            # state equality; on a mismatch say which fields moved.
             if shard.state.digest() != reference.digest():
+                drifted = [
+                    field
+                    for field in ("entries", "nf_blocks", "physical", "backplane_bps")
+                    if not np.array_equal(
+                        getattr(shard.state, field), getattr(reference, field)
+                    )
+                ]
                 problems.append(
-                    f"{name}: state digest {shard.state.digest()} != "
-                    f"recomputed {reference.digest()}"
+                    f"{name}: state digest {shard.state.digest()} != recomputed "
+                    f"{reference.digest()} (drifted: {', '.join(drifted)})"
                 )
             expected_tenants = {
                 tenant_id
@@ -1017,18 +1029,26 @@ class FabricOrchestrator:
                         f"tenant {tenant_id}: segment on {seg.switch} does "
                         f"not match the shard's record"
                     )
-        expected_loads = {key: 0.0 for key in self.links}
-        for tenant_id in sorted(self.tenants):
-            record = self.tenants[tenant_id]
+        expected_loads = dict.fromkeys(self.links, 0)
+        for record in self.tenants.values():
             for key in record.links:
-                expected_loads[key] += record.sfc.bandwidth_gbps
-        for key in sorted(self.links):
-            if self.links[key].load_gbps != expected_loads[key]:
+                expected_loads[key] += record.sfc.bw_bps
+        for key in self._link_order:
+            if self.links[key].load_bps != expected_loads[key]:
                 problems.append(
-                    f"link {key}: load {self.links[key].load_gbps!r} != "
-                    f"recomputed {expected_loads[key]!r} "
-                    f"(digest {self.links[key].digest()})"
+                    f"link {key}: load {self.links[key].load_bps} bps != "
+                    f"recomputed {expected_loads[key]}"
                 )
+        running = (self._dir_hash, self._stitched)
+        expected = (
+            sum(record.key for record in self.tenants.values()) % _DIR_HASH_MOD,
+            sum(record.stitched for record in self.tenants.values()),
+        )
+        if running != expected:
+            problems.append(
+                f"directory (hash, stitched count) {running} != recomputed "
+                f"{expected}"
+            )
         for name in sorted(self.drained):
             shard = self.shards[name]
             if shard.tenants or shard.state.entries.sum() != 0:

@@ -78,7 +78,6 @@ class HaCluster:
         fsync: str = "always",
         checkpoint_every: int = 256,
         keep_checkpoints: int = 3,
-        verify_every: int = 8,
         fault_hook=None,
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
@@ -105,9 +104,7 @@ class HaCluster:
         )
         self.fabric = None
         self.durability: FabricDurability | None = None
-        self.standby = StandbyReplica(
-            with_dataplane=with_dataplane, verify_every=verify_every, clock=clock
-        )
+        self.standby = StandbyReplica(with_dataplane=with_dataplane, clock=clock)
         self.shipper: WalShipper | None = None
         self.primary_alive = False
 

@@ -19,12 +19,10 @@ Three guards keep the shadow honest:
   the replica re-parses it through the same CRC check recovery uses; a byte
   corrupted in flight kills the frame, not the fabric.
 * **Digest cross-check** — journaled records carry the primary's post-op
-  fabric digest.  Every ``verify_every``-th LSN the replica leaves the
-  digest in place so :func:`apply_fabric_record` compares it against the
-  shadow fabric (strict, fails the frame); on the other records it strips
-  the digest (skipping the ~full-state hash) but remembers it, so
-  :meth:`promote` can do one final full-state comparison at the exact
-  promoted LSN.
+  digest, and :func:`apply_fabric_record` compares it against the shadow
+  fabric on every record that has one: a divergence is a problem reported
+  at the LSN it happens.  The newest digest is remembered, so
+  :meth:`promote` can repeat the comparison at the exact promoted LSN.
 
 Promotion (:meth:`promote`) verifies that retained digest, then flips the
 fabric to the primary role at the new epoch via
@@ -44,7 +42,7 @@ from repro.durability.recover import (
     fabric_from_manifest,
     restore_fabric,
 )
-from repro.durability.wal import WalRecord, _parse_line
+from repro.durability.wal import _parse_line
 from repro.errors import DurabilityError
 from repro.telemetry.metrics import REPLICATION_LAG_BUCKETS, MetricsRegistry
 from repro.telemetry.recorder import FlightRecorder
@@ -57,19 +55,14 @@ class StandbyReplica:
     def __init__(
         self,
         with_dataplane: bool | None = None,
-        verify_every: int = 8,
         metrics: MetricsRegistry | None = None,
         recorder: FlightRecorder | None = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        """``verify_every`` is the digest cross-check cadence in LSNs
-        (0 = only the promote-time final check); ``with_dataplane``
-        overrides the manifest's mode — a control-plane-only shadow
-        replays faster and is state-wise identical."""
-        if verify_every < 0:
-            raise DurabilityError("verify_every must be >= 0")
+        """``with_dataplane`` overrides the manifest's mode — a
+        control-plane-only shadow replays faster and is state-wise
+        identical."""
         self.with_dataplane = with_dataplane
-        self.verify_every = verify_every
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.clock = clock
@@ -187,27 +180,14 @@ class StandbyReplica:
             self._engine.skipped += 1
             return
         digest = record.data.get("digest")
-        verify = bool(
-            digest is not None
-            and self.verify_every
-            and record.lsn % self.verify_every == 0
-        )
-        if digest is not None and not verify:
-            # Skip the full-state hash on off-cadence records, but keep the
-            # value: promote() replays the final comparison.
-            data = {k: v for k, v in record.data.items() if k != "digest"}
-            record = WalRecord(
-                lsn=record.lsn, op=record.op, data=data, epoch=record.epoch
-            )
         before = len(self._engine.problems)
         self._engine.apply(record)
         new_problems = self._engine.problems[before:]
         if new_problems:
             self.problems.extend(new_problems)
             self.metrics.inc("ha.replay_problems", len(new_problems))
-        if verify:
-            self.metrics.inc("ha.digest_verifications")
         if digest is not None:
+            self.metrics.inc("ha.digest_verifications")
             self.last_digest = digest
             self.last_digest_lsn = record.lsn
         self.records_applied += 1

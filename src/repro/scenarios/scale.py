@@ -8,14 +8,14 @@ for million-tenant capacity sweeps.  :class:`ScaleFabric` keeps only what
 placement *decisions* need, in numpy columns:
 
 * per switch: free blocks per stage (int), installed-physical-NF bitmap,
-  committed backplane Gbps (float);
+  committed backplane bits/s (int);
 * per tenant: home-switch index, per-stage block charge, recirculation
   passes, bandwidth — ~30 bytes/tenant at S=4.
 
 Its admit path replicates the greedy walk of
 :func:`repro.core.greedy.try_place_chain` **operation for operation**
 (same scan order, same lookahead bound, same physical-NF preference, same
-``+1e-9`` backplane tolerance) under the accounting mode
+integer backplane units and tolerance) under the accounting mode
 ``consolidate=False, reserve_physical_block=False`` — in that mode a
 logical NF's block charge is exactly ``blocks_for_entries(rules)``
 independent of co-located NFs, so per-stage *totals* suffice and per-(type,
@@ -28,9 +28,9 @@ against a real fabric, admit by admit.
 Lazy/aggregated accounting: the fabric never materializes per-tenant SFC
 objects during a fill (:func:`synthesize_fill` draws the whole workload
 into flat arrays), and :meth:`ScaleFabric.check` audits the aggregate
-state — per-stage block totals recomputed exactly from live tenants,
-backplane recomputed to float tolerance — the scale-mode analogue of the
-fabric bit-identity invariant.
+state — per-stage block totals and backplane loads recomputed exactly
+from live tenants — the scale-mode analogue of the fabric bit-identity
+invariant.
 """
 
 from __future__ import annotations
@@ -41,10 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.spec import SFC, SwitchSpec
+from repro.core.state import TOLERANCE_BPS
 from repro.errors import ScenarioError
 from repro.rng import make_rng
 from repro.traffic.distributions import lognormal_bandwidth
 from repro.traffic.workload import WorkloadConfig
+from repro.units import GBPS, to_bps
 
 
 @dataclass
@@ -148,19 +150,20 @@ class ScaleFabric:
         self.S = S
         self.K = S * (max_recirculations + 1)
         self._epb = self.switch.entries_per_block
-        self._capacity = self.switch.capacity_gbps
+        self._capacity_bps = to_bps(self.switch.capacity_gbps)
         #: Free SRAM blocks per (switch, stage).
         self.stage_free = np.full((n, S), self.switch.blocks_per_stage, np.int64)
         #: Installed physical NFs per (switch, type, stage).
         self.physical = np.zeros((n, num_types, S), bool)
-        #: Committed backplane Gbps per switch.
-        self.used_bw = np.zeros(n, np.float64)
+        #: Committed backplane bits/s per switch — the same integer units,
+        #: one rounding per chain, as :class:`~repro.core.state.PipelineState`.
+        self.used_bw = np.zeros(n, np.int64)
         # Per-tenant columns, grown geometrically; switch -1 = not live.
         cap = max(16, capacity_hint)
         self._t_switch = np.full(cap, -1, np.int32)
         self._t_blocks = np.zeros((cap, S), np.uint16)
         self._t_passes = np.zeros(cap, np.uint8)
-        self._t_bw = np.zeros(cap, np.float64)
+        self._t_bw = np.zeros(cap, np.int64)
         self.live_tenants = 0
         self.admitted = 0
         self.rejected = 0
@@ -176,7 +179,7 @@ class ScaleFabric:
             ("_t_switch", -1),
             ("_t_blocks", 0),
             ("_t_passes", 0),
-            ("_t_bw", 0.0),
+            ("_t_bw", 0),
         ):
             old = getattr(self, name)
             shape = (new,) + old.shape[1:]
@@ -188,12 +191,13 @@ class ScaleFabric:
         return -(-int(rules) // self._epb)
 
     def _try_place(
-        self, sw: int, types, rules, bandwidth: float
+        self, sw: int, types, rules, bw_bps: int
     ) -> tuple[list[int], int] | None:
         """The greedy walk of :func:`try_place_chain`, verbatim: nearest
         next stage with the physical NF installed first, nearest next
         installable stage second, suffix-lookahead bound, rollback on
-        failure, Eq. 12 backplane check with the same 1e-9 tolerance."""
+        failure, Eq. 12 backplane check on the same integers with the same
+        one-unit tolerance."""
         S, K = self.S, self.K
         free = self.stage_free[sw]
         phys = self.physical[sw]
@@ -231,8 +235,8 @@ class ScaleFabric:
         if not failed:
             passes = -(-chosen_ks[-1] // S)
             if (
-                self.used_bw[sw] + passes * bandwidth
-                > self._capacity + 1e-9
+                int(self.used_bw[sw]) + passes * bw_bps
+                > self._capacity_bps + TOLERANCE_BPS
             ):
                 failed = True
         if failed:
@@ -260,20 +264,21 @@ class ScaleFabric:
             return False, 0, "unknown-nf-type"
         n = len(self.switch_names)
         start = tenant_id % n
+        bw_bps = to_bps(bandwidth_gbps)
         for rank in range(n):
             sw = (start + rank) % n
-            placed = self._try_place(sw, types, rules, bandwidth_gbps)
+            placed = self._try_place(sw, types, rules, bw_bps)
             if placed is None:
                 continue
             chosen_ks, passes = placed
-            self.used_bw[sw] += passes * bandwidth_gbps
+            self.used_bw[sw] += passes * bw_bps
             row_blocks = self._t_blocks[tenant_id]
             row_blocks[:] = 0
             for j, k in enumerate(chosen_ks):
                 row_blocks[(k - 1) % self.S] += self._blocks_for(int(rules[j]))
             self._t_switch[tenant_id] = sw
             self._t_passes[tenant_id] = passes
-            self._t_bw[tenant_id] = bandwidth_gbps
+            self._t_bw[tenant_id] = bw_bps
             self.live_tenants += 1
             self.admitted += 1
             if rank:
@@ -289,7 +294,7 @@ class ScaleFabric:
             return False
         sw = int(self._t_switch[tenant_id])
         self.stage_free[sw] += self._t_blocks[tenant_id].astype(np.int64)
-        self.used_bw[sw] -= int(self._t_passes[tenant_id]) * float(
+        self.used_bw[sw] -= int(self._t_passes[tenant_id]) * int(
             self._t_bw[tenant_id]
         )
         self._t_switch[tenant_id] = -1
@@ -300,31 +305,29 @@ class ScaleFabric:
     # ------------------------------------------------------------------
     def check(self) -> list[str]:
         """Aggregated invariant audit: per-stage free-block totals must
-        equal an exact integer recomputation over live tenants, backplane
-        loads a float recomputation (1e-6 Gbps tolerance), and the live
-        counter the column scan.  Empty list = state is consistent."""
+        and backplane loads must equal an exact integer recomputation over
+        live tenants, and the live counter the column scan.  Empty list =
+        state is consistent."""
         problems: list[str] = []
         n = len(self.switch_names)
         live = self._t_switch >= 0
         expected_free = np.full(
             (n, self.S), self.switch.blocks_per_stage, np.int64
         )
-        expected_bw = np.zeros(n, np.float64)
+        expected_bw = np.zeros(n, np.int64)
         for row in np.flatnonzero(live):
             sw = int(self._t_switch[row])
             expected_free[sw] -= self._t_blocks[row]
-            expected_bw[sw] += int(self._t_passes[row]) * float(self._t_bw[row])
+            expected_bw[sw] += int(self._t_passes[row]) * int(self._t_bw[row])
         if not np.array_equal(expected_free, self.stage_free):
             bad = np.argwhere(expected_free != self.stage_free)
             problems.append(
                 f"stage free-block totals drifted at (switch, stage) "
                 f"{bad[:4].tolist()}"
             )
-        drift = np.abs(expected_bw - self.used_bw)
-        if drift.max(initial=0.0) > 1e-6:
-            problems.append(
-                f"backplane drifted by up to {drift.max():.3g} Gbps"
-            )
+        if not np.array_equal(expected_bw, self.used_bw):
+            drift = np.abs(expected_bw - self.used_bw).max()
+            problems.append(f"backplane drifted by up to {drift} bps")
         if int(live.sum()) != self.live_tenants:
             problems.append(
                 f"live counter {self.live_tenants} != column scan "
@@ -343,7 +346,7 @@ class ScaleFabric:
             "admitted": self.admitted,
             "rejected": self.rejected,
             "spillovers": self.spillovers,
-            "backplane_gbps": [float(b) for b in self.used_bw],
+            "backplane_gbps": [int(b) / GBPS for b in self.used_bw],
             "free_blocks": self.stage_free.sum(axis=1).tolist(),
         }
 

@@ -4,7 +4,8 @@ The paper mixes several unit systems (Gbps backplane speed, bits of rule
 width, SRAM blocks, nanoseconds of latency).  This module pins down the
 conventions used across the library so numbers never silently change scale:
 
-* bandwidth / throughput — **Gbps** (float)
+* bandwidth / throughput — **Gbps** (float) at every API; resource
+  accounting sums **bits per second** (int, :func:`to_bps`), which is exact
 * rule width ``b`` and block size ``E`` — **bits** (int)
 * memory — **blocks** (int) and **entries** (int)
 * latency — **nanoseconds** (float)
@@ -27,6 +28,11 @@ ETHERNET_OVERHEAD_BYTES = 20
 #: Minimum / maximum Ethernet frame sizes used throughout the evaluation.
 MIN_PACKET_BYTES = 64
 MAX_PACKET_BYTES = 1500
+
+
+def to_bps(gbps: float) -> int:
+    """A Gbps figure as whole bits per second, for integer accounting."""
+    return round(gbps * GBPS)
 
 
 def gbps_to_pps(gbps: float, packet_bytes: int, *, include_overhead: bool = True) -> float:

@@ -79,7 +79,7 @@ def test_try_place_chain_rolls_back_on_failure(tiny_instance):
     assert result is None
     assert (state.physical == before.physical).all()
     assert (state.entries == before.entries).all()
-    assert state.backplane_gbps == before.backplane_gbps
+    assert state.backplane_bps == before.backplane_bps
 
 
 def test_try_place_chain_prefers_existing_physical(tiny_instance):

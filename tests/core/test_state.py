@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.placement import NFAssignment
-from repro.core.state import PipelineState
+from repro.core.state import LinkState, PipelineState
 from repro.errors import PlacementError
+from repro.units import to_bps
 
 
 @pytest.fixture()
@@ -96,25 +97,60 @@ def test_remove_more_than_present_rejected(state):
 
 
 def test_backplane_accounting(state):
-    state.add_backplane(60.0)
+    state.add_backplane(to_bps(60.0))
     with pytest.raises(PlacementError):
-        state.add_backplane(50.0)  # 110 > 100
-    state.release_backplane(30.0)
-    state.add_backplane(50.0)
-    assert state.backplane_gbps == pytest.approx(80.0)
+        state.add_backplane(to_bps(50.0))  # 110 > 100
+    state.release_backplane(to_bps(30.0))
+    state.add_backplane(to_bps(50.0))
+    assert state.backplane_bps == to_bps(80.0)
+    assert state.backplane_gbps == 80.0  # derived, and exact here
+
+
+def test_backplane_tolerance_is_one_unit(state):
+    """Eq. 12 keeps its 1e-9 Gbps slack: exactly one accounting unit."""
+    state.add_backplane(to_bps(100.0) + 1)
+    with pytest.raises(PlacementError):
+        state.add_backplane(1)
+
+
+def test_backplane_over_release_raises(state):
+    """A release larger than what is committed is a double release, not
+    float dust to clamp away: it raises and changes nothing."""
+    state.add_backplane(to_bps(10.0))
+    state.release_backplane(to_bps(10.0))
+    with pytest.raises(PlacementError, match="over-release"):
+        state.release_backplane(to_bps(10.0))
+    assert state.backplane_bps == 0
+    state.add_backplane(5)
+    with pytest.raises(PlacementError, match="over-release"):
+        state.release_backplane(6)
+    assert state.backplane_bps == 5
+
+
+def test_link_accounting_and_over_release():
+    link = LinkState(40.0)
+    link.add_load(to_bps(30.0))
+    assert link.load_gbps == 30.0
+    assert link.fits(to_bps(10.0)) and not link.fits(to_bps(10.0) + 2)
+    with pytest.raises(PlacementError, match="capacity exceeded"):
+        link.add_load(to_bps(10.5))
+    link.release_load(to_bps(30.0))
+    with pytest.raises(PlacementError, match="over-release"):
+        link.release_load(to_bps(30.0))
+    assert link.load_bps == 0
 
 
 def test_snapshot_restore_roundtrip(state):
     state.add_logical_nf(0, 0, 50)
-    state.add_backplane(10.0)
+    state.add_backplane(to_bps(10.0))
     snap = state.snapshot()
     state.add_logical_nf(1, 1, 70)
-    state.add_backplane(20.0)
+    state.add_backplane(to_bps(20.0))
     state.restore(snap)
     assert state.entries[1, 1] == 0
     assert not state.physical[1, 1]
     assert state.blocks_at_stage(1) == 0
-    assert state.backplane_gbps == pytest.approx(10.0)
+    assert state.backplane_bps == to_bps(10.0)
 
 
 def test_physical_setter_recomputes(state):
@@ -131,13 +167,13 @@ def test_from_placement_roundtrip(tiny_instance):
     state = PipelineState(tiny_instance)
     state.add_logical_nf(0, 0, 50)
     state.add_logical_nf(1, 1, 50)
-    state.add_backplane(10.0)
+    state.add_backplane(to_bps(10.0))
     placement = state.make_placement(
         {0: NFAssignment(0, (1, 2))}, algorithm="test"
     )
     rebuilt = PipelineState.from_placement(placement)
     assert (rebuilt.entries == state.entries).all()
-    assert rebuilt.backplane_gbps == pytest.approx(10.0)
+    assert rebuilt.backplane_bps == to_bps(10.0)
     assert rebuilt.blocks_at_stage(0) == state.blocks_at_stage(0)
 
 

@@ -81,12 +81,12 @@ def test_pool_journal_is_verified_per_lsn_by_recovery_and_standby(tmp_path):
         [swapped.get(r.lsn, r) for r in records],
     )
 
-    standby = StandbyReplica(verify_every=1)
+    standby = StandbyReplica()
     assert standby.catch_up_from(live) == len(records)
     assert standby.problems == []
     assert standby.fabric.digest() == digest
 
-    bad_standby = StandbyReplica(verify_every=1)
+    bad_standby = StandbyReplica()
     bad_standby.catch_up_from(damaged)
     assert any(p.startswith(f"lsn {earlier.lsn}:") for p in bad_standby.problems)
 

@@ -48,7 +48,6 @@ def run_cluster(tmp_path, events, point=None):
         make_fabric,
         ttl_s=2.0,
         checkpoint_every=16,
-        verify_every=4,
         fault_hook=FaultInjector(point) if point is not None else None,
         clock=clock,
         sleep=clock.sleep,

@@ -121,7 +121,7 @@ frame_ops = st.lists(
 @given(ops=frame_ops)
 def test_stale_epoch_writer_never_gets_a_frame_applied(ops):
     frames = real_frames()
-    standby = StandbyReplica(verify_every=2)
+    standby = StandbyReplica()
     standby.feed(frames[0])  # the manifest, at the starting epoch bar (0)
     for op in ops:
         bar = standby.accepted_epoch
@@ -151,7 +151,7 @@ def test_in_process_sink_matches_recorded_frames():
     """The recorded frames drive a replica to the same state the live sink
     would — the property test's corpus is faithful."""
     frames = real_frames()
-    replica = StandbyReplica(verify_every=2)
+    replica = StandbyReplica()
     for frame in frames:
         replica.feed(frame)
     assert replica.applied_lsn == 6

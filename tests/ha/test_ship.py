@@ -123,7 +123,7 @@ def test_shipper_streams_records_in_process(tmp_path):
     fabric = make_fabric()
     durability = FabricDurability(tmp_path, fsync="always", checkpoint_every=0)
     durability.attach(fabric)
-    standby = StandbyReplica(verify_every=2)
+    standby = StandbyReplica()
     shipper = WalShipper(tmp_path, InProcessSink(standby), epoch_fn=lambda: 1)
 
     for t in range(1, 8):
@@ -149,7 +149,7 @@ def test_shipper_bridges_a_compaction_gap_with_a_checkpoint(tmp_path):
     fabric.evict(3)
     fabric.admit(chain(10))
 
-    standby = StandbyReplica(verify_every=4)
+    standby = StandbyReplica()
     shipper = WalShipper(tmp_path, InProcessSink(standby), epoch_fn=lambda: 1)
     shipper.pump()
     assert standby.checkpoints_restored == 1
@@ -198,7 +198,7 @@ def test_socket_transport_replicates_and_resumes(tmp_path):
     for t in range(1, 6):
         fabric.admit(chain(t))
 
-    standby = StandbyReplica(verify_every=2)
+    standby = StandbyReplica()
     listener = ReplicationListener(standby)
     try:
         sink = SocketSink(listener.host, listener.port)

@@ -1,5 +1,5 @@
-"""The hot standby: replay identity under churn, the digest cross-check
-cadence, checkpoint bootstrap, the epoch gate, and promote-time guards."""
+"""The hot standby: replay identity under churn, the per-record digest
+cross-check, checkpoint bootstrap, the epoch gate, and promote-time guards."""
 
 import pytest
 
@@ -23,7 +23,7 @@ def primary(tmp_path):
 
 def test_standby_tracks_the_primary_through_churn(primary, ha_events):
     fabric, durability, directory = primary
-    standby = StandbyReplica(verify_every=8)
+    standby = StandbyReplica()
     shipper = WalShipper(directory, InProcessSink(standby), epoch_fn=lambda: 1)
     for event in ha_events:
         apply_event(fabric, event)
@@ -37,26 +37,26 @@ def test_standby_tracks_the_primary_through_churn(primary, ha_events):
     assert status["records_applied"] == durability.wal.last_lsn
 
 
-def test_digest_verification_runs_on_cadence(primary):
+def test_digest_verification_runs_on_every_record(primary):
     fabric, durability, directory = primary
-    standby = StandbyReplica(verify_every=4)
+    standby = StandbyReplica()
     shipper = WalShipper(directory, InProcessSink(standby), epoch_fn=lambda: 1)
     for t in range(1, 11):
         fabric.admit(chain(t))
     shipper.pump()
     snapshot = standby.metrics.snapshot()["counters"]
-    # LSNs 4 and 8 hit the strict check; every record retains its digest
-    # for the promote-time final comparison.
-    assert snapshot["ha.digest_verifications"] == 2
+    # Every record that carries a digest is checked against the shadow
+    # fabric, and the newest is kept for the promote-time comparison.
+    assert snapshot["ha.digest_verifications"] == 10
     assert standby.last_digest_lsn == standby.applied_lsn == 10
     assert standby.last_digest == fabric.digest()
 
 
-def test_corrupted_digest_on_cadence_is_caught(primary):
+def test_corrupted_digest_is_caught(primary):
     """A record whose journaled digest disagrees with the replayed state
     must surface as a replay problem (and fail the later promote)."""
     fabric, durability, directory = primary
-    standby = StandbyReplica(verify_every=1)  # strict check on every LSN
+    standby = StandbyReplica()
     standby.feed({
         "kind": "manifest", "epoch": 1,
         "manifest": read_manifest(directory),
@@ -88,7 +88,7 @@ def test_checkpoint_frame_bootstraps_a_late_standby(primary):
     durability.checkpoint(fabric)
     fabric.evict(2)
 
-    standby = StandbyReplica(verify_every=2)
+    standby = StandbyReplica()
     shipper = WalShipper(directory, InProcessSink(standby), epoch_fn=lambda: 1)
     shipper.pump()
     assert standby.checkpoints_restored == 1
@@ -158,13 +158,45 @@ def test_promote_requires_a_manifest():
         StandbyReplica().promote(1)
 
 
+def test_divergence_is_reported_at_the_lsn_it_happens(primary):
+    """No cadence to wait for: the one record whose digest disagrees is
+    named by its LSN, its neighbours verify clean, and promotion hands the
+    finding to the caller."""
+    fabric, durability, directory = primary
+    standby = StandbyReplica()
+    standby.feed({
+        "kind": "manifest", "epoch": 1, "manifest": read_manifest(directory),
+    })
+    for t in (1, 2, 3):
+        fabric.admit(chain(t))
+    for record in durability.wal.records():
+        if record.lsn == 2:
+            record = WalRecord(
+                lsn=record.lsn, op=record.op,
+                data={**record.data, "digest": "0" * 32}, epoch=record.epoch,
+            )
+        standby.feed({
+            "kind": "record", "epoch": 1,
+            "line": record.to_line().decode("utf-8").rstrip("\n"),
+        })
+    assert standby.applied_lsn == 3
+    [problem] = standby.problems
+    assert problem.startswith("lsn 2:") and "digest" in problem
+    counters = standby.metrics.snapshot()["counters"]
+    assert counters["ha.digest_verifications"] == 3
+    # LSN 3's digest verified, so the replica *is* the primary's state and
+    # promotes — reporting what it saw on the way.
+    assert standby.promote(2) == [problem]
+
+
 def test_promote_refuses_a_divergent_replica(primary):
     fabric, durability, directory = primary
-    standby = StandbyReplica(verify_every=0)  # no per-record checks...
+    standby = StandbyReplica()
     shipper = WalShipper(directory, InProcessSink(standby), epoch_fn=lambda: 1)
     fabric.admit(chain(1))
+    fabric.admit(chain(2))
     shipper.pump()
-    standby.last_digest = "0" * 32  # ...so divergence surfaces at promote
-    standby.last_digest_lsn = standby.applied_lsn
+    assert standby.problems == []
+    standby.fabric.evict(2)  # the shadow moves with no record behind it
     with pytest.raises(DurabilityError, match="diverged"):
         standby.promote(2)
