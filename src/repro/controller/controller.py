@@ -171,9 +171,9 @@ class SfcController:
             self.installer.tracer = tracer
             self.installer.api.tracer = tracer
             if fastpath:
-                # Compiled dataplane fast path: batches execute per-tenant
-                # compiled plans; the installer's RuntimeAPI writes feed the
-                # engine's precise invalidation layer automatically.
+                # Compiled dataplane fast path: batches execute on the
+                # columnar kernel; the installer's RuntimeAPI writes tell the
+                # engine which tenants' blocks to drop.
                 from repro.fastpath import FastPathEngine
 
                 self.fastpath = FastPathEngine.attach(self.pipeline)

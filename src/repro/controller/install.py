@@ -105,7 +105,7 @@ class TransactionalInstaller:
         stage.install_table(table)
         stage.tables.insert(0, stage.tables.pop())
         # The reorder changes the pipeline's table walk after install_table
-        # already bumped: bump again so a fast-path plan compiled in between
+        # already bumped: bump again so fast-path blocks compiled in between
         # cannot survive with the pre-reorder step order.
         stage._bump_structure()
 

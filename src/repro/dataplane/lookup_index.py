@@ -15,18 +15,23 @@ physical table holds the rules of thousands of tenants prefixed with
 ``(tenant_id, pass_id)`` exact fields (Fig. 3).  The index exploits exactly
 that structure:
 
-* Entries without range specs are grouped by **shape** — which key fields
-  they constrain and with what mask: an exact field contributes its value,
-  an LPM field its ``(prefix & mask)`` under the prefix mask, a ternary
-  field its ``(want & mask)``.  Within a shape, a single dict probe on the
-  packet's masked field values yields *only fully matching* entries (masked
-  equality is the match predicate for all three kinds), kept sorted by the
-  table's ranking so the bucket head is the bucket's winner.  Per-tenant
-  rules all share a handful of shapes, so a million-entry table still costs
-  a few dict probes.
-* Entries with range specs (and only those) form the **residue**: a list
-  sorted by rank, scanned with early exit — the scan stops as soon as the
-  best indexed candidate already outranks every remaining residue entry.
+* Entries are grouped by **shape** — which *non-range* key fields they
+  constrain and with what mask: an exact field contributes its value, an
+  LPM field its ``(prefix & mask)`` under the prefix mask, a ternary field
+  its ``(want & mask)``.  Within a shape, a single dict probe on the
+  packet's masked field values yields only entries whose exact / LPM /
+  ternary components all match (masked equality is the match predicate for
+  all three kinds), kept sorted by the table's ranking.  Per-tenant rules
+  all share a handful of shapes, so a million-entry table still costs a few
+  dict probes.
+* Range specs are not masked equality, so they are checked *inside* the
+  bucket: the bucket is scanned in rank order testing the range predicates
+  alone, stopping at the first entry that passes — or as soon as the best
+  candidate from another shape already outranks what is left.  An entry
+  without a range spec passes at once, so a range-free bucket costs its
+  head.  Because ``(tenant_id, pass_id)`` are part of the shape like any
+  other exact field, a packet only ever scans range rules of its own
+  tenant and pass.
 
 The ranking is identical to the reference linear scan: priority descending,
 then total LPM prefix length descending (standard P4 longest-prefix
@@ -40,7 +45,7 @@ agreement with the linear oracle.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,10 +132,13 @@ def _match_one(kind: MatchKind, spec, value: int) -> bool:
 class _ShapeGroup:
     """All indexed entries sharing one match shape.
 
-    ``extractors`` holds ``(field_position, mask)`` pairs for the fields the
-    shape constrains — ``mask is None`` means exact (compare the raw value).
-    ``buckets`` maps the tuple of masked packet values to the entries whose
-    masked specs equal it, sorted ascending by sort key (best rank first).
+    ``extractors`` holds ``(field_position, mask)`` pairs for the non-range
+    fields the shape constrains — ``mask is None`` means exact (compare the
+    raw value).  ``buckets`` maps the tuple of masked packet values to the
+    entries whose masked specs equal it, as ``(sortkey, entry, ranges)``
+    sorted ascending by sort key (best rank first); ``ranges`` are the
+    entry's ``(field_position, lo, hi)`` range predicates, the only thing
+    left to check inside the bucket.
     """
 
     __slots__ = ("extractors", "buckets")
@@ -152,15 +160,14 @@ class LookupIndex:
         self.key = tuple(key)
         #: shape (= extractor tuple) -> group of hash buckets.
         self._groups: dict[tuple, _ShapeGroup] = {}
-        #: Range-constrained entries as ``(sortkey, entry)``, rank-sorted.
-        self._residue: list = []
 
     # -- classification ----------------------------------------------------
-    def _classify(self, entry) -> tuple[tuple, tuple] | None:
-        """``(extractors, masked_values)`` for a hashable entry, ``None`` if
-        the entry carries a range spec and must live in the residue."""
+    def _classify(self, entry) -> tuple[tuple, tuple, tuple]:
+        """``(extractors, masked_values, ranges)``: the entry's shape and
+        bucket from its non-range fields, and its range predicates."""
         extractors = []
         values = []
+        ranges = []
         for pos, f in enumerate(self.key):
             spec = entry.match.get(f.name)
             if spec is None:
@@ -181,9 +188,9 @@ class LookupIndex:
                     continue  # mask 0 matches everything: a wildcard
                 extractors.append((pos, mask))
                 values.append(want & mask)
-            else:  # RANGE: not expressible as masked equality
-                return None
-        return tuple(extractors), tuple(values)
+            else:  # RANGE: not masked equality, checked inside the bucket
+                ranges.append((pos, spec[0], spec[1]))
+        return tuple(extractors), tuple(values), tuple(ranges)
 
     def _lpm_specificity(self, entry) -> int:
         total = 0
@@ -202,55 +209,45 @@ class LookupIndex:
     # -- maintenance -------------------------------------------------------
     def add(self, entry, order: int) -> None:
         """Index ``entry`` installed with sequence number ``order``."""
-        item = (self._sortkey(entry, order), entry)
-        classified = self._classify(entry)
-        if classified is None:
-            insort(self._residue, item)
-            return
-        extractors, values = classified
+        extractors, values, ranges = self._classify(entry)
         group = self._groups.get(extractors)
         if group is None:
             group = _ShapeGroup(extractors)
             self._groups[extractors] = group
-        insort(group.buckets.setdefault(values, []), item)
+        # ``(sortkey,)`` sorts before every item with that (unique) key.
+        bucket = group.buckets.setdefault(values, [])
+        sortkey = self._sortkey(entry, order)
+        bucket.insert(bisect_left(bucket, (sortkey,)), (sortkey, entry, ranges))
 
     def remove(self, entry, order: int) -> None:
         """Un-index the entry previously added with ``order``."""
         sortkey = self._sortkey(entry, order)
-        classified = self._classify(entry)
-        if classified is None:
-            self._del_from(self._residue, sortkey, entry)
-            return
-        extractors, values = classified
+        extractors, values, _ranges = self._classify(entry)
         group = self._groups.get(extractors)
         bucket = group.buckets.get(values) if group is not None else None
         if bucket is None:
             raise DataPlaneError("index out of sync: entry not indexed")
-        self._del_from(bucket, sortkey, entry)
+        i = bisect_left(bucket, (sortkey,))
+        if not (i < len(bucket) and bucket[i][0] == sortkey and bucket[i][1] is entry):
+            raise DataPlaneError("index out of sync: entry not indexed")
+        del bucket[i]
         if not bucket:
             del group.buckets[values]
             if not group.buckets:
                 del self._groups[extractors]
 
-    @staticmethod
-    def _del_from(items: list, sortkey: tuple, entry) -> None:
-        i = bisect_left(items, (sortkey,))
-        if i < len(items) and items[i][0] == sortkey and items[i][1] is entry:
-            del items[i]
-            return
-        raise DataPlaneError("index out of sync: entry not indexed")
-
     def clear(self) -> None:
         """Drop every indexed entry (rebuild support)."""
         self._groups.clear()
-        self._residue.clear()
 
     # -- lookup ------------------------------------------------------------
     def lookup(self, packet: Packet):
         """The winning entry for ``packet``, or ``None`` on a table miss.
 
-        One dict probe per shape, then a rank-ordered residue scan that
-        stops as soon as the indexed candidate outranks what's left.
+        One dict probe per shape; inside the bucket a rank-ordered scan of
+        the range predicates alone, which stops at the first entry that
+        passes or that the best candidate so far already outranks (an
+        entry with no range spec passes at once: the bucket head).
         """
         values = [packet.get_field(f.name) for f in self.key]
         best_key = None
@@ -261,21 +258,17 @@ class LookupIndex:
                 for pos, mask in group.extractors
             )
             bucket = group.buckets.get(probe)
-            if bucket:
-                sortkey, entry = bucket[0]
-                if best_key is None or sortkey < best_key:
+            if not bucket:
+                continue
+            for sortkey, entry, ranges in bucket:
+                if best_key is not None and sortkey >= best_key:
+                    break  # rank-sorted: nothing further can win
+                for pos, lo, hi in ranges:
+                    if not lo <= values[pos] <= hi:
+                        break
+                else:
                     best_key, best_entry = sortkey, entry
-        for sortkey, entry in self._residue:
-            if best_key is not None and sortkey >= best_key:
-                break  # rank-sorted: nothing further can win
-            ok = True
-            for pos, f in enumerate(self.key):
-                if not _match_one(f.kind, entry.match.get(f.name), values[pos]):
-                    ok = False
-                    break
-            if ok:
-                best_key, best_entry = sortkey, entry
-                break  # first residue match is the best residue match
+                    break  # first match in a bucket is the bucket's best
         return best_entry
 
     # -- introspection -----------------------------------------------------
@@ -283,11 +276,5 @@ class LookupIndex:
     def num_shapes(self) -> int:
         return len(self._groups)
 
-    @property
-    def residue_size(self) -> int:
-        return len(self._residue)
-
     def __len__(self) -> int:
-        return len(self._residue) + sum(
-            len(b) for g in self._groups.values() for b in g.buckets.values()
-        )
+        return sum(len(b) for g in self._groups.values() for b in g.buckets.values())

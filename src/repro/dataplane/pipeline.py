@@ -43,8 +43,8 @@ class SwitchPipeline:
             latency_model if latency_model is not None else AsicModel.from_spec(self.spec)
         )
         #: Bumped whenever the set (or order) of resident tables changes
-        #: anywhere in the pipeline — the coarse invalidation key compiled
-        #: fast-path plans check before trusting their step walk.
+        #: anywhere in the pipeline — the coarse invalidation key the compiled
+        #: fast path checks before trusting its table walk.
         self.structure_generation = 0
         self.stages = [
             Stage(
@@ -67,9 +67,10 @@ class SwitchPipeline:
         #: Opt-in compiled fast path: attach a
         #: :class:`~repro.fastpath.engine.FastPathEngine` (via
         #: ``FastPathEngine.attach(pipeline)``) and :meth:`process_batch`
-        #: executes per-tenant compiled plans on the columnar kernel, with the
-        #: interpreter below kept as the differential oracle (``None`` =
-        #: every batch takes the interpreted path).
+        #: executes each batch as one run of the columnar kernel over the
+        #: tenants' compiled rule blocks, with the interpreter below kept as
+        #: the differential oracle (``None`` = every batch takes the
+        #: interpreted path).
         self.fastpath = None
 
     @property
@@ -155,8 +156,8 @@ class SwitchPipeline:
         """Process packets independently (the functional model has no
         cross-packet contention; throughput is the latency model's job).
 
-        With a :attr:`fastpath` engine attached the batch executes on
-        per-tenant compiled plans (the columnar kernel); otherwise — and for
+        With a :attr:`fastpath` engine attached the batch executes on the
+        columnar kernel over compiled rule blocks; otherwise — and for
         any packet the engine cannot or must not compile — the interpreted
         walk below runs, making it the always-available differential
         oracle for the compiled path.

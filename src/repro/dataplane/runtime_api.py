@@ -126,7 +126,7 @@ class RuntimeAPI:
         touched: dict[str, tuple] = {}
         #: table name -> entries written (insert/delete targets and MODIFY
         #: replacements), reported to an attached fast-path engine so it
-        #: can invalidate exactly the affected tenants' compiled plans.
+        #: can drop what it cached for the tenants they name.
         written: dict[str, list[TableEntry]] = {}
         for op in ops:
             try:
@@ -137,22 +137,17 @@ class RuntimeAPI:
                         table,
                         table.snapshot(),  # type: ignore[attr-defined]
                         stage.resources.reservation_state(op.table),
-                        getattr(table, "generation", 0),
+                        table.generation,  # type: ignore[attr-defined]
                     )
                 self._apply_one(op)
             except (DataPlaneError, ResourceExhaustedError) as exc:
                 result.errors.append(f"{op.op.value} {op.table}: {exc}")
-                for name, (stage, table, entries, reservation, pre_gen) in touched.items():
-                    table.restore(entries)  # type: ignore[attr-defined]
+                # The restore keeps the generation of every partition the
+                # batch did not write: the fast path recompiles only the
+                # tenants it named.
+                for name, (stage, table, entries, reservation, since) in touched.items():
+                    table.restore(entries, since)  # type: ignore[attr-defined]
                     stage.resources.restore_reservation_state(name, reservation)
-                engine = getattr(self.pipeline, "fastpath", None)
-                if engine is not None:
-                    # The rollback restored the snapshots: content is back
-                    # to the pre-batch state, only generations moved.
-                    for name, (stage, table, entries, reservation, pre_gen) in touched.items():
-                        engine.notify_reverted(
-                            table, pre_gen, getattr(table, "generation", 0)
-                        )
                 result.applied = 0
                 return result
             batch = written.setdefault(op.table, [])
@@ -164,10 +159,7 @@ class RuntimeAPI:
         engine = getattr(self.pipeline, "fastpath", None)
         if engine is not None:
             for name, entries in written.items():
-                _stage, table, _snap, _reservation, pre_gen = touched[name]
-                engine.notify_write(
-                    table, entries, pre_gen, getattr(table, "generation", 0)
-                )
+                engine.notify_write(touched[name][1], entries)
         return result
 
     # -- conveniences ------------------------------------------------------

@@ -33,7 +33,7 @@ class Stage:
         self.tables: list[MatchActionTable] = []
         #: Owning :class:`~repro.dataplane.pipeline.SwitchPipeline` (when
         #: any): table install/remove bumps its ``structure_generation`` so
-        #: compiled fast-path plans see the pipeline's table walk changed.
+        #: the compiled fast path sees the pipeline's table walk changed.
         self.owner = owner
 
     def _bump_structure(self) -> None:

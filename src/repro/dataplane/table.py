@@ -97,11 +97,23 @@ class MatchActionTable:
             LookupIndex(self.key) if self.indexed else None
         )
         #: Monotonic rule-churn counter: bumped on every entry mutation
-        #: (insert, delete, restore).  The compiled fast path
-        #: (:mod:`repro.fastpath`) keys its per-tenant plan cache on this —
-        #: a plan compiled against generation G is provably stale the
-        #: moment the table reports G' != G.
+        #: (insert, delete, restore).  Nothing compares it; it is the clock
+        #: the per-partition generations below are stamped from.
         self.generation = 0
+        #: The entries partitioned by the exact ``tenant_id`` component of
+        #: their match — ``partition key -> {insert order: entry}``; ``None``
+        #: is the shared partition (wildcard tenant, or a key without an
+        #: exact ``tenant_id``) — the paper's layout: one physical table,
+        #: each tenant's rules a block of it.
+        self._tenant_exact = any(
+            f.name == "tenant_id" and f.kind is MatchKind.EXACT for f in self.key
+        )
+        self._parts: dict[int | None, dict[int, TableEntry]] = {}
+        #: Partition key -> :attr:`generation` at its last mutation (absent
+        #: = empty = 0).  The compiled fast path (:mod:`repro.fastpath`)
+        #: records the generations of the partitions a tenant's blocks were
+        #: read from: what it cached is current iff they are unchanged.
+        self._part_gens: dict[int | None, int] = {}
         #: Monotonic sequence assigned per insert; the rank tie-break.
         self._seq = 0
         #: id(entry) -> its live sequence numbers, oldest first (an entry
@@ -132,25 +144,53 @@ class MatchActionTable:
                     f"table {self.name!r}: bad {fname!r} spec: {exc}"
                 ) from None
 
+    # -- partitions --------------------------------------------------------
+    def partition_key(self, entry: TableEntry) -> int | None:
+        """The partition ``entry`` lives in: its exact ``tenant_id``, or
+        ``None`` (shared) when it wildcards the tenant or the key has no
+        exact ``tenant_id`` field."""
+        spec = entry.match.get("tenant_id") if self._tenant_exact else None
+        return None if spec is None else int(spec)
+
+    def partition(self, key: int | None) -> list[tuple[int, TableEntry]]:
+        """``(insert order, entry)`` of one partition, oldest first."""
+        return list(self._parts.get(key, {}).items())
+
+    def partition_generation(self, key: int | None) -> int:
+        """Changes whenever the partition's content does; 0 = empty."""
+        return self._part_gens.get(key, 0)
+
     # -- mutation ----------------------------------------------------------
     def _append(self, entry: TableEntry) -> None:
-        """Install a validated, capacity-checked entry (list + index)."""
+        """Install a validated, capacity-checked entry (list + partition +
+        index)."""
         self.generation += 1
         self.entries.append(entry)
         order = self._seq
         self._seq += 1
         self._orders.setdefault(id(entry), []).append(order)
+        key = self.partition_key(entry)
+        self._parts.setdefault(key, {})[order] = entry
+        self._part_gens[key] = self.generation
         if self._index is not None:
             self._index.add(entry, order)
 
     def _forget(self, entry: TableEntry) -> None:
-        """Drop the oldest installed copy of ``entry`` from the index and
-        order bookkeeping (the caller already removed it from ``entries``)."""
+        """Drop the oldest installed copy of ``entry`` from the partition,
+        index and order bookkeeping (the caller already removed it from
+        ``entries``)."""
         self.generation += 1
         orders = self._orders[id(entry)]
         order = orders.pop(0)
         if not orders:
             del self._orders[id(entry)]
+        key = self.partition_key(entry)
+        part = self._parts[key]
+        del part[order]
+        if part:
+            self._part_gens[key] = self.generation
+        else:
+            del self._parts[key], self._part_gens[key]
         if self._index is not None:
             self._index.remove(entry, order)
 
@@ -224,18 +264,28 @@ class MatchActionTable:
         """The installed entries, in order, for later :meth:`restore`."""
         return tuple(self.entries)
 
-    def restore(self, snapshot: Iterable[TableEntry]) -> None:
+    def restore(self, snapshot: Iterable[TableEntry], since: int = -1) -> None:
         """Reset the table to a prior :meth:`snapshot`, rebuilding the index
         so insertion-order tie-breaks are exactly as captured.  Hit/miss
-        counters are left alone (traffic really happened)."""
+        counters are left alone (traffic really happened).
+
+        ``since`` is :attr:`generation` as it was when the snapshot was
+        taken: a partition not written since then keeps its generation —
+        what was compiled from it is still current, so a rolled-back batch
+        costs only the tenants it touched a recompile.  Every other
+        partition (every one, by default) is freshly stamped."""
+        untouched = {k: g for k, g in self._part_gens.items() if g <= since}
         self.generation += 1
         self.entries = []
         self._seq = 0
         self._orders = {}
+        self._parts = {}
+        self._part_gens = {}
         if self._index is not None:
             self._index.clear()
         for entry in snapshot:
             self._append(entry)
+        self._part_gens.update(untouched)
 
     def entry_id(self, entry: TableEntry) -> int | None:
         """The stable per-table rule id of an installed entry: its insert

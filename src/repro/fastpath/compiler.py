@@ -1,60 +1,79 @@
-"""The chain compiler: one walk over a tenant's installed rules.
+"""The block compiler: a tenant's partition of a table, lowered to arrays.
 
-Compilation exploits two structural facts of the SFP virtualization model:
+The paper's data plane keeps one physical table per NF and copies every
+tenant's rules into it behind two more exact match fields, ``(tenant ID,
+pass)`` (Fig. 3).  The fast path keeps that layout: ``tenant_id`` and
+``pass_id`` are *lane columns that select a rule block*, never properties
+of a plan.
 
-* Every virtualized rule matches on ``(tenant_id, pass_id)`` exact fields
-  (Fig. 3), and within one batch group both are *constants* — all packets
-  share the tenant and the kernel executes pass-by-pass.  So those match
-  components are evaluated **once at compile time**: entries of other
-  tenants/passes are filtered out of each table's step entirely, and tables
-  whose whole key is ``{tenant_id, pass_id}`` (the controller's
-  ``tenant_map``) fold to a single pre-decided winner.
-* The recirculation plan is static: pass ``p`` executes the same table
-  slice for every packet of the tenant, so the compiler emits one fused
-  step list per pass up to ``max_passes`` and the kernel just follows it.
+* A :class:`Block` is one ``(table, tenant, pass)`` slice: the tenant's
+  partition of the table (:meth:`MatchActionTable.partition`, the shared
+  partition merged in) restricted to the entries that match that pass, in
+  rank order (priority desc, LPM specificity desc, insertion order asc).
+  The remaining key fields are lowered to two uniform predicates — masked
+  equality ``(v & a) == b`` for exact / ternary / LPM fields, ``a <= v <=
+  b`` for range fields — and the actions to per-column write-enable / value
+  rows over :data:`COLUMNS`, which holds the header fields *and* egress,
+  REC and drop, so applying a winner is one ``np.where``.  Compiling tenant
+  *t* reads only *t*'s partitions, whatever else the table holds.
+* :func:`compile_chain` is the per-tenant entry point: it compiles the
+  blocks of every table for the tenant's raw ID, follows every
+  ``set_tenant`` it finds (the controller's ``tenant_map`` rewrite raw ->
+  wire ID is an ordinary one-entry block with no predicates left) and
+  compiles the blocks of the IDs so reached.  What comes back is the
+  *verdict* — compilable, or a ``fallback_reason`` — plus the blocks and
+  the generation of every partition read.
 
-What comes out is a :class:`CompiledChain`: per pass, an ordered list of
-:class:`FoldedStep` (uniform hit/miss + one pre-bound action for the whole
-group) and :class:`MatchStep` (rank-ordered surviving entries with
-vectorizable predicates over the remaining key fields).  Action parameters
-are pre-coerced (the ``int()`` every action performs per packet happens
-here, once) and classified:
+Actions are pre-bound (the ``int()`` every action performs per packet
+happens here, once) and classified:
 
 * **vector** actions (``no_op``/``permit``/``drop``/``set_tenant``/
-  ``set_dscp``/``set_dst``/``snat``/``forward``) become columnar writes;
+  ``set_dscp``/``set_dst``/``snat``/``forward``) become column writes;
 * **scalar-safe** actions (``count``/``rate_limit``/``count_extern``) touch
   only per-packet scratch state, externs, drop and REC — never a header
   field — so the kernel calls the *real* registered function per matched
-  packet, in a tight loop;
+  lane, in lane order;
 * anything else (``meter_police`` is genuinely order- and time-dependent
   across packets, and unknown/overridden registrations can do anything)
-  makes the chain **uncompilable**: the plan carries a ``fallback_reason``
-  and the engine routes the tenant's traffic to the interpreter.
+  makes the chain **uncompilable**: the verdict carries a
+  ``fallback_reason`` and the engine routes the tenant's traffic to the
+  interpreter.
 
-The plan also records its invalidation keys: the pipeline's
-``structure_generation``, every walked table's ``generation``, and the
-``consts`` — the set of tenant IDs (raw + epoch wire IDs) the folds
-depended on, which is what lets the engine invalidate *exactly* the
-affected tenants on rule churn.
+Invalidation is one layer: a verdict, positive or negative, is current iff
+the generations of the partitions it read (and the pipeline's structure)
+are unchanged — :meth:`CompiledChain.is_current`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
+
+import numpy as _np
 
 from repro.dataplane import action as _act
 from repro.dataplane.lookup_index import MatchKind, _match_one
-from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import SwitchPipeline
-from repro.dataplane.table import MatchActionTable, TableEntry
+from repro.dataplane.table import MatchActionTable
+
+#: Vector action -> the ``(column written, param read, required)`` of its
+#: header writes (REC, drop and ``egress_set`` are added by
+#: :func:`_compile_binding`).
+_WRITES = {
+    "no_op": (),
+    "permit": (),
+    "drop": (),
+    "set_tenant": (("tenant_id", "wire_id", True),),
+    "set_dscp": (("dscp", "dscp", True),),
+    "set_dst": (("dst_ip", "dst_ip", True), ("dst_port", "dst_port", False)),
+    "snat": (("src_ip", "src_ip", True), ("src_port", "src_port", False)),
+    "forward": (("egress_port", "port", True), ("egress_set", "port", True)),
+}
 
 #: Actions the kernel applies as columnar writes (semantics reimplemented,
 #: guarded by a compile-time identity check against the canonical
 #: implementations so overridden registrations fall back).
-VECTOR_ACTIONS = frozenset(
-    {"no_op", "permit", "drop", "set_tenant", "set_dscp", "set_dst", "snat", "forward"}
-)
+VECTOR_ACTIONS = frozenset(_WRITES)
 
 #: Actions applied by calling the real registered function per matched
 #: packet: they read/write only per-packet scratch, externs, ``dropped``
@@ -77,127 +96,96 @@ _CANONICAL = {
     "count_extern": _act.act_count_extern,
 }
 
-#: The two match-key fields that are constants within a kernel group.
-_CONST_FIELDS = frozenset({"tenant_id", "pass_id"})
+#: Header fields held as lane columns (everything a match key may read or a
+#: vector action may write, minus the pass the kernel tracks itself).
+COLUMN_FIELDS = (
+    "tenant_id",
+    "src_ip",
+    "dst_ip",
+    "src_port",
+    "dst_port",
+    "protocol",
+    "dscp",
+)
+#: The lane-state matrix's columns: the header fields, then what actions
+#: set besides them — one layout for the kernel's state and a block's
+#: write rows.
+COLUMNS = COLUMN_FIELDS + ("egress_port", "egress_set", "rec", "dropped")
+_COL = {name: c for c, name in enumerate(COLUMNS)}
+_TENANT = _COL["tenant_id"]
+_I64 = _np.iinfo(_np.int64)
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """One pre-compiled action application.
 
-    ``kind`` is ``"vector"`` (columnar: ``writes``/``egress``/``drop``/
-    ``rec`` below fully describe the effect) or ``"scalar"`` (call ``fn``
-    with the original ``params`` on each matched :class:`Packet`).
+    ``kind`` is ``"vector"`` (columnar: ``writes`` fully describe the
+    effect) or ``"scalar"`` (call ``fn`` with the original ``params`` on
+    each matched :class:`~repro.dataplane.packet.Packet`).
     """
 
     action: str
     kind: str
-    #: Pre-coerced ``(field_name, int_value)`` columnar header writes.
+    #: Pre-coerced ``(column_name, int_value)`` writes over :data:`COLUMNS`.
     writes: tuple = ()
-    #: Egress port to assign (``forward``), ``None`` = leave alone.
-    egress: int | None = None
-    #: True = matched packets drop (and their REC flag freezes as-is).
-    drop: bool = False
-    #: The REC argument, pre-evaluated (``drop`` never honors it).
-    rec: bool = False
     #: Scalar bindings only: the registered function and its raw params.
     fn: object = None
-    params: Mapping[str, object] = field(default_factory=dict)
+    params: Mapping[str, object] = {}
 
 
-@dataclass(frozen=True)
-class CompiledEntry:
-    """One surviving rule of a :class:`MatchStep`, in rank order.
+class Block:
+    """One ``(table, tenant, pass)`` rule block, rank-ordered.
 
-    ``preds`` are the vectorizable predicates over the *non-constant* key
-    fields, normalized to ``("exact", field, value)``,
-    ``("mask", field, mask, want_masked)`` (ternary + LPM collapse to
-    masked equality) or ``("range", field, lo, hi)``; wildcards and the
-    constant-folded ``(tenant_id, pass_id)`` components are gone.
+    ``preds[r, 0/1, f]`` are the ``(a, b)`` of rank ``r``'s predicate on
+    the table's ``f``-th residual key field (:func:`residual_fields`:
+    masked-equality fields first, then range fields; a wildcard is ``(0,
+    0)`` resp. the full int64 range).  ``wen``/``wval`` are the per-rank
+    write-enable / value rows over :data:`COLUMNS`; ``bindings`` keeps the
+    pre-bound actions in the same order and ``scalar`` the ranks whose
+    binding is a scalar one (those are called, not written).
     """
 
-    preds: tuple
-    binding: Binding
+    __slots__ = ("preds", "wen", "wval", "bindings", "scalar")
+
+    def __init__(self, preds, bindings: tuple[Binding, ...]) -> None:
+        self.preds = preds
+        self.bindings = bindings
+        self.wen, self.wval = action_rows(bindings)
+        self.scalar = [r for r, b in enumerate(bindings) if b.kind == "scalar"]
+
+    def __len__(self) -> int:
+        return len(self.bindings)
 
 
-@dataclass(frozen=True)
-class FoldedStep:
-    """A table application whose outcome is uniform for the whole group:
-    either the table's key was entirely ``(tenant_id, pass_id)`` (probed
-    once at compile time) or constant-filtering left no candidate entries
-    (a uniform miss).  The kernel bumps hit/miss counters in bulk and
-    applies one binding."""
-
-    table: MatchActionTable
-    hit: bool
-    binding: Binding
-
-
-@dataclass(frozen=True)
-class MatchStep:
-    """A table application that still needs per-packet matching over the
-    non-constant key fields.  ``entries`` are rank-ordered (priority desc,
-    LPM specificity desc, insertion order asc): the kernel assigns each
-    packet the first entry whose predicates pass, default on none."""
-
-    table: MatchActionTable
-    entries: tuple[CompiledEntry, ...]
-    default: Binding
-
-
+@dataclass(slots=True)
 class CompiledChain:
-    """A tenant's flat execution plan plus its invalidation keys.
+    """The verdict on one tenant's chain, and what it was read from.
 
-    ``passes[p-1]`` is the fused step list for recirculation pass ``p``.
-    A chain with ``fallback_reason`` set is a *negative* cache entry: the
-    tenant's traffic must take the interpreter, but the generations are
-    still recorded so churn re-triggers compilation.
+    ``blocks`` maps ``(table index, tenant id)`` — the raw ID and every ID
+    a ``set_tenant`` can turn it into — to ``{pass: Block}`` (no entry for
+    a pass with no rules).  A chain with ``fallback_reason`` set is a
+    *negative* verdict: the tenant's traffic must take the interpreter,
+    and it holds no blocks.  ``reads`` is ``(table, partition key,
+    generation)`` for every partition the walk read, the shared ones
+    included: the verdict, either way, is current until one of them moves.
     """
 
-    __slots__ = (
-        "tenant_id",
-        "passes",
-        "consts",
-        "table_gens",
-        "structure_gen",
-        "max_passes",
-        "fallback_reason",
-    )
-
-    def __init__(
-        self,
-        tenant_id: int,
-        passes: list,
-        consts: frozenset,
-        table_gens: dict,
-        structure_gen: int,
-        max_passes: int,
-        fallback_reason: str | None = None,
-    ) -> None:
-        self.tenant_id = tenant_id
-        self.passes = passes
-        #: Tenant IDs (raw + wire) whose rules this plan baked in — the
-        #: precise-invalidation key: a written entry affects this plan iff
-        #: its ``tenant_id`` spec matches one of these (or wildcards).
-        self.consts = consts
-        #: ``id(table) -> [table, generation_at_compile]`` for every table
-        #: in the walk; the generation slot is refreshed in place by the
-        #: engine when a write provably did not affect this plan.
-        self.table_gens = table_gens
-        self.structure_gen = structure_gen
-        self.max_passes = max_passes
-        self.fallback_reason = fallback_reason
+    tenant_id: int
+    blocks: dict
+    reads: tuple
+    structure_gen: int
+    max_passes: int
+    fallback_reason: str | None = None
 
     def is_current(self, pipeline: SwitchPipeline) -> bool:
-        """Always-correct lazy staleness check (O(#tables) int compares):
-        covers mutations that bypass the RuntimeAPI notify hook (e.g. the
-        virtualizer writing tables directly)."""
+        """The one staleness check (a few int compares per partition read):
+        it holds whoever wrote the tables, RuntimeAPI or not."""
         if self.structure_gen != pipeline.structure_generation:
             return False
         if self.max_passes != pipeline.max_passes:
             return False
-        for table, gen in self.table_gens.values():
-            if table.generation != gen:
+        for table, key, gen in self.reads:
+            if table.partition_generation(key) != gen:
                 return False
         return True
 
@@ -205,7 +193,7 @@ class CompiledChain:
         status = (
             f"fallback={self.fallback_reason!r}"
             if self.fallback_reason
-            else f"steps={sum(len(s) for s in self.passes)}"
+            else f"blocks={sum(len(b) for b in self.blocks.values())}"
         )
         return f"CompiledChain(tenant={self.tenant_id}, {status})"
 
@@ -224,194 +212,167 @@ def _compile_binding(action: str, params: Mapping[str, object], registry) -> Bin
     if fn is not _CANONICAL.get(action):
         raise _Uncompilable(f"action {action!r} is overridden in the registry")
     if action in SCALAR_ACTIONS:
-        return Binding(action=action, kind="scalar", fn=fn, params=params)
+        return Binding(action, "scalar", fn=fn, params=params)
     if action not in VECTOR_ACTIONS:
         raise _Uncompilable(f"action {action!r} is not batch-safe")
-    rec = bool(params.get("rec"))
+    if action == "drop":  # never honors REC: the flag freezes as it was
+        return Binding(action, "vector", (("dropped", 1),))
     try:
-        if action == "drop":
-            return Binding(action=action, kind="vector", drop=True)
-        if action == "set_tenant":
-            return Binding(
-                action=action, kind="vector", rec=rec,
-                writes=(("tenant_id", int(params["wire_id"])),),
-            )
-        if action == "set_dscp":
-            return Binding(
-                action=action, kind="vector", rec=rec,
-                writes=(("dscp", int(params["dscp"])),),
-            )
-        if action == "set_dst":
-            writes = [("dst_ip", int(params["dst_ip"]))]
-            if "dst_port" in params:
-                writes.append(("dst_port", int(params["dst_port"])))
-            return Binding(action=action, kind="vector", rec=rec, writes=tuple(writes))
-        if action == "snat":
-            writes = [("src_ip", int(params["src_ip"]))]
-            if "src_port" in params:
-                writes.append(("src_port", int(params["src_port"])))
-            return Binding(action=action, kind="vector", rec=rec, writes=tuple(writes))
-        if action == "forward":
-            return Binding(
-                action=action, kind="vector", rec=rec, egress=int(params["port"])
-            )
+        writes = [
+            (column, 1 if column == "egress_set" else int(params[name]))
+            for column, name, required in _WRITES[action]
+            if required or name in params
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise _Uncompilable(f"action {action!r}: bad params ({exc!r})") from None
-    # no_op / permit: REC is their only effect.
-    return Binding(action=action, kind="vector", rec=rec)
+    if params.get("rec"):
+        writes.append(("rec", 1))
+    return Binding(action, "vector", tuple(writes))
 
 
-def _probe_winner(table: MatchActionTable, probe: Packet) -> TableEntry | None:
-    """The winning entry for ``probe`` *without* touching the table's
-    hit/miss counters (the compile-time probe is not traffic).  Uses the
-    lookup index when present, else a counter-free replica of
-    :meth:`MatchActionTable.lookup_reference`'s ranking."""
-    index = getattr(table, "_index", None)
-    if index is not None:
-        return index.lookup(probe)
-    best: TableEntry | None = None
-    best_rank: tuple | None = None
-    for order, entry in enumerate(table.entries):
-        ok = all(
-            _match_one(f.kind, entry.match.get(f.name), probe.get_field(f.name))
-            for f in table.key
+def action_rows(bindings) -> tuple:
+    """``(write-enable, value)`` rows over :data:`COLUMNS`, one per binding
+    (a scalar binding's row writes nothing)."""
+    wen = _np.zeros((len(bindings), len(COLUMNS)), bool)
+    wval = _np.zeros((len(bindings), len(COLUMNS)), _np.int64)
+    writes = [(r, w) for r, binding in enumerate(bindings) for w in binding.writes]
+    if writes:
+        rows = [r for r, _w in writes]
+        cols = [_COL[w[0]] for _r, w in writes]
+        wen[rows, cols] = True
+        wval[rows, cols] = [w[1] for _r, w in writes]
+    return wen, wval
+
+
+def residual_fields(table: MatchActionTable) -> tuple[list, int]:
+    """The key fields a block still tests per lane — every one but
+    ``tenant_id``/``pass_id``, which select the block — masked-equality
+    kinds first; returns ``(fields, how many are masked-equality)``."""
+    fields = [f for f in table.key if f.name not in ("tenant_id", "pass_id")]
+    masked = [f for f in fields if f.kind is not MatchKind.RANGE]
+    return masked + [f for f in fields if f.kind is MatchKind.RANGE], len(masked)
+
+
+def _lower(kind: MatchKind, specs: list) -> tuple[list, list]:
+    """One key field's specs, entry by entry, as the ``a`` and ``b`` of its
+    uniform predicate (masked equality, or a range for RANGE fields)."""
+    if kind is MatchKind.RANGE:
+        return (
+            [_I64.min if s is None else int(s[0]) for s in specs],
+            [_I64.max if s is None else int(s[1]) for s in specs],
         )
-        if not ok:
-            continue
-        rank = (entry.priority, entry.lpm_specificity(table.key), -order)
-        if best_rank is None or rank > best_rank:
-            best, best_rank = entry, rank
-    return best
-
-
-def _normalize_pred(kind: MatchKind, fname: str, spec) -> tuple | None:
-    """One field spec -> a vectorizable predicate (``None`` = wildcard)."""
-    if spec is None:
-        return None
     if kind is MatchKind.EXACT:
-        return ("exact", fname, int(spec))
-    if kind is MatchKind.TERNARY:
-        want, mask = int(spec[0]), int(spec[1])
-        if mask == 0:
-            return None
-        return ("mask", fname, mask, want & mask)
-    if kind is MatchKind.LPM:
-        prefix, length = int(spec[0]), int(spec[1])
-        if length == 0:
-            return None
-        mask = ((1 << length) - 1) << (32 - length)
-        return ("mask", fname, mask, prefix & mask)
-    # RANGE
-    lo, hi = int(spec[0]), int(spec[1])
-    return ("range", fname, lo, hi)
-
-
-def _compile_table(
-    table: MatchActionTable, tenant_const: int, pass_const: int, registry
-) -> FoldedStep | MatchStep:
-    """Compile one table application under the group's constants."""
-    key_names = set(table.key_fields)
-    default = _compile_binding(table.default_action, table.default_params, registry)
-    if key_names <= _CONST_FIELDS:
-        # Whole key is constant for the group: decide the winner now.
-        winner = _probe_winner(
-            table, Packet(tenant_id=tenant_const, pass_id=pass_const)
+        return (
+            [0 if s is None else -1 for s in specs],
+            [0 if s is None else int(s) for s in specs],
         )
-        if winner is None:
-            return FoldedStep(table=table, hit=False, binding=default)
-        binding = _compile_binding(winner.action, winner.params, registry)
-        return FoldedStep(table=table, hit=True, binding=binding)
-    if default.action == "set_tenant":
-        raise _Uncompilable("set_tenant as a default action breaks group uniformity")
-    consts = {"tenant_id": tenant_const, "pass_id": pass_const}
-    ranked: list[tuple[tuple, CompiledEntry]] = []
-    for order, entry in enumerate(table.entries):
-        skip = False
-        for f in table.key:
-            if f.name in consts and not _match_one(
-                f.kind, entry.match.get(f.name), consts[f.name]
-            ):
-                skip = True
-                break
-        if skip:
-            continue
-        preds = []
-        for f in table.key:
-            if f.name in consts:
-                continue
-            pred = _normalize_pred(f.kind, f.name, entry.match.get(f.name))
-            if pred is not None:
-                preds.append(pred)
-        binding = _compile_binding(entry.action, entry.params, registry)
-        if binding.action == "set_tenant":
-            # Different packets could diverge in tenant mid-walk, breaking
-            # the per-group constant the whole plan is folded on.
-            raise _Uncompilable("set_tenant outside a foldable table")
-        rank = (-entry.priority, -entry.lpm_specificity(table.key), order)
-        ranked.append((rank, CompiledEntry(preds=tuple(preds), binding=binding)))
-    if not ranked:
-        # Constant filtering removed every candidate: uniform miss.
-        return FoldedStep(table=table, hit=False, binding=default)
-    ranked.sort(key=lambda item: item[0])
-    return MatchStep(
-        table=table,
-        entries=tuple(ce for _rank, ce in ranked),
-        default=default,
+    if kind is MatchKind.LPM:  # (prefix, length) -> (want, mask)
+        specs = [
+            s if s is None else (s[0], ((1 << int(s[1])) - 1) << (32 - int(s[1])))
+            for s in specs
+        ]
+    return (
+        [0 if s is None else int(s[1]) for s in specs],
+        [0 if s is None else int(s[0]) & int(s[1]) for s in specs],
     )
 
 
-def compile_chain(pipeline: SwitchPipeline, tenant_id: int) -> CompiledChain:
-    """Walk ``tenant_id``'s installed rules once and emit its plan.
+def compile_blocks(
+    table: MatchActionTable, tenant_id: int, max_passes: int, registry
+) -> dict[int, Block]:
+    """Lower ``tenant_id``'s partition of ``table`` (shared-partition
+    entries merged in by the same rank) to one :class:`Block` per pass that
+    has rules.  Reads no other tenant's entries."""
+    by_name = {f.name: f for f in table.key}
+    tenant_f, pass_f = by_name.get("tenant_id"), by_name.get("pass_id")
+    # The partition key already vouches for the tenant of the tenant's own
+    # entries; a shared entry may still constrain it (a non-exact kind).
+    kept = table.partition(tenant_id)
+    kept += [
+        (order, entry) for order, entry in table.partition(None)
+        if tenant_f is None
+        or _match_one(tenant_f.kind, entry.match.get("tenant_id"), tenant_id)
+    ]
+    if not kept:
+        return {}
+    fields, _masked = residual_fields(table)
+    lpm = [f for f in table.key if f.kind is MatchKind.LPM]
+    passes = range(1, max_passes + 1)
+    matches = [entry.match for _order, entry in kept]
+    bindings = [
+        _compile_binding(entry.action, entry.params, registry) for _order, entry in kept
+    ]
+    lowered = [_lower(f.kind, [m.get(f.name) for m in matches]) for f in fields]
+    try:
+        preds = _np.array(
+            [[a for a, _b in lowered], [b for _a, b in lowered]], _np.int64
+        ).reshape(2, len(fields), len(kept)).transpose(2, 0, 1)
+    except OverflowError:
+        raise _Uncompilable(
+            f"table {table.name!r}: a match value exceeds 64 bits"
+        ) from None
+    in_passes = []
+    for match in matches:
+        spec = match.get("pass_id")
+        if spec is None:
+            in_passes.append(passes)
+        elif pass_f.kind is MatchKind.EXACT:
+            in_passes.append((int(spec),))
+        else:
+            in_passes.append([p for p in passes if _match_one(pass_f.kind, spec, p)])
+    ranks = [
+        (-entry.priority, -entry.lpm_specificity(lpm), order) for order, entry in kept
+    ]
+    ranked = sorted(range(len(kept)), key=ranks.__getitem__)
+    blocks = {}
+    for p in passes:
+        rows = [i for i in ranked if p in in_passes[i]]
+        if rows:
+            blocks[p] = Block(preds[rows], tuple(bindings[i] for i in rows))
+    return blocks
 
-    Generations are snapshotted *before* the walk: if a concurrent write
-    lands mid-compile the recorded generation is already stale and the
-    plan self-invalidates on first use — the race resolves toward a
-    recompile, never toward executing a wrong plan twice.
+
+def compile_chain(pipeline: SwitchPipeline, tenant_id: int) -> CompiledChain:
+    """Compile the blocks ``tenant_id``'s packets can reach and give the
+    verdict.
+
+    Every partition's generation is read *before* its entries: if a
+    concurrent write lands mid-compile the recorded generation is already
+    stale and the verdict self-invalidates on first use — the race
+    resolves toward a recompile, never toward running stale blocks twice.
 
     Never raises on uncompilable chains: those come back as a negative
-    plan (``fallback_reason`` set) the engine caches so the classification
-    itself is not redone per batch.
+    verdict (``fallback_reason`` set) the engine caches so the
+    classification itself is not redone per batch.
     """
     tenant_id = int(tenant_id)
     structure_gen = pipeline.structure_generation
-    table_gens = {
-        id(t): [t, t.generation] for s in pipeline.stages for t in s.tables
-    }
-    consts = {tenant_id}
+    max_passes = pipeline.max_passes
     registry = pipeline.actions
-    passes: list[list] = []
-    cur_tenant = tenant_id
+    tables = [t for s in pipeline.stages for t in s.tables]
+    reads = [(t, None, t.partition_generation(None)) for t in tables]
+    blocks: dict = {}
+    reason = None
     try:
-        for pass_id in range(1, pipeline.max_passes + 1):
-            steps: list = []
-            for stage in pipeline.stages:
-                for table in stage.tables:
-                    step = _compile_table(table, cur_tenant, pass_id, registry)
-                    steps.append(step)
-                    if (
-                        isinstance(step, FoldedStep)
-                        and step.binding.action == "set_tenant"
-                    ):
-                        # The fold rewrites the whole group's tenant ID —
-                        # track it so later steps filter on the wire ID.
-                        cur_tenant = step.binding.writes[0][1]
-                        consts.add(cur_tenant)
-            passes.append(steps)
+        reach = [tenant_id]
+        for table in tables:
+            default = _compile_binding(
+                table.default_action, table.default_params, registry
+            )
+            reach += [
+                v for c, v in default.writes if c == "tenant_id" and v not in reach
+            ]
+        for tid in reach:  # grows while walked: every rewrite is followed
+            for ti, table in enumerate(tables):
+                reads.append((table, tid, table.partition_generation(tid)))
+                by_pass = compile_blocks(table, tid, max_passes, registry)
+                blocks[ti, tid] = by_pass
+                for block in by_pass.values():
+                    for v in block.wval[block.wen[:, _TENANT], _TENANT].tolist():
+                        if v not in reach:
+                            reach.append(v)
     except _Uncompilable as exc:
-        return CompiledChain(
-            tenant_id=tenant_id,
-            passes=[],
-            consts=frozenset(consts),
-            table_gens=table_gens,
-            structure_gen=structure_gen,
-            max_passes=pipeline.max_passes,
-            fallback_reason=str(exc),
-        )
+        blocks, reason = {}, str(exc)
     return CompiledChain(
-        tenant_id=tenant_id,
-        passes=passes,
-        consts=frozenset(consts),
-        table_gens=table_gens,
-        structure_gen=structure_gen,
-        max_passes=pipeline.max_passes,
+        tenant_id, blocks, tuple(reads), structure_gen, max_passes, reason
     )

@@ -1,4 +1,4 @@
-"""The fast-path engine: per-tenant plan cache, routing, invalidation.
+"""The fast-path engine: verdict and block caches, routing, invalidation.
 
 Attach with :meth:`FastPathEngine.attach`: the engine hangs itself on
 ``pipeline.fastpath`` and ``SwitchPipeline.process_batch`` starts routing
@@ -12,50 +12,54 @@ batches here.  Per batch the engine:
    sampled, mid-recirculation (``pass_id != 1``), pre-dropped, or belongs
    to a tenant whose chain is uncompilable — postcards therefore come out
    of the oracle itself and stay bit-exact by construction;
-3. groups the rest by tenant and executes each group's
-   :class:`~repro.fastpath.compiler.CompiledChain` on the kernel.
+3. hands *all* the rest, whatever their tenants, to **one**
+   :meth:`~repro.fastpath.kernels.NumpyKernel.run` over the per-table
+   :class:`~repro.fastpath.kernels.TableStack`\\ s.
 
-Invalidation is two-layered:
-
-* **Lazy (always correct):** every cache lookup revalidates the plan's
-  recorded table generations + pipeline structure generation — a handful
-  of int compares — so mutations that bypass the notify hook (the SFC
-  virtualizer writes tables directly) can never execute a stale plan.
-* **Precise (keeps churn cheap):** ``RuntimeAPI`` reports each committed
-  batch write with the touched table, the written entries and the pre/post
-  generations.  A plan is dropped only when a written entry's
-  ``tenant_id`` spec matches one of the plan's baked-in constants (raw or
-  wire ID) or wildcards; otherwise the plan's recorded generation is
-  advanced *only if* it equals the pre-write generation — a plan that
-  already missed some other mutation stays stale and falls to the lazy
-  layer instead of being wrongly refreshed.  Rolled-back batches are net
-  no-ops, so they refresh without ever invalidating.  Make-before-break
-  therefore behaves exactly right: phase-1 inserts under a fresh wire ID
-  refresh everyone cheaply, and only the map flip naming the tenant drops
-  that one tenant's plan.
+Two caches, one invalidation rule.  ``_plans`` holds each tenant's verdict
+(:class:`~repro.fastpath.compiler.CompiledChain`, positive or negative);
+``_blocks`` holds, per table, the rule blocks those verdicts published,
+keyed by the tenant ID the lanes will carry — it is what the stacks are
+concatenated from.  A verdict is current iff the generations of the table
+partitions it read are unchanged (checked on every lookup, so writes that
+bypass ``RuntimeAPI`` — the SFC virtualizer writes tables directly — can
+never run stale blocks); a stale one is recompiled from the tenant's own
+partitions and republishes its blocks.  A write to tenant A therefore costs
+A one recompile and nobody else anything, negative verdicts included, and
+so does a rolled-back batch that touched A (``MatchActionTable.restore``
+keeps the generation of every partition not written since the snapshot).
+``RuntimeAPI`` additionally reports each committed
+batch (:meth:`FastPathEngine.notify_write`) so the blocks and verdicts of
+the tenants it names are dropped eagerly: wire IDs are never reused, so
+this is what keeps dead blocks from accumulating.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.dataplane.lookup_index import _match_one
 from repro.dataplane.packet import Packet, PacketResult
 from repro.dataplane.pipeline import SwitchPipeline
 from repro.fastpath.compiler import CompiledChain, compile_chain
-from repro.fastpath.kernels import NumpyKernel
+from repro.fastpath.kernels import NumpyKernel, TableStack
 
 
 class FastPathEngine:
-    """Compiled-plan cache + batch router for one pipeline."""
+    """Compiled-block cache + batch router for one pipeline."""
 
     def __init__(self, pipeline: SwitchPipeline) -> None:
         self.kernel = NumpyKernel()
         self.pipeline = pipeline
-        #: tenant id -> CompiledChain (negative entries carry
-        #: ``fallback_reason`` so uncompilable tenants aren't re-analyzed
-        #: per batch).
+        #: tenant id -> its verdict (negative ones carry ``fallback_reason``
+        #: so uncompilable tenants aren't re-analyzed per batch).
         self._plans: dict[int, CompiledChain] = {}
+        #: The pipeline's tables in walk order, as of ``_structure_gen``.
+        self._tables: list = []
+        self._structure_gen = -1
+        #: Per table: tenant id -> ``{pass: Block}``, and the stack built
+        #: from it (``None`` = blocks changed since, rebuild before a run).
+        self._blocks: list[dict] = []
+        self._stacks: list[TableStack | None] = []
         # Cache mutations (compile, notify, drop) happen under one lock so
         # shard worker threads can share the engine with concurrent writers.
         self._lock = threading.RLock()
@@ -64,7 +68,6 @@ class FastPathEngine:
             "compiles": 0,
             "cache_hits": 0,
             "invalidations": 0,
-            "refreshes": 0,
             "compiled_packets": 0,
             "interpreted_packets": 0,
             "fallback_packets": 0,
@@ -83,31 +86,51 @@ class FastPathEngine:
         if self.pipeline.fastpath is self:
             self.pipeline.fastpath = None
 
-    # -- plan cache --------------------------------------------------------
+    # -- caches ------------------------------------------------------------
     def plan_for(self, tenant_id: int) -> CompiledChain:
-        """The current (validated) plan for ``tenant_id``, compiling on
-        miss or staleness."""
+        """The current (validated) verdict for ``tenant_id``, compiling on
+        miss or staleness and publishing the blocks it compiled."""
         with self._lock:
+            if self._structure_gen != self.pipeline.structure_generation:
+                # Tables came or went: block keys are table positions.
+                self.invalidate_all()
             plan = self._plans.get(tenant_id)
             if plan is not None:
                 if plan.is_current(self.pipeline):
                     self.stats["cache_hits"] += 1
                     return plan
-                # Lazy layer caught a mutation the notify hook never saw.
                 self.stats["invalidations"] += 1
             plan = compile_chain(self.pipeline, tenant_id)
             self.stats["compiles"] += 1
             self._plans[tenant_id] = plan
+            if plan.structure_gen != self._structure_gen:
+                return plan  # tables moved mid-compile: stale, nothing to file
+            for (ti, tid), by_pass in plan.blocks.items():
+                if by_pass:
+                    self._blocks[ti][tid] = by_pass
+                    self._stacks[ti] = None
+                else:
+                    self._drop_blocks(ti, tid)
             return plan
 
+    def _drop_blocks(self, ti: int, tenant_id: int) -> None:
+        if self._blocks[ti].pop(tenant_id, None) is not None:
+            self._stacks[ti] = None
+
     def invalidate_all(self) -> None:
-        """Drop every cached plan (recompile on next use)."""
+        """Drop every cached verdict and block (recompile on next use)."""
         with self._lock:
             self.stats["invalidations"] += len(self._plans)
             self._plans.clear()
+            self._structure_gen = self.pipeline.structure_generation
+            self._tables = [t for s in self.pipeline.stages for t in s.tables]
+            self._blocks = [{} for _ in self._tables]
+            self._stacks = [None] * len(self._tables)
 
     def invalidate_tenant(self, tenant_id: int) -> None:
-        """Drop one tenant's cached plan if present."""
+        """Drop one tenant's cached verdict if present.  Its blocks stay
+        filed (another tenant's lanes may be rewritten onto them) until the
+        recompile refiles them."""
         with self._lock:
             if self._plans.pop(tenant_id, None) is not None:
                 self.stats["invalidations"] += 1
@@ -116,62 +139,30 @@ class FastPathEngine:
     def cached_plans(self) -> int:
         return len(self._plans)
 
+    @property
+    def cached_blocks(self) -> int:
+        return sum(len(by_pass) for per in self._blocks for by_pass in per.values())
+
     # -- write notifications ----------------------------------------------
-    def notify_write(self, table, entries, pre_gen: int, post_gen: int) -> None:
-        """A committed RuntimeAPI batch touched ``table``, writing
-        ``entries`` (inserted, deleted, or replacement forms), moving its
-        generation ``pre_gen`` -> ``post_gen``."""
-        tenant_kind = None
-        tenant_in_key = False
-        for f in table.key:
-            if f.name == "tenant_id":
-                tenant_kind = f.kind
-                tenant_in_key = True
-                break
+    def notify_write(self, table, entries) -> None:
+        """A committed RuntimeAPI batch wrote ``entries`` (inserted,
+        deleted, or replacement forms) to ``table``: drop what is cached
+        under the tenant IDs they name.  O(entries written); correctness
+        never depends on it (``plan_for`` revalidates), only memory does."""
+        if not self._plans and not any(self._blocks):
+            return  # nothing cached (a control-plane-only shard: no traffic)
+        keys = {table.partition_key(entry) for entry in entries}
         with self._lock:
-            for tenant_id in list(self._plans):
-                plan = self._plans[tenant_id]
-                slot = plan.table_gens.get(id(table))
-                if slot is None:
-                    # Table outside the plan's walk (installed after the
-                    # compile): the structure generation already handles it.
-                    continue
-                if self._affects(plan, entries, tenant_in_key, tenant_kind):
-                    del self._plans[tenant_id]
+            if None in keys:
+                # A shared-partition rule is part of every tenant's blocks.
+                self.invalidate_all()
+                return
+            tis = [ti for ti, t in enumerate(self._tables) if t is table]
+            for key in keys:
+                if self._plans.pop(key, None) is not None:
                     self.stats["invalidations"] += 1
-                elif slot[1] == pre_gen:
-                    slot[1] = post_gen
-                    self.stats["refreshes"] += 1
-
-    def notify_reverted(self, table, pre_gen: int, post_gen: int) -> None:
-        """A RuntimeAPI batch touching ``table`` rolled back: the content
-        equals the pre-batch snapshot, so plans that were current before
-        the batch are still current — advance their recorded generation
-        without invalidating anything."""
-        with self._lock:
-            for plan in self._plans.values():
-                slot = plan.table_gens.get(id(table))
-                if slot is not None and slot[1] == pre_gen:
-                    slot[1] = post_gen
-                    self.stats["refreshes"] += 1
-
-    @staticmethod
-    def _affects(plan: CompiledChain, entries, tenant_in_key: bool, tenant_kind) -> bool:
-        """Could writing ``entries`` change ``plan``'s walk?"""
-        if plan.fallback_reason is not None:
-            # Negative entries invalidate conservatively: churn may have
-            # removed whatever made the chain uncompilable.
-            return True
-        if not tenant_in_key:
-            # No tenant_id in the key: any entry can match any tenant.
-            return True
-        for entry in entries:
-            spec = entry.match.get("tenant_id")
-            if spec is None:
-                return True  # wildcard tenant: matches every group
-            if any(_match_one(tenant_kind, spec, c) for c in plan.consts):
-                return True
-        return False
+                for ti in tis:
+                    self._drop_blocks(ti, key)
 
     # -- execution ---------------------------------------------------------
     def process_batch(self, packets: list[Packet], trace: bool = False) -> list[PacketResult]:
@@ -192,7 +183,7 @@ class FastPathEngine:
             sampled = None
         results: list[PacketResult | None] = [None] * n
         interp: list[int] = []
-        groups: dict[int, list[int]] = {}
+        fast: list[int] = []
         for i, p in enumerate(packets):
             if (
                 trace
@@ -202,25 +193,37 @@ class FastPathEngine:
             ):
                 interp.append(i)
             else:
-                groups.setdefault(p.tenant_id, []).append(i)
-        latency_model = pipeline.latency_model
-        for tenant_id, idxs in groups.items():
-            plan = self.plan_for(tenant_id)
-            if plan.fallback_reason is not None:
-                self.stats["fallback_packets"] += len(idxs)
-                interp.extend(idxs)
-                continue
-            group = [packets[i] for i in idxs]
-            passes = self.kernel.run(plan, group, pipeline)
-            self.stats["compiled_packets"] += len(idxs)
+                fast.append(i)
+        if fast:
+            with self._lock:
+                fallback = {
+                    tenant_id
+                    for tenant_id in {packets[i].tenant_id for i in fast}
+                    if self.plan_for(tenant_id).fallback_reason is not None
+                }
+                if fallback:
+                    lanes = [i for i in fast if packets[i].tenant_id not in fallback]
+                    self.stats["fallback_packets"] += len(fast) - len(lanes)
+                    interp.extend(i for i in fast if packets[i].tenant_id in fallback)
+                    fast = lanes
+                for ti, stack in enumerate(self._stacks):
+                    if stack is None:
+                        self._stacks[ti] = TableStack(
+                            self._tables[ti], self._blocks[ti], pipeline.actions
+                        )
+                stacks = tuple(self._stacks)
+        if fast:
+            group = [packets[i] for i in fast]
+            passes = self.kernel.run(stacks, group, pipeline)
+            self.stats["compiled_packets"] += len(fast)
+            latency_model = pipeline.latency_model
             latency_by_passes: dict[int, float] = {}
-            for j, i in enumerate(idxs):
-                p = passes[j]
+            for i, packet, p in zip(fast, group, passes):
                 latency = latency_by_passes.get(p)
                 if latency is None:
                     latency = latency_model.latency_ns(passes=p)
                     latency_by_passes[p] = latency
-                result = PacketResult(packet=group[j], passes=p)
+                result = PacketResult(packet=packet, passes=p)
                 result.latency_ns = latency
                 results[i] = result
         if interp:

@@ -1,181 +1,242 @@
-"""The columnar batch kernel executing a :class:`CompiledChain`.
+"""The columnar batch kernel: one run per batch, whatever the tenant mix.
 
-The contract — given a compiled plan and a group of same-tenant,
-first-pass packets, produce *exactly* the packet mutations, pass counts,
-hit/miss counter bumps and recirculation-overflow accounting the
-interpreter would, and return the per-packet pass count.
+The contract — given every table's :class:`TableStack` and a batch of
+first-pass packets of *any* compilable tenants, produce *exactly* the
+packet mutations, pass counts, hit/miss counter bumps and recirculation-
+overflow accounting the interpreter would, and return the per-packet pass
+count.
 
-:class:`NumpyKernel` turns header fields into int64 columns; each compiled
-step evaluates its rank-ordered entries as boolean masks over the still-
-unassigned packets, applies bindings per winner-group as masked columnar
-writes, and recirculation is a masked pass loop.  Per-packet Python work
-is O(1): column load and writeback.
+Lane state is one int64 matrix over :data:`~repro.fastpath.compiler.COLUMNS`
+(header fields, egress, REC, drop), loaded once and written back once.  Per
+pass, per physical table (stage order), each live lane's rule block is
+looked up from its *current* ``tenant_id`` column and the pass
+(``np.unique`` over the tenants present + a dict): ``set_tenant`` is just a
+write to that column, so the controller's ``tenant_map`` rewrite needs no
+special case.  Lanes with no block miss in bulk.  Matching is **rank-major
+across tenants**: iteration *r* gathers the *r*-th rule of every still-
+unassigned lane's block and tests all key fields at once, stopping when no
+lane is unassigned — so the cost follows the rank hits land at, not the
+number of tenants or the size of the table.  Winners' action rows are
+applied with one ``np.where``; the table's default action is row 0 of its
+stack, so a miss is a winner like any other.
+
+What stays per lane: column load and write-back (O(1) each), and the
+scalar-safe actions — the real registered functions, called in lane order.
 
 Counter exactness: the interpreter performs one lookup per live packet per
 table application, so the kernel bumps ``table.hits``/``table.misses`` by
-the matched/unassigned cardinalities of each step — identical totals, in
-bulk.  Dropped packets leave the active set immediately (no later table
-sees them) and their REC flag freezes as-is, mirroring the interpreter's
-mid-stage break.
+the matched/unmatched lane counts of each step — identical totals, in
+bulk.  Dropped packets leave the live set immediately and their REC flag
+freezes as-is, mirroring the interpreter's mid-stage break.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
+
 import numpy as _np
 
-from repro.fastpath.compiler import Binding, CompiledChain, FoldedStep
-
-#: Header/metadata fields materialized as columns (everything a match key
-#: may read or a vector action may write, minus the pass/flag state the
-#: kernel tracks separately).
-COLUMN_FIELDS = (
-    "tenant_id",
-    "src_ip",
-    "dst_ip",
-    "src_port",
-    "dst_port",
-    "protocol",
-    "dscp",
+from repro.fastpath.compiler import (
+    COLUMN_FIELDS,
+    COLUMNS,
+    Block,
+    _compile_binding,
+    residual_fields,
 )
+
+_TENANT = COLUMNS.index("tenant_id")
+_EGRESS = COLUMNS.index("egress_port")
+_EGRESS_SET = COLUMNS.index("egress_set")
+_REC = COLUMNS.index("rec")
+_DROPPED = COLUMNS.index("dropped")
+_HEADER = attrgetter(*COLUMN_FIELDS)
+#: Rank-major matching goes on while a rank assigns at least 1 in this
+#: many of the lanes it tested.
+_PRODUCTIVE = 32
+#: Lane x rule tests per round of the per-block walk (bounds its temporaries).
+_BLOCK_TESTS = 1 << 15
+
+
+def _test(values, preds, masked: int):
+    """Do ``values`` (lanes x fields) pass ``preds`` (rules x (a, b) x
+    fields — one rule per lane, or broadcast against the lanes)?  The
+    first ``masked`` fields are masked equality ``(v & a) == b``, the rest
+    ranges ``a <= v <= b``.  Field by field: a reduction over so short an
+    axis costs several times the compares themselves."""
+    ok = True
+    for f in range(values.shape[-1]):
+        v, a, b = values[..., f], preds[..., 0, f], preds[..., 1, f]
+        ok = ok & (((v & a) == b) if f < masked else ((v >= a) & (v <= b)))
+    return ok
+
+
+class TableStack:
+    """One physical table as the kernel sees it: every cached block of the
+    table concatenated, row 0 being the table's default action.
+
+    ``index`` maps ``(tenant, pass)`` to the block's ``(first row, number
+    of rows)``; ``preds``/``wen``/``wval`` are the blocks' arrays stacked
+    (:class:`~repro.fastpath.compiler.Block`); ``scalar[row]`` indexes
+    ``fns`` (the scalar bindings) or is -1.  Immutable once built, so a
+    run can keep using it while the engine builds the next one.
+    """
+
+    __slots__ = (
+        "table", "cols", "masked", "index", "preds", "wen", "wval", "scalar", "fns",
+    )
+
+    def __init__(self, table, blocks: dict, registry) -> None:
+        """``blocks`` is ``tenant -> {pass: Block}`` for this table."""
+        self.table = table
+        fields, self.masked = residual_fields(table)
+        self.cols = _np.array([COLUMNS.index(f.name) for f in fields], _np.intp)
+        default = Block(
+            _np.zeros((1, 2, len(fields)), _np.int64),
+            (_compile_binding(table.default_action, table.default_params, registry),),
+        )
+        self.index = {}
+        stacked = [default]
+        rows = 1
+        for tenant, by_pass in blocks.items():
+            for pass_id, block in by_pass.items():
+                self.index[tenant, pass_id] = (rows, len(block))
+                stacked.append(block)
+                rows += len(block)
+        self.preds = _np.concatenate([b.preds for b in stacked])
+        self.wen = _np.concatenate([b.wen for b in stacked])
+        self.wval = _np.concatenate([b.wval for b in stacked])
+        self.fns = []
+        self.scalar = _np.full(rows, -1, _np.intp)
+        first = 0
+        for block in stacked:
+            for r in block.scalar:
+                self.scalar[first + r] = len(self.fns)
+                self.fns.append(block.bindings[r])
+            first += len(block)
 
 
 class NumpyKernel:
-    """Vectorized plan execution over int64 header columns."""
+    """Vectorized execution of a whole batch over the table stacks."""
 
-    def run(self, plan: CompiledChain, packets: list, pipeline) -> list[int]:
-        """Execute ``plan`` over same-tenant first-pass ``packets``,
-        mutating them in place; returns each packet's pass count."""
+    def run(self, stacks, packets: list, pipeline) -> list[int]:
+        """Execute first-pass ``packets`` (any mix of tenants whose blocks
+        are in ``stacks``, one :class:`TableStack` per table in walk
+        order), mutating them in place; returns each packet's pass count."""
         n = len(packets)
-        cols = {
-            f: _np.fromiter((getattr(p, f) for p in packets), _np.int64, count=n)
-            for f in COLUMN_FIELDS
-        }
-        rec = _np.zeros(n, bool)
-        dropped = _np.zeros(n, bool)
-        active = _np.ones(n, bool)
-        egress = _np.zeros(n, _np.int64)
-        egress_set = _np.zeros(n, bool)
+        state = _np.zeros((n, len(COLUMNS)), _np.int64)
+        state[:, : len(COLUMN_FIELDS)] = _np.fromiter(
+            chain.from_iterable(map(_HEADER, packets)),
+            _np.int64, n * len(COLUMN_FIELDS),
+        ).reshape(n, len(COLUMN_FIELDS))
         for i, p in enumerate(packets):
             if p.egress_port is not None:
-                egress[i] = p.egress_port
-                egress_set[i] = True
+                state[i, _EGRESS] = p.egress_port
+                state[i, _EGRESS_SET] = 1
         final_pass = _np.ones(n, _np.int64)
-        state = (cols, rec, dropped, active, egress, egress_set, packets)
-        max_passes = len(plan.passes)
-        for pi, steps in enumerate(plan.passes):
-            if not active.any():
-                break
-            pnum = pi + 1
-            final_pass[active] = pnum
-            rec[active] = False
-            for step in steps:
-                if not active.any():
+        lanes = _np.arange(n)
+        max_passes = pipeline.max_passes
+        for pnum in range(1, max_passes + 1):
+            final_pass[lanes] = pnum
+            state[lanes, _REC] = 0
+            for stack in stacks:
+                self._step(stack, pnum, lanes, state, packets)
+                lanes = lanes[state[lanes, _DROPPED] == 0]
+                if not lanes.size:
                     break
-                if isinstance(step, FoldedStep):
-                    count = int(active.sum())
-                    if step.hit:
-                        step.table.hits += count
-                    else:
-                        step.table.misses += count
-                    self._apply(step.binding, active.copy(), state)
-                    continue
-                unassigned = active.copy()
-                for ce in step.entries:
-                    if not unassigned.any():
-                        break
-                    m = unassigned
-                    for pred in ce.preds:
-                        m = m & self._pred_mask(pred, cols)
-                        if not m.any():
-                            break
-                    if m is unassigned:
-                        m = unassigned.copy()
-                    if m.any():
-                        step.table.hits += int(m.sum())
-                        self._apply(ce.binding, m, state)
-                        unassigned = unassigned & ~m
-                if unassigned.any():
-                    step.table.misses += int(unassigned.sum())
-                    self._apply(step.default, unassigned, state)
-            if pnum >= max_passes:
-                overflowing = int((active & rec).sum())
-                if overflowing:
-                    pipeline.recirculation_overflows += overflowing
+            lanes = lanes[state[lanes, _REC] != 0]
+            if not lanes.size:
                 break
-            active = active & rec
+            if pnum == max_passes:
+                pipeline.recirculation_overflows += int(lanes.size)
         # -- writeback -----------------------------------------------------
-        tenant_c = cols["tenant_id"]
-        src_ip_c = cols["src_ip"]
-        dst_ip_c = cols["dst_ip"]
-        src_port_c = cols["src_port"]
-        dst_port_c = cols["dst_port"]
-        proto_c = cols["protocol"]
-        dscp_c = cols["dscp"]
         passes_out = final_pass.tolist()
-        rec_l = rec.tolist()
-        dropped_l = dropped.tolist()
-        egress_l = egress.tolist()
-        egress_set_l = egress_set.tolist()
-        tenant_l = tenant_c.tolist()
-        src_ip_l = src_ip_c.tolist()
-        dst_ip_l = dst_ip_c.tolist()
-        src_port_l = src_port_c.tolist()
-        dst_port_l = dst_port_c.tolist()
-        proto_l = proto_c.tolist()
-        dscp_l = dscp_c.tolist()
-        for i, p in enumerate(packets):
-            p.tenant_id = tenant_l[i]
-            p.src_ip = src_ip_l[i]
-            p.dst_ip = dst_ip_l[i]
-            p.src_port = src_port_l[i]
-            p.dst_port = dst_port_l[i]
-            p.protocol = proto_l[i]
-            p.dscp = dscp_l[i]
+        columns = state.T.tolist()
+        for i, (p, tenant, src_ip, dst_ip, src_port, dst_port, proto, dscp,
+                egress, egress_set, rec, dropped) in enumerate(zip(packets, *columns)):
+            p.tenant_id = tenant
+            p.src_ip = src_ip
+            p.dst_ip = dst_ip
+            p.src_port = src_port
+            p.dst_port = dst_port
+            p.protocol = proto
+            p.dscp = dscp
             p.pass_id = passes_out[i]
-            p.recirculate = rec_l[i]
-            p.dropped = dropped_l[i]
-            p.egress_port = egress_l[i] if egress_set_l[i] else None
+            p.recirculate = rec != 0
+            p.dropped = dropped != 0
+            p.egress_port = egress if egress_set else None
         return passes_out
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _pred_mask(pred: tuple, cols: dict):
-        kind = pred[0]
-        if kind == "exact":
-            return cols[pred[1]] == pred[2]
-        if kind == "mask":
-            return (cols[pred[1]] & pred[2]) == pred[3]
-        # range
-        col = cols[pred[1]]
-        return (col >= pred[2]) & (col <= pred[3])
+    def _match(stack: TableStack, pnum: int, cur):
+        """The winning stack row of every lane of ``cur`` (the live lanes'
+        state, all in pass ``pnum``); row 0 — the default — on a miss."""
+        rows = _np.zeros(len(cur), _np.intp)
+        if not stack.index:
+            return rows
+        tenants, inverse = _np.unique(cur[:, _TENANT], return_inverse=True)
+        spans = _np.array(
+            [stack.index.get((t, pnum), (0, 0)) for t in tenants.tolist()], _np.intp
+        )[inverse]
+        first, count = spans[:, 0], spans[:, 1]
+        if not stack.cols.size:
+            return first  # nothing left to test: rank 0 wins, no block = row 0
+        values = cur[:, stack.cols]
+        masked = stack.masked
+        todo = _np.flatnonzero(count)
+        # Rank-major across tenants: rank r of every unassigned lane's block
+        # in one test.  Cheap while hits come early; each round costs a
+        # gather of one rule row per lane, so once a rank assigns almost
+        # nobody the lanes left are in for a long walk ...
+        rank = 0
+        while todo.size:
+            at = first[todo] + rank
+            ok = _test(values[todo], stack.preds[at], masked)
+            rows[todo[ok]] = at[ok]
+            rank += 1
+            tested = todo.size
+            todo = todo[~ok]
+            productive = (tested - todo.size) * _PRODUCTIVE >= tested
+            todo = todo[count[todo] > rank]
+            if not productive:
+                break
+        # ... which goes block by block: a block's lanes against slices of
+        # its remaining rules, broadcast, no per-lane gather of rule rows.
+        todo = todo[_np.argsort(first[todo])]
+        edges = _np.flatnonzero(_np.diff(first[todo])) + 1
+        for lanes_b in _np.split(todo, edges) if todo.size else ():
+            at, end = first[lanes_b[0]] + rank, first[lanes_b[0]] + count[lanes_b[0]]
+            while lanes_b.size and at < end:
+                step = max(1, _BLOCK_TESTS // lanes_b.size)
+                ok = _test(values[lanes_b, None], stack.preds[at : min(end, at + step)], masked)
+                hit = ok.any(1)
+                rows[lanes_b[hit]] = at + ok[hit].argmax(1)
+                lanes_b = lanes_b[~hit]
+                at += step
+        return rows
 
-    @staticmethod
-    def _apply(b: Binding, mask, state) -> None:
-        """Apply one binding to the packets selected by ``mask``."""
-        cols, rec, dropped, active, egress, egress_set, packets = state
-        if b.kind == "scalar":
-            # Per-packet call of the real registered function: these only
+    @classmethod
+    def _step(cls, stack: TableStack, pnum: int, lanes, state, packets) -> None:
+        """Apply one table to the live ``lanes`` (all in pass ``pnum``)."""
+        cur = state[lanes]
+        rows = cls._match(stack, pnum, cur)
+        hits = int(_np.count_nonzero(rows))
+        stack.table.hits += hits
+        stack.table.misses += lanes.size - hits
+        state[lanes] = _np.where(stack.wen[rows], stack.wval[rows], cur)
+        if stack.fns:
+            # Per-lane call of the real registered function: these only
             # touch scratch/extern state, drop and REC, so the flags are
             # shuttled through the real Packet around the call.
-            for i in _np.nonzero(mask)[0]:
-                pkt = packets[i]
-                pkt.recirculate = bool(rec[i])
+            scalar = stack.scalar[rows]
+            for j in _np.flatnonzero(scalar >= 0).tolist():
+                i = lanes[j]
+                binding, pkt = stack.fns[scalar[j]], packets[i]
+                pkt.recirculate = bool(state[i, _REC])
                 pkt.dropped = False
-                b.fn(pkt, b.params)
+                binding.fn(pkt, binding.params)
                 if pkt.recirculate:
-                    rec[i] = True
+                    state[i, _REC] = 1
                 if pkt.dropped:
-                    dropped[i] = True
-                    active[i] = False
-            return
-        if b.drop:
-            dropped[mask] = True
-            active[mask] = False
-            return
-        for fname, value in b.writes:
-            cols[fname][mask] = value
-        if b.egress is not None:
-            egress[mask] = b.egress
-            egress_set[mask] = True
-        if b.rec:
-            rec[mask] = True
+                    state[i, _DROPPED] = 1

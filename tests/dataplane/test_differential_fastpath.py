@@ -10,6 +10,9 @@ sampling) the postcard stream.
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.dataplane.pipeline import SwitchPipeline
 from repro.dataplane.runtime_api import RuntimeAPI
 from repro.dataplane.table import (
@@ -287,3 +290,229 @@ def test_scalar_state_actions_stay_identical():
         r.packet.scratch.get("_counters") for r in ref_results
     ), "counter never fired"
     assert_identical(ref, got, ref_results, got_results)
+
+
+# ----------------------------------------------------------------------
+# Many tenants in one kernel run (tenant id is a lane column)
+# ----------------------------------------------------------------------
+class _TwinFleet:
+    """The same many-tenant switch twice — interpreter and fast path —
+    driven in lockstep and compared after every step."""
+
+    def __init__(self, tenants: int) -> None:
+        from tests.dataplane.differential.fleet import Fleet
+
+        self.ref = Fleet(tenants, fastpath=False)
+        self.got = Fleet(tenants, fastpath=True)
+        for side in (self.ref, self.got):
+            side.pipeline.telemetry = PostcardCollector(sample_every=5, capacity=8192)
+        #: An ID with nothing installed (until the direct install below).
+        self.lanes = self.ref.tenant_ids + [500]
+
+    def both(self, op):
+        return [op(side) for side in (self.ref, self.got)]
+
+    def check(self, seed: int, per_flow: int = 3):
+        from tests.dataplane.differential.fleet import make_batch
+
+        ref_results = self.ref.pipeline.process_batch_interpreted(
+            make_batch(self.lanes, per_flow, seed)
+        )
+        got_results = self.got.pipeline.process_batch(
+            make_batch(self.lanes, per_flow, seed)
+        )
+        assert_identical(self.ref.pipeline, self.got.pipeline, ref_results, got_results)
+        ref_t, got_t = self.ref.pipeline.telemetry, self.got.pipeline.telemetry
+        assert ref_t.snapshot() == got_t.snapshot()
+        assert [c.to_dict() for c in ref_t.cards] == [c.to_dict() for c in got_t.cards]
+        assert self.ref.counters.packets.tolist() == self.got.counters.packets.tolist()
+        assert self.ref.counters.bytes.tolist() == self.got.counters.bytes.tolist()
+        return ref_results
+
+
+def test_many_tenants_interleaved_in_one_batch():
+    """18 tenants of six kinds (straight, folded, rules in one table only,
+    pass-2-only rules, an interpreter-fallback tenant, a ``count_extern``
+    tenant) plus an unknown ID, lanes interleaved, through every way the
+    tables get written — bit-identical to the interpreter at each step."""
+    from repro.dataplane.runtime_api import OpType, WriteOp
+    from tests.dataplane.differential.fleet import flows_of, sfc_of
+
+    twin = _TwinFleet(18)
+    engine = twin.got.engine
+    runs = []
+    real_run = engine.kernel.run
+    engine.kernel.run = lambda *args: runs.append(len(args[1])) or real_run(*args)
+
+    results = twin.check(seed=1)
+    assert any(r.passes > 1 for r in results), "nothing recirculated"
+    assert any(r.packet.dropped for r in results), "no firewall ever denied"
+    assert twin.ref.counters.packets.sum() > 0, "count_extern never fired"
+    assert engine.stats["fallback_packets"] > 0
+    # One kernel run for the whole batch, 16 tenants' lanes in it.
+    assert runs == [engine.stats["compiled_packets"]] and runs[0] > 100
+
+    # A RuntimeAPI write: flip a straight tenant's first firewall rule.
+    def flip(side):
+        api = side.controller.installer.api
+        victim = side.pipeline.stage(0).table("firewall@s0").partition(
+            side.wire_id(1)
+        )[0][1]
+        replacement = TableEntry(
+            match=victim.match, action="drop", params={}, priority=victim.priority
+        )
+        assert api.modify("firewall@s0", victim, replacement).ok
+
+    twin.both(flip)
+    compiles = engine.stats["compiles"]
+    results = twin.check(seed=2)
+    assert engine.stats["compiles"] == compiles + 1  # tenant 1, nobody else
+
+    # Make-before-break: a straight tenant becomes a folded one, with the
+    # tenant's traffic pushed through between the phases.
+    between = [[], []]
+
+    def modify(side, seen):
+        def on_batch(phase, _result):
+            packets = [f.make_packet(64) for f in flows_of(7) for _ in range(2)]
+            seen.extend(
+                (phase,) + result_key(r) for r in side.pipeline.process_batch(packets)
+            )
+
+        side.controller.installer.on_batch = on_batch
+        assert side.controller.modify(7, sfc_of(7, "folded")).ok
+        side.controller.installer.on_batch = None
+
+    modify(twin.ref, between[0])
+    modify(twin.got, between[1])
+    assert between[0] == between[1] and len(between[0]) == 3 * 8
+    twin.check(seed=3)
+
+    # The bench's write: evict two tenants and admit them again.
+    twin.both(lambda side: [side.rewrite(t) for t in (4, 11)])
+    twin.check(seed=4)
+
+    # A rolled-back batch: nothing changed; only the tenant whose partition
+    # it wrote (and restored) recompiles.
+    def poisoned(side):
+        api = side.controller.installer.api
+        result = api.write([
+            WriteOp(OpType.INSERT, "router@s3", TableEntry(
+                match={"tenant_id": side.wire_id(2), "pass_id": 1,
+                       "dst_ip": (0, 0)},
+                action="drop", priority=999,
+            )),
+            WriteOp(OpType.DELETE, "router@s3", TableEntry(match={}, action="no_op")),
+        ])
+        assert not result.ok
+
+    twin.check(seed=5)
+    compiles = engine.stats["compiles"]
+    twin.both(poisoned)
+    twin.check(seed=5)
+    assert engine.stats["compiles"] == compiles + 1
+
+    # A direct virtualizer install, behind RuntimeAPI's back, under the ID
+    # whose lanes have been missing everywhere so far.
+    def install(side):
+        nfs = tuple(
+            LogicalNF(nf_name=name, rules=(CATCH_ALLS[name],))
+            for name in ("traffic_classifier", "router")
+        )
+        SFCVirtualizer(side.pipeline).install_sfc(LogicalSFC(tenant_id=500, nfs=nfs))
+
+    twin.both(install)
+    results = twin.check(seed=6)
+    assert any(
+        r.packet.tenant_id == 500 and r.packet.egress_port == 1 for r in results
+    )
+    # One run per process_batch call to the end (7 checks + 3 mid-modify).
+    assert len(runs) == engine.stats["batches"] == 10
+
+
+def test_unrelated_rewrite_recompiles_only_the_rewritten_tenants():
+    """Negative verdicts are as precise as positive ones: with metered
+    (fallback) tenants resident, an evict + admit of two other tenants
+    costs exactly two compiles at the next batch."""
+    from tests.dataplane.differential.fleet import Fleet, kind_of, make_batch
+
+    fleet = Fleet(18, fastpath=True)
+    metered = [t for t in fleet.tenant_ids if kind_of(t) == "metered"]
+    assert len(metered) == 3
+    fleet.pipeline.process_batch(make_batch(fleet.tenant_ids, 1, seed=1))
+    engine = fleet.engine
+    compiles = engine.stats["compiles"]
+    assert compiles == len(fleet.tenant_ids)
+    for tenant_id in (1, 2):  # a straight and a folded tenant
+        fleet.rewrite(tenant_id)
+    fleet.pipeline.process_batch(make_batch(fleet.tenant_ids, 1, seed=2))
+    assert engine.stats["compiles"] == compiles + 2
+    # Rewriting a metered tenant re-analyses that tenant alone.
+    fleet.rewrite(metered[0])
+    fleet.pipeline.process_batch(make_batch(fleet.tenant_ids, 1, seed=3))
+    assert engine.stats["compiles"] == compiles + 3
+    assert engine.plan_for(metered[0]).fallback_reason is not None
+
+
+def _random_rule(rng):
+    """A rule over the harness's every-match-kind key with an action the
+    kernel has a distinct code path for."""
+    from tests.dataplane.differential.harness import TENANTS, random_entry
+
+    base = random_entry(rng)
+    action, params = [
+        ("permit", {}),
+        ("drop", {}),
+        ("no_op", {"rec": True}),
+        ("set_dscp", {"dscp": int(rng.integers(0, 64))}),
+        ("set_dscp", {"dscp": int(rng.integers(0, 64)), "rec": True}),
+        ("set_tenant", {"wire_id": int(rng.choice(TENANTS))}),
+        ("count", {"counter": "c"}),
+        ("rate_limit", {"burst": 1, "rec": True}),
+    ][int(rng.integers(0, 8))]
+    return TableEntry(
+        match=base.match, action=action, params=params, priority=base.priority
+    )
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_random_tables_tenants_and_batches_stay_identical(seed):
+    """Random shared/own-partition rules of every match kind (wildcard
+    tenants and passes included), ``set_tenant`` anywhere, two tables in
+    one stage, direct mutations between batches."""
+    from tests.dataplane.differential.harness import KEY, random_packet
+
+    rng = make_rng(seed)
+    rules = [[_random_rule(rng) for _ in range(int(rng.integers(0, 14)))] for _ in "ab"]
+    extra = [_random_rule(rng) for _ in range(4)]
+
+    def build():
+        pl = SwitchPipeline(spec=SwitchSpec(stages=1, blocks_per_stage=8), max_passes=3)
+        for name, entries in zip("ab", rules):
+            t = MatchActionTable(name, key=KEY)
+            t.insert_many(entries)
+            pl.stage(0).install_table(t)
+        return pl
+
+    ref, got = build(), build()
+    FastPathEngine.attach(got)
+    for step in range(3):
+        batch_seed = int(rng.integers(0, 2**31))
+        batches = []
+        for _side in range(2):
+            batch_rng = make_rng(batch_seed)
+            packets = [random_packet(batch_rng) for _ in range(24)]
+            for p in packets:
+                p.pass_id = 1
+            batches.append(packets)
+        assert_identical(
+            ref, got,
+            ref.process_batch_interpreted(batches[0]),
+            got.process_batch(batches[1]),
+        )
+        for pl in (ref, got):
+            table = pl.stage(0).table("ab"[step % 2])
+            table.insert(extra[step])
+            if table.num_entries > 2:
+                table.delete(table.entries[1])

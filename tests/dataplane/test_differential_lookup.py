@@ -48,6 +48,46 @@ def test_differential_empty_and_tiny_tables():
     assert twins.fast.misses == twins.oracle.misses >= 25
 
 
+def test_differential_many_tenants_all_range_rules():
+    """A virtualized firewall's shape: 40 tenants x 2 passes, every rule
+    carrying a port range (overlapping, mixed priorities) next to the
+    exact/ternary/LPM fields.  The index buckets them by ``(tenant, pass,
+    ...)`` and checks only the ranges inside; winners stay identical
+    through per-tenant teardown and a restore."""
+    rng = make_rng(DEFAULT_SEED + 77)
+    tenants = range(100, 140)
+    twins = TwinTables()
+    for tenant in tenants:
+        for _ in range(12):
+            lo = int(rng.integers(0, 1536))
+            match = {
+                "tenant_id": tenant,
+                "pass_id": int(rng.integers(1, 3)),
+                "dst_port": (lo, lo + int(rng.integers(0, 512))),
+            }
+            if rng.random() < 0.5:
+                match["protocol"] = int(rng.choice((6, 17)))
+            if rng.random() < 0.3:
+                match["dst_ip"] = (0x0A000000, int(rng.choice((8, 16))))
+            twins.insert(TableEntry(
+                match=match, action="permit", params={},
+                priority=int(rng.integers(0, 3)),
+            ))
+
+    def check(count: int) -> None:
+        for _ in range(count):
+            packet = random_packet(rng)
+            packet.tenant_id = int(rng.integers(98, 142))
+            twins.check_lookup(packet)
+
+    check(400)
+    assert twins.fast.hits > 100, "the ranges never matched"
+    for tenant in (100, 119, 139):
+        assert twins.delete_where(tenant_id=tenant) == 12
+    twins.snapshot_restore_roundtrip()
+    check(200)
+
+
 class _TwinRuntime:
     """Two single-stage pipelines (indexed vs oracle table) driven through
     identical :class:`RuntimeAPI` batches, including failing ones."""

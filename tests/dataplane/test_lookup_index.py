@@ -2,7 +2,7 @@
 
 The differential harness proves equivalence statistically; these tests pin
 the structural behaviors directly — shape grouping, bucket ordering,
-residue early exit, insert-time spec validation, and index consistency
+range-bucket early exit, insert-time spec validation, and index consistency
 through every mutation path.
 """
 
@@ -61,13 +61,25 @@ class TestShapeGrouping:
         index.add(TableEntry(match={"dst_ip": (456, 0)}, action="permit"), 2)
         assert index.num_shapes == 1
 
-    def test_range_specs_go_to_residue(self):
+    def test_range_specs_are_bucketed_by_their_other_fields(self):
+        # A range is not masked equality: it is checked inside the bucket
+        # the entry's *other* fields select, so tenant 2's packets never
+        # scan tenant 1's range rules.
         index = LookupIndex(KEY)
-        index.add(
-            TableEntry(match={"tenant_id": 1, "dst_port": (0, 80)}, action="drop"), 0
-        )
-        assert index.num_shapes == 0
-        assert index.residue_size == 1
+        for tenant in (1, 2):
+            for order, hi in enumerate((80, 443)):
+                index.add(
+                    TableEntry(match={"tenant_id": tenant, "dst_port": (0, hi)},
+                               action="drop"),
+                    tenant * 10 + order,
+                )
+        assert index.num_shapes == 1
+        (group,) = index._groups.values()
+        assert sorted(group.buckets) == [(1,), (2,)]
+        assert all(len(b) == 2 for b in group.buckets.values())
+        hit = index.lookup(Packet(tenant_id=2, dst_port=100))
+        assert hit.match == {"tenant_id": 2, "dst_port": (0, 443)}
+        assert index.lookup(Packet(tenant_id=2, dst_port=500)) is None
 
 
 class TestRanking:
