@@ -97,17 +97,14 @@ def run_one(workload_arrays, num_switches: int, churn_fraction: float) -> dict:
 
 
 def differential_check(num_switches: int = 3) -> dict:
-    """Decision-identity audit: the same grid-bandwidth workload through
-    the scale model and through a real no-link fabric in the matching
+    """Decision-identity audit: the same workload through the scale model and through a real no-link fabric in the matching
     accounting mode must admit the same tenants to the same preference
     ranks."""
     from repro.controller.admission import AdmissionPolicy
     from repro.fabric import FabricOrchestrator, ModuloPartitioner
     from repro.fabric.topology import FabricTopology, SwitchNode
 
-    arrays = synthesize_fill(
-        WORKLOAD, DIFFERENTIAL_TENANTS, rng=DEFAULT_SEED, grid_bandwidth=True
-    )
+    arrays = synthesize_fill(WORKLOAD, DIFFERENTIAL_TENANTS, rng=DEFAULT_SEED)
     scale = ScaleFabric(
         num_switches, switch=SCALE_SPEC, max_recirculations=1,
         num_types=WORKLOAD.num_types,

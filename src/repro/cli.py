@@ -29,6 +29,7 @@ import argparse
 import sys
 
 from repro._version import __version__
+from repro.errors import ReproError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -1264,7 +1265,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:  # a typed refusal is one line, not a traceback
+        print(f"sfp: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,7 +45,6 @@ from repro.core.greedy import _ensure_all_types, greedy_place, sfc_metric, try_p
 from repro.core.placement import NFAssignment, Placement
 from repro.core.spec import SFC, ProblemInstance
 from repro.core.state import PipelineState
-from repro.core.update import merge_churn, rule_churn_by_stage
 from repro.dataplane.pipeline import SwitchPipeline
 from repro.dataplane.table import TableEntry
 from repro.dataplane.virtualization import LogicalNF, LogicalSFC, physical_table_name
@@ -68,6 +67,25 @@ def default_rule_factory(sfc: SFC, position: int, nf_name: str) -> tuple[TableEn
     observe which tables a packet traverses, without installing the full
     accounting-scale rule set."""
     return (TableEntry(match={}, action="permit", priority=-1),)
+
+
+def rule_churn_by_stage(
+    sfc: SFC, stages: Iterable[int], num_physical_stages: int
+) -> dict[int, int]:
+    """Rule entries a chain assignment installs (or removes), per *physical*
+    stage: virtual stage ``k`` folds onto physical stage ``(k - 1) % S``."""
+    churn: dict[int, int] = {}
+    for j, k in enumerate(stages):
+        s = (k - 1) % num_physical_stages
+        churn[s] = churn.get(s, 0) + sfc.rules[j]
+    return churn
+
+
+def merge_churn(into: dict[int, int], other: dict[int, int]) -> dict[int, int]:
+    """Accumulate one per-stage churn dict into another (in place)."""
+    for s, count in other.items():
+        into[s] = into.get(s, 0) + count
+    return into
 
 
 @dataclass
@@ -96,7 +114,7 @@ class OpResult:
     hitless: bool = True
     latency_s: float = 0.0
     #: Rule-entry churn under the shared control-plane accounting
-    #: (:func:`repro.core.update.rule_churn_by_stage`).
+    #: (:func:`rule_churn_by_stage`).
     rules_added: int = 0
     rules_deleted: int = 0
 

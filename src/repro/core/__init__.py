@@ -3,7 +3,7 @@
 Joint placement of *physical* NFs (type -> pipeline stage, variables
 ``x_ik``) and *logical* NFs (chain position -> virtual stage, variables
 ``z_ijkl``) to maximize offloaded tenant traffic, plus the LP-relaxation
-rounding algorithm, the greedy baseline, and the runtime-update engine.
+rounding algorithm and the greedy baseline.
 
 Module map (paper section -> module):
 
@@ -11,20 +11,13 @@ Module map (paper section -> module):
 * §V-A IP formulation       -> :mod:`repro.core.ilp`
 * §V-B/§V-C Algorithm 1     -> :mod:`repro.core.rounding`
 * §V-D Algorithm 2 (greedy) -> :mod:`repro.core.greedy`
-* §V-E runtime update       -> :mod:`repro.core.update`
+* §V-E runtime update       -> :mod:`repro.controller` (``SfcController``)
 * solution representation   -> :mod:`repro.core.placement`
 * feasibility checking      -> :mod:`repro.core.verify`
 """
 
-from repro.core.extensions import (
-    SubNFExpansion,
-    account_nf_state,
-    collapse_assignment,
-    expand_multi_stage_nfs,
-)
 from repro.core.greedy import greedy_place
 from repro.core.ilp import PlacementILP, build_placement_model, solve_ilp
-from repro.core.separate import solve_separate
 from repro.core.placement import NFAssignment, Placement
 from repro.core.rounding import RoundingResult, sfc_metric, solve_with_rounding
 from repro.core.spec import (
@@ -34,7 +27,6 @@ from repro.core.spec import (
     SwitchSpec,
     default_nf_catalog,
 )
-from repro.core.update import RuntimeUpdater, UpdateResult
 from repro.core.verify import check_placement
 
 __all__ = [
@@ -45,19 +37,12 @@ __all__ = [
     "PlacementILP",
     "ProblemInstance",
     "RoundingResult",
-    "RuntimeUpdater",
-    "SubNFExpansion",
     "SwitchSpec",
-    "UpdateResult",
-    "account_nf_state",
     "build_placement_model",
     "check_placement",
-    "collapse_assignment",
     "default_nf_catalog",
-    "expand_multi_stage_nfs",
     "greedy_place",
     "sfc_metric",
     "solve_ilp",
-    "solve_separate",
     "solve_with_rounding",
 ]

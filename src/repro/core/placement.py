@@ -101,10 +101,6 @@ class Placement:
     # Chain-level quantities
     # ------------------------------------------------------------------
     @property
-    def placed_indices(self) -> list[int]:
-        return sorted(self.assignments)
-
-    @property
     def num_placed(self) -> int:
         return len(self.assignments)
 

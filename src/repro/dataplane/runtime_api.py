@@ -64,15 +64,6 @@ class RuntimeAPI:
         _stage, table = self.pipeline.find_table(table_name)
         return list(table.entries)  # type: ignore[attr-defined]
 
-    def table_stats(self, table_name: str) -> dict[str, int]:
-        """Entry count and hit/miss counters for ``table_name``."""
-        _stage, table = self.pipeline.find_table(table_name)
-        return {
-            "entries": table.num_entries,       # type: ignore[attr-defined]
-            "hits": table.hits,                 # type: ignore[attr-defined]
-            "misses": table.misses,             # type: ignore[attr-defined]
-        }
-
     # -- writes ------------------------------------------------------------
     def _apply_one(self, op: WriteOp) -> None:
         """Apply one op (no rollback bookkeeping: :meth:`write` restores

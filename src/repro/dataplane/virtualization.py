@@ -285,34 +285,6 @@ class SFCVirtualizer:
         self._rollback(record)
         return record.sfc
 
-    def retag_tenant(self, old_tenant: int, new_tenant: int) -> int:
-        """§V-E: re-assign a live SFC's global tenant ID by rewriting the
-        tenant-ID field of every installed rule in place (rule MODIFYs, no
-        resource churn).  Returns the number of rules rewritten."""
-        if new_tenant in self.installed:
-            raise DataPlaneError(f"tenant {new_tenant} already has an SFC installed")
-        record = self.installed.pop(old_tenant, None)
-        if record is None:
-            raise DataPlaneError(f"tenant {old_tenant} has no installed SFC")
-        rewritten = 0
-        for installed_rule in record.rules:
-            table = self.pipeline.stage(installed_rule.stage_index).table(
-                installed_rule.table_name
-            )
-            replacement = TableEntry(
-                match={**dict(installed_rule.entry.match), "tenant_id": new_tenant},
-                action=installed_rule.entry.action,
-                params=installed_rule.entry.params,
-                priority=installed_rule.entry.priority,
-            )
-            table.delete(installed_rule.entry)
-            table.insert(replacement)
-            installed_rule.entry = replacement
-            rewritten += 1
-        record.sfc = LogicalSFC(tenant_id=new_tenant, nfs=record.sfc.nfs)
-        self.installed[new_tenant] = record
-        return rewritten
-
     def tenant_passes(self, tenant_id: int) -> int:
         """Pipeline passes the tenant's traffic consumes (``R_l + 1``)."""
         record = self.installed.get(tenant_id)

@@ -127,14 +127,6 @@ class FastPathEngine:
             self._blocks = [{} for _ in self._tables]
             self._stacks = [None] * len(self._tables)
 
-    def invalidate_tenant(self, tenant_id: int) -> None:
-        """Drop one tenant's cached verdict if present.  Its blocks stay
-        filed (another tenant's lanes may be rewritten onto them) until the
-        recompile refiles them."""
-        with self._lock:
-            if self._plans.pop(tenant_id, None) is not None:
-                self.stats["invalidations"] += 1
-
     @property
     def cached_plans(self) -> int:
         return len(self._plans)

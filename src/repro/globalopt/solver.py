@@ -72,12 +72,6 @@ class GlobalSolution:
     kept: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def moves_vs(self, current: dict[int, TenantPlan]) -> int:
-        """How many tenants this solution would relocate."""
-        return sum(
-            1 for tid, plan in self.plans.items() if plan != current.get(tid)
-        )
-
 
 def _footprint_weight(foot: TenantFootprint) -> tuple:
     """FFD sort key: heaviest tenants place first (descending rules, then

@@ -10,9 +10,7 @@ available here, so this package is a small modeling layer over scipy's HiGHS:
   its export to sparse (CSR) matrix form,
 * :mod:`repro.lp.solver` — the single entry point :func:`~repro.lp.solver.solve`:
   export, HiGHS ``linprog`` / ``milp``, :class:`~repro.lp.status.Solution`,
-* :mod:`repro.lp.status` — solve statuses and the solution object,
-* :mod:`repro.lp.writer` — CPLEX-LP export for checking a model in an
-  external solver.
+* :mod:`repro.lp.status` — solve statuses and the solution object.
 
 The placement layer (:mod:`repro.core`) only ever talks to
 :func:`repro.lp.solver.solve`.
@@ -23,7 +21,6 @@ from repro.lp.expr import LinExpr, Var, lin_sum
 from repro.lp.model import Model, Objective
 from repro.lp.solver import solve
 from repro.lp.status import Solution, SolveStatus
-from repro.lp.writer import write_lp
 
 __all__ = [
     "Constraint",
@@ -36,5 +33,4 @@ __all__ = [
     "Var",
     "lin_sum",
     "solve",
-    "write_lp",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,13 +149,6 @@ class Model:
         self.constraints.append(constraint)
         return constraint
 
-    def add_constrs(self, constraints: Iterable[Constraint], prefix: str = "") -> list[Constraint]:
-        """Register several constraints, named ``prefix[i]`` when given."""
-        out = []
-        for i, constr in enumerate(constraints):
-            out.append(self.add_constr(constr, f"{prefix}[{i}]" if prefix else ""))
-        return out
-
     # -- objective ---------------------------------------------------------
     def set_objective(self, expr: LinExpr | Var, sense: Objective = Objective.MINIMIZE) -> None:
         """Set the objective expression and direction."""
@@ -169,10 +162,6 @@ class Model:
         self.objective_sense = sense
 
     # -- evaluation helpers ---------------------------------------------------
-    def objective_value(self, assignment: Sequence[float] | np.ndarray) -> float:
-        """Objective value of an assignment, in the model's own sense."""
-        return self.objective_expr.value(assignment)
-
     def check_feasible(
         self,
         assignment: Sequence[float] | np.ndarray,

@@ -1,23 +1,20 @@
-"""Stateful NF implementations backed by real switch externs.
+"""A stateful NF backed by a real switch extern.
 
-The catalog's :class:`~repro.nfs.rate_limiter.RateLimiter` and
-:class:`~repro.nfs.misc.Monitor` use simplified per-packet scratch state so
-their rules stay plain data.  These variants are the §VII "NF states" story
-done properly: each *instance* owns SRAM-resident extern state
-(:class:`~repro.dataplane.registers.MeterArray` /
-:class:`~repro.dataplane.registers.CounterArray`) whose fixed footprint is
-declared up front, and its rules bind the extern by reference.
+The catalog's :class:`~repro.nfs.rate_limiter.RateLimiter` uses simplified
+per-packet scratch state so its rules stay plain data.  This variant keeps
+its token buckets in SRAM-resident extern state
+(:class:`~repro.dataplane.registers.MeterArray`), and its rules bind the
+extern by reference — the ``meter_police`` action the data plane and the
+end-to-end benchmark's metered tenants exercise.
 
-They are deliberately instance-scoped (one object per installed NF) rather
-than registry entries: extern bindings are runtime objects, not serializable
-rule data.
+It is deliberately instance-scoped (one object per installed NF) rather
+than a registry entry: extern bindings are runtime objects, not
+serializable rule data.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.dataplane.registers import CounterArray, MeterArray
+from repro.dataplane.registers import MeterArray
 from repro.dataplane.table import MatchField, MatchKind, TableEntry
 from repro.errors import DataPlaneError
 from repro.nfs.base import NFDefinition
@@ -56,17 +53,6 @@ class MeteredRateLimiter(NFDefinition):
             MatchField("protocol", MatchKind.EXACT),
         ]
 
-    @property
-    def state_bits(self) -> int:
-        """Declared SRAM footprint of the meter state (2 buckets + stamp
-        per slot, 64 bits each) — what §VII says must be fixed up front."""
-        return self.slots * 3 * 64
-
-    def state_entries(self, rule_bits: int = 64) -> int:
-        """The state footprint in rule-entry units, for
-        :func:`repro.core.extensions.account_nf_state`."""
-        return -(-self.state_bits // rule_bits)
-
     def generate_rules(self, rng, count: int) -> list[TableEntry]:
         rng = make_rng(rng)
         rules: list[TableEntry] = []
@@ -77,50 +63,6 @@ class MeteredRateLimiter(NFDefinition):
                     match={"src_ip": (src, 0xFFFFFF00), "protocol": 6},
                     action="meter_police",
                     params={"meter": self.meter, "index": i % self.slots},
-                )
-            )
-        return rules
-
-
-class ExternMonitor(NFDefinition):
-    """Per-aggregate byte/packet accounting in a :class:`CounterArray`."""
-
-    name = "extern_monitor"
-    type_id = 10  # same catalog slot as the scratch-space monitor
-
-    def __init__(self, slots: int = 128) -> None:
-        if slots < 1:
-            raise DataPlaneError("need at least one counter slot")
-        self.slots = slots
-        self.counters = CounterArray(f"{self.name}_counters", size=slots)
-
-    def match_fields(self) -> list[MatchField]:
-        return [
-            MatchField("dst_ip", MatchKind.TERNARY),
-            MatchField("protocol", MatchKind.EXACT),
-        ]
-
-    @property
-    def state_bits(self) -> int:
-        return self.slots * 2 * 64  # packet + byte cell per slot
-
-    def state_entries(self, rule_bits: int = 64) -> int:
-        """State footprint in rule-entry units (for NF-state accounting)."""
-        return -(-self.state_bits // rule_bits)
-
-    def generate_rules(self, rng, count: int) -> list[TableEntry]:
-        rng = make_rng(rng)
-        rules: list[TableEntry] = []
-        for i in range(count):
-            dst = int(0x0A000000 + rng.integers(0, 2**24))
-            rules.append(
-                TableEntry(
-                    match={
-                        "dst_ip": (dst, 0xFFFFFF00),
-                        "protocol": int(rng.choice(np.array([6, 17]))),
-                    },
-                    action="count_extern",
-                    params={"counter": self.counters, "index": i % self.slots},
                 )
             )
         return rules

@@ -13,17 +13,23 @@ Files are JSON by default (:func:`save_spec`/:func:`load_spec`); ``.yaml``
 /``.yml`` paths work when PyYAML is importable and raise a clear
 :class:`~repro.errors.ScenarioError` when it is not (the CI image installs
 it; the library never hard-depends on it).
+
+Every malformed spec — a missing key, a list where a mapping belongs, a
+string, ``null`` or NaN where a number belongs, an arrival rate the
+compiler could not finish — ends in :class:`~repro.errors.ScenarioError`
+at construction or parse time, never in a bare exception or a hang later.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 from repro.core.spec import SwitchSpec
-from repro.errors import ScenarioError
+from repro.errors import ReproError, ScenarioError
 from repro.fabric.topology import FabricTopology
 from repro.traffic.workload import WorkloadConfig
 
@@ -40,6 +46,45 @@ FAULT_KINDS = ("drain", "undrain", "reoptimize")
 
 #: Topology builders a spec may name.
 TOPOLOGY_KINDS = ("full_mesh", "ring")
+
+#: Upper bound on a phase's expected arrival draws (peak rate x duration).
+#: The library's busiest phase draws ~600; past this bound the compiler's
+#: thinning loop would run for minutes, so the spec is refused instead.
+MAX_PHASE_ARRIVALS = 1_000_000
+
+
+def _check_number(where: str, value, integer: bool = False) -> None:
+    """Refuse what JSON can put in a numeric field besides a number — a
+    string, ``null``, a boolean — and the non-finite floats, which pass
+    every ``<=`` guard because NaN compares false."""
+    kind = Integral if integer else Real
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        expected = "an integer" if integer else "a finite number"
+        raise ScenarioError(f"{where} must be {expected}, got {value!r}")
+
+
+def _check_text(where: str, value) -> None:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where} must be a string, got {value!r}")
+
+
+def _checked_record(cls, record, where: str) -> dict:
+    """``record`` after checking it is a mapping whose values fit ``cls``'s
+    scalar fields: an ``int``-defaulted field takes an integer, a
+    ``float``-defaulted one a finite number."""
+    if not isinstance(record, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {record!r}")
+    for f in fields(cls):
+        if f.name in record:
+            _check_number(
+                f"{where}.{f.name}", record[f.name],
+                integer=isinstance(f.default, int),
+            )
+    return record
 
 
 @dataclass(frozen=True)
@@ -67,6 +112,11 @@ class LoadCurve:
             raise ScenarioError(
                 f"unknown load curve kind {self.kind!r}; choices: {CURVE_KINDS}"
             )
+        for name in ("rate_per_s", "spike_start_frac", "spike_width_frac"):
+            _check_number(name, getattr(self, name))
+        for name in ("peak_per_s", "period_s"):
+            if getattr(self, name) is not None:
+                _check_number(name, getattr(self, name))
         if self.rate_per_s <= 0:
             raise ScenarioError("rate_per_s must be positive")
         if self.kind != "constant" and self.peak_per_s is None:
@@ -142,6 +192,8 @@ class FaultAction:
     switch: str = ""
 
     def __post_init__(self) -> None:
+        _check_number("fault at_s", self.at_s)
+        _check_text("fault switch", self.switch)
         if self.at_s < 0:
             raise ScenarioError("fault at_s must be >= 0")
         if self.kind not in FAULT_KINDS:
@@ -175,6 +227,8 @@ class ModifyBurst:
     fraction: float
 
     def __post_init__(self) -> None:
+        _check_number("burst at_s", self.at_s)
+        _check_number("burst fraction", self.fraction)
         if self.at_s < 0:
             raise ScenarioError("burst at_s must be >= 0")
         if not 0.0 < self.fraction <= 1.0:
@@ -205,8 +259,11 @@ class PhaseSpec:
     bursts: tuple[ModifyBurst, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_text("phase name", self.name)
         if not self.name:
             raise ScenarioError("phases need a non-empty name")
+        for name in ("duration_s", "mean_lifetime_s", "modify_fraction"):
+            _check_number(f"phase {self.name!r}: {name}", getattr(self, name))
         if self.duration_s <= 0:
             raise ScenarioError(f"phase {self.name!r}: duration must be positive")
         if self.mean_lifetime_s <= 0:
@@ -216,6 +273,12 @@ class PhaseSpec:
         if not 0.0 <= self.modify_fraction <= 1.0:
             raise ScenarioError(
                 f"phase {self.name!r}: modify_fraction must be in [0, 1]"
+            )
+        arrivals = self.load.max_rate(self.duration_s) * self.duration_s
+        if arrivals > MAX_PHASE_ARRIVALS:
+            raise ScenarioError(
+                f"phase {self.name!r}: peak rate x duration = {arrivals:.3g} "
+                f"arrival draws, above the {MAX_PHASE_ARRIVALS:,} bound"
             )
         object.__setattr__(self, "faults", tuple(self.faults))
         object.__setattr__(self, "bursts", tuple(self.bursts))
@@ -280,6 +343,9 @@ class TopologySpec:
             raise ScenarioError(
                 f"unknown topology kind {self.kind!r}; choices: {TOPOLOGY_KINDS}"
             )
+        _check_number("num_switches", self.num_switches, integer=True)
+        _check_number("max_recirculations", self.max_recirculations, integer=True)
+        _check_number("link_capacity_gbps", self.link_capacity_gbps)
         if self.num_switches < 1:
             raise ScenarioError("num_switches must be >= 1")
         if self.max_recirculations < 0:
@@ -323,7 +389,9 @@ class TopologySpec:
         return cls(
             kind=record["kind"],
             num_switches=record["num_switches"],
-            switch=SwitchSpec.from_dict(record["switch"]),
+            switch=SwitchSpec.from_dict(
+                _checked_record(SwitchSpec, record["switch"], "topology.switch")
+            ),
             max_recirculations=record["max_recirculations"],
             link_capacity_gbps=record["link_capacity_gbps"],
         )
@@ -347,7 +415,7 @@ def _workload_to_dict(workload: WorkloadConfig) -> dict:
 
 def _workload_from_dict(record: dict) -> WorkloadConfig:
     """Inverse of :func:`_workload_to_dict`."""
-    return WorkloadConfig(**record)
+    return WorkloadConfig(**_checked_record(WorkloadConfig, record, "workload"))
 
 
 @dataclass(frozen=True)
@@ -365,8 +433,13 @@ class ScenarioSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("name", "partitioner", "description"):
+            _check_text(f"scenario {name}", getattr(self, name))
         if not self.name:
             raise ScenarioError("scenarios need a non-empty name")
+        _check_number("scenario seed", self.seed, integer=True)
+        if self.seed < 0:
+            raise ScenarioError(f"scenario seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "phases", tuple(self.phases))
         if not self.phases:
             raise ScenarioError(f"scenario {self.name!r} has no phases")
@@ -440,16 +513,29 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, record: dict) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=record["name"],
-            description=record.get("description", ""),
-            seed=record.get("seed", 0),
-            partitioner=record.get("partitioner", "hash"),
-            topology=TopologySpec.from_dict(record["topology"]),
-            workload=_workload_from_dict(record["workload"]),
-            phases=tuple(PhaseSpec.from_dict(p) for p in record["phases"]),
-        )
+        """Inverse of :meth:`to_dict`.  Any malformed record — a missing
+        key, a wrong container type, an invalid workload or switch — raises
+        :class:`ScenarioError`."""
+        try:
+            return cls(
+                name=record["name"],
+                description=record.get("description", ""),
+                seed=record.get("seed", 0),
+                partitioner=record.get("partitioner", "hash"),
+                topology=TopologySpec.from_dict(record["topology"]),
+                workload=_workload_from_dict(record["workload"]),
+                phases=tuple(PhaseSpec.from_dict(p) for p in record["phases"]),
+            )
+        except ScenarioError:
+            raise
+        except KeyError as exc:
+            raise ScenarioError(f"malformed scenario spec: missing key {exc}") from exc
+        except (
+            ReproError, TypeError, ValueError, AttributeError, ArithmeticError
+        ) as exc:
+            raise ScenarioError(
+                f"malformed scenario spec: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def to_json(self) -> str:
         """Canonical JSON text (sorted keys, 2-space indent)."""

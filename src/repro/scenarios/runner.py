@@ -190,22 +190,15 @@ class ScenarioRunner:
     def __init__(
         self,
         fabric: FabricOrchestrator,
-        check_invariants: bool = True,
         traffic_packets: int = 0,
-        traffic_seed: int = 0,
     ) -> None:
         self.fabric = fabric
         self.engine = ChurnEngine(fabric)
-        #: Audit the fabric at every phase boundary (the acceptance mode).
-        #: Switching it off skips the O(state) recompute for pure
-        #: throughput measurements; digests are still recorded.
-        self.check_invariants = check_invariants
         #: Per-tenant packets injected at every phase boundary (0 = off).
         #: Needs a fabric with the data plane; with fast-path engines
         #: attached this is what drives campaign traffic through the
         #: compiled kernels end to end.
         self.traffic_packets = traffic_packets
-        self.traffic_seed = traffic_seed
 
     def _run_traffic(self, phase: PhaseReport) -> None:
         """Inject ``traffic_packets`` packets per live tenant through each
@@ -226,7 +219,7 @@ class ScenarioRunner:
             assert shard.pipeline is not None
             batch = []
             for tenant_id in by_switch[switch]:
-                gen = FlowGenerator(self.traffic_seed + tenant_id)
+                gen = FlowGenerator(tenant_id)
                 flows = gen.flows(4, tenant_id=tenant_id)
                 batch.extend(
                     gen.packets(flows, self.traffic_packets, size_bytes=64)
@@ -242,10 +235,9 @@ class ScenarioRunner:
 
     def _close_phase(self, phase: PhaseReport) -> None:
         self._run_traffic(phase)
-        if self.check_invariants:
-            phase.invariant_problems = self.fabric.check_invariant()
-            if phase.invariant_problems:
-                self.fabric.metrics.inc("scenario.invariant_violations")
+        phase.invariant_problems = self.fabric.check_invariant()
+        if phase.invariant_problems:
+            self.fabric.metrics.inc("scenario.invariant_violations")
         phase.digest = self.fabric.digest()
 
     def run(self, campaign: CompiledCampaign) -> CampaignReport:
@@ -314,7 +306,6 @@ def run_campaign(
     wal_dir: str | None = None,
     fsync: str = "batch",
     partitioner: str | None = None,
-    check_invariants: bool = True,
     fastpath: bool = False,
     traffic_packets: int = 0,
 ) -> tuple[FabricOrchestrator, CampaignReport]:
@@ -340,11 +331,7 @@ def run_campaign(
 
         durability = FabricDurability(wal_dir, fsync=fsync).attach(fabric)
     try:
-        report = ScenarioRunner(
-            fabric,
-            check_invariants=check_invariants,
-            traffic_packets=traffic_packets,
-        ).run(campaign)
+        report = ScenarioRunner(fabric, traffic_packets=traffic_packets).run(campaign)
     finally:
         if durability is not None:
             durability.close()

@@ -82,14 +82,11 @@ def synthesize_fill(
     workload: WorkloadConfig,
     num_tenants: int,
     rng: int | np.random.Generator | None = None,
-    grid_bandwidth: bool = False,
 ) -> FillArrays:
     """Draw ``num_tenants`` chains as flat arrays — the vectorized twin of
     :func:`~repro.traffic.workload.make_sfcs` (same recipe: uniform
     lengths, types sampled without replacement, uniform rules, long-tail
-    bandwidth).  ``grid_bandwidth=True`` snaps demands to a 0.5 Gbps grid
-    so every bandwidth sum is exact in floating point regardless of
-    accumulation order — the mode differential tests use."""
+    bandwidth)."""
     rng = make_rng(rng)
     lo = workload.avg_chain_length - workload.chain_length_spread
     hi = workload.avg_chain_length + workload.chain_length_spread
@@ -101,17 +98,14 @@ def synthesize_fill(
     rules = rng.integers(
         workload.rules_min, workload.rules_max + 1, size=(num_tenants, hi)
     ).astype(np.int32)
-    if grid_bandwidth:
-        bandwidths = 0.5 * rng.integers(1, 9, size=num_tenants).astype(np.float64)
-    else:
-        bandwidths = lognormal_bandwidth(
-            rng,
-            num_tenants,
-            mean_gbps=workload.mean_bandwidth_gbps,
-            sigma=workload.bandwidth_sigma,
-            min_gbps=workload.min_bandwidth_gbps,
-            max_gbps=workload.max_bandwidth_gbps,
-        )
+    bandwidths = lognormal_bandwidth(
+        rng,
+        num_tenants,
+        mean_gbps=workload.mean_bandwidth_gbps,
+        sigma=workload.bandwidth_sigma,
+        min_gbps=workload.min_bandwidth_gbps,
+        max_gbps=workload.max_bandwidth_gbps,
+    )
     return FillArrays(
         lengths=lengths, types=types, rules=rules, bandwidths=bandwidths
     )

@@ -72,10 +72,6 @@ class Trace:
             return 0.0
         return self.records[-1].timestamp_ns - self.records[0].timestamp_ns
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.size_bytes for r in self.records)
-
     def offered_gbps(self) -> float:
         """Average offered load over the trace's span (wire rate)."""
         if len(self.records) < 2 or self.duration_ns <= 0:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.controller import AdmissionPolicy, SfcController
+from repro.controller.controller import merge_churn, rule_churn_by_stage
 from repro.core.greedy import greedy_place
-from repro.core.spec import ProblemInstance, SwitchSpec
+from repro.core.spec import SFC, ProblemInstance, SwitchSpec
 from repro.core.state import PipelineState
 from repro.core.verify import check_placement
 from repro.traffic.workload import WorkloadConfig, make_sfcs
@@ -63,6 +64,36 @@ def test_evict_releases_everything(controller):
     assert controller.state.backplane_gbps == 0.0
     assert controller.pipeline.total_entries() == 0
     assert_state_matches_recompute(controller)
+
+
+def test_evict_keeps_physical_nfs_installed(controller):
+    # The physical pipeline is static: a departure deletes rules only.
+    controller.admit(chain(1))
+    physical = controller.state.physical.copy()
+    tables = [t.name for stage in controller.pipeline.stages for t in stage.tables]
+    assert controller.evict(1).ok
+    assert physical.any() and np.array_equal(controller.state.physical, physical)
+    assert [t.name for stage in controller.pipeline.stages for t in stage.tables] == tables
+
+
+def test_evict_then_admit_never_moves_survivors(controller):
+    # §V-E: arrivals go into residual resources; live chains stay put.
+    assert controller.admit(chain(1)).ok
+    assert controller.admit(chain(2, nf_types=(3, 1), rules=(150, 150))).ok
+    assert controller.admit(chain(3, nf_types=(2, 3), rules=(20, 20))).ok
+    survivors = {t: controller.tenants[t].stages for t in (1, 3)}
+    assert controller.evict(2).ok
+    assert controller.admit(chain(4, nf_types=(3, 1), rules=(30, 30))).ok
+    assert {t: controller.tenants[t].stages for t in (1, 3)} == survivors
+    assert_state_matches_recompute(controller)
+
+
+def test_rule_churn_by_stage_folds_virtual_onto_physical_stages():
+    sfc = SFC(name="x", nf_types=(1, 2, 1), rules=(10, 20, 30), bandwidth_gbps=1.0)
+    # Virtual stages (1, 2, 4) on a 3-stage switch fold position 2 back to
+    # physical stage 0, pooling its rules with position 0's.
+    assert rule_churn_by_stage(sfc, (1, 2, 4), 3) == {0: 40, 1: 20}
+    assert merge_churn({0: 5}, {0: 40, 2: 1}) == {0: 45, 2: 1}
 
 
 def test_modify_swaps_chain(controller):

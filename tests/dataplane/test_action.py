@@ -4,6 +4,7 @@ import pytest
 
 from repro.dataplane.action import default_actions
 from repro.dataplane.packet import Packet
+from repro.dataplane.registers import CounterArray
 from repro.errors import DataPlaneError
 
 
@@ -84,6 +85,15 @@ def test_count_increments(actions):
     _run(actions, "count", p, counter="c")
     _run(actions, "count", p, counter="c")
     assert p.scratch["_counters"]["c"] == 2
+
+
+def test_count_extern_adds_packets_and_bytes(actions):
+    counters = CounterArray("c", size=2)
+    for size in (64, 1500):
+        _run(actions, "count_extern", Packet(size_bytes=size),
+             counter=counters, index=1)
+    assert counters.read(1) == (2, 1564)
+    assert counters.read(0) == (0, 0)
 
 
 def test_unknown_action_rejected(actions):

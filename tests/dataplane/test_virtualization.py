@@ -200,39 +200,3 @@ class TestEndToEnd:
         virtualizer.install_sfc(sfc)
         result = pipeline.process(Packet(tenant_id=4))
         assert result.delivered
-
-
-class TestRetag:
-    def test_retag_moves_rules_to_new_tenant(self, pipeline, virtualizer):
-        virtualizer.install_sfc(_sfc(1, ("firewall", (wildcard("drop"),))))
-        rewritten = virtualizer.retag_tenant(1, 9)
-        assert rewritten == 1
-        assert pipeline.process(Packet(tenant_id=9)).packet.dropped
-        assert pipeline.process(Packet(tenant_id=1)).delivered
-        assert 9 in virtualizer.installed and 1 not in virtualizer.installed
-        assert virtualizer.installed[9].sfc.tenant_id == 9
-
-    def test_retag_preserves_resources_and_passes(self, pipeline, virtualizer):
-        virtualizer.install_sfc(
-            _sfc(1, ("load_balancer", (wildcard(),)), ("firewall", (wildcard(),)))
-        )
-        entries_before = pipeline.total_entries()
-        virtualizer.retag_tenant(1, 2)
-        assert pipeline.total_entries() == entries_before
-        assert virtualizer.tenant_passes(2) == 2
-
-    def test_retag_unknown_tenant_rejected(self, virtualizer):
-        with pytest.raises(DataPlaneError):
-            virtualizer.retag_tenant(5, 6)
-
-    def test_retag_onto_live_tenant_rejected(self, virtualizer):
-        virtualizer.install_sfc(_sfc(1, ("firewall", (wildcard(),))))
-        virtualizer.install_sfc(_sfc(2, ("firewall", (wildcard(),))))
-        with pytest.raises(DataPlaneError):
-            virtualizer.retag_tenant(1, 2)
-
-    def test_retagged_sfc_can_be_uninstalled(self, pipeline, virtualizer):
-        virtualizer.install_sfc(_sfc(1, ("firewall", (wildcard(),))))
-        virtualizer.retag_tenant(1, 3)
-        virtualizer.uninstall_sfc(3)
-        assert pipeline.total_entries() == 0

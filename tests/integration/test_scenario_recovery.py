@@ -74,7 +74,7 @@ def crash_run(tmp_path, campaign, point, mode):
     )
     durability.attach(fabric)
     try:
-        ScenarioRunner(fabric, check_invariants=False).run(campaign)
+        ScenarioRunner(fabric).run(campaign)
     except CrashError:
         pass
     durable = durability.wal.durable_offset

@@ -1,14 +1,13 @@
-"""Tests for extern-backed stateful NFs (meter policing, counter monitor)."""
+"""Tests for the extern-backed metered rate limiter (meter policing)."""
 
 import pytest
 
 from repro.core.spec import SwitchSpec
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import SwitchPipeline
-from repro.dataplane.table import TableEntry
 from repro.dataplane.virtualization import LogicalNF, LogicalSFC, SFCVirtualizer
 from repro.errors import DataPlaneError
-from repro.nfs.stateful import ExternMonitor, MeteredRateLimiter
+from repro.nfs.stateful import MeteredRateLimiter
 
 
 def _deploy(nf, rules):
@@ -23,11 +22,6 @@ def _deploy(nf, rules):
 
 
 class TestMeteredRateLimiter:
-    def test_state_footprint_declared(self):
-        nf = MeteredRateLimiter(slots=64)
-        assert nf.state_bits == 64 * 3 * 64
-        assert nf.state_entries() == 192
-
     def test_green_traffic_passes(self):
         nf = MeteredRateLimiter(slots=4, committed_bps=8e9, burst_bytes=100_000)
         rule = nf.generate_rules(rng=1, count=1)[0]
@@ -76,47 +70,3 @@ class TestMeteredRateLimiter:
         with pytest.raises(DataPlaneError):
             MeteredRateLimiter(slots=0)
 
-
-class TestExternMonitor:
-    def test_counts_bytes_and_packets(self):
-        nf = ExternMonitor(slots=4)
-        rule = nf.generate_rules(rng=2, count=1)[0]
-        pipeline = _deploy(nf, [rule])
-        dst, _ = rule.match["dst_ip"]
-        proto = rule.match["protocol"]
-        for size in (64, 1500):
-            pipeline.process(
-                Packet(tenant_id=1, dst_ip=dst, protocol=proto, size_bytes=size)
-            )
-        packets, total = nf.counters.read(rule.params["index"])
-        assert packets == 2
-        assert total == 1564
-
-    def test_wildcard_rule_counts_everything(self):
-        nf = ExternMonitor(slots=1)
-        rule = TableEntry(match={}, action="count_extern",
-                          params={"counter": nf.counters, "index": 0})
-        pipeline = _deploy(nf, [rule])
-        for _ in range(5):
-            pipeline.process(Packet(tenant_id=1, size_bytes=100))
-        assert nf.counters.read(0) == (5, 500)
-
-    def test_state_footprint(self):
-        assert ExternMonitor(slots=128).state_entries() == 256
-
-    def test_state_accounting_integration(self):
-        """The declared state footprint plugs into the §VII extension."""
-        from repro.core.extensions import account_nf_state
-        from repro.core.spec import SFC, ProblemInstance
-
-        nf = ExternMonitor(slots=128)
-        switch = SwitchSpec(stages=2, blocks_per_stage=4, block_bits=6400,
-                            rule_bits=64, capacity_gbps=50.0)
-        inst = ProblemInstance(
-            switch=switch,
-            sfcs=(SFC(name="a", nf_types=(10,), rules=(100,), bandwidth_gbps=1.0),),
-            num_types=10,
-            max_recirculations=0,
-        )
-        charged = account_nf_state(inst, {10: nf.state_entries()})
-        assert charged.sfcs[0].rules == (100 + 256,)

@@ -153,6 +153,13 @@ class TestAllocation:
         assert spans["nf0"] == 1          # firewall: one big table
         assert spans["nf2"] >= 2          # LB spans stages (sub-NFs)
 
+    def test_lb_spans_two_stages(self):
+        # The load balancer's three-table program (Fig. 2) needs two MAUs:
+        # tab_lbhash -> tab_lbselect is a match dependency.
+        prog = chain_program([get_nf("load_balancer")])
+        alloc = allocate_stages(prog, num_stages=12, tables_per_stage=8)
+        assert alloc.span("nf0_") == 2
+
     def test_span_of_unknown_prefix_is_zero(self):
         prog = chain_program([get_nf("firewall")])
         alloc = allocate_stages(prog)

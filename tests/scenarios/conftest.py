@@ -2,6 +2,9 @@
 exercising every event kind (load curves, faults, bursts, modifies) over a
 tight 3-switch fabric, plus the library workload."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.spec import SwitchSpec
@@ -67,6 +70,21 @@ def make_tiny_spec(**overrides) -> ScenarioSpec:
     )
     fields.update(overrides)
     return ScenarioSpec(**fields)
+
+
+@contextmanager
+def time_bound(seconds: float):
+    """Fail with ``TimeoutError`` (not hang) when the body runs too long."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"no verdict within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -2,12 +2,14 @@
 :class:`ScenarioError`, round-trips are exact, and ``shrunk`` rescales
 time without changing the campaign's shape."""
 
+import json
 import math
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import ScenarioError
+from repro.scenarios.compile import compile_scenario
 from repro.scenarios.dsl import (
     FaultAction,
     LoadCurve,
@@ -17,7 +19,7 @@ from repro.scenarios.dsl import (
     load_spec,
     save_spec,
 )
-from tests.scenarios.conftest import make_tiny_spec
+from tests.scenarios.conftest import make_tiny_spec, time_bound
 
 
 class TestLoadCurve:
@@ -205,3 +207,48 @@ class TestSerialization:
         )
         back = ScenarioSpec.from_json(odd.to_json())
         assert back.phases[0].duration_s == math.pi
+
+
+def _set(path, value):
+    """A mutation of the tiny spec's dict form: ``path`` walks keys and
+    list indices; ``value`` is ``...`` to delete the last key."""
+    def mutate(record):
+        *walk, last = path
+        node = record
+        for key in walk:
+            node = node[key]
+        if value is ...:
+            del node[last]
+        else:
+            node[last] = value
+        return record
+    return mutate
+
+
+MALFORMED = {
+    "nan-rate": _set(("phases", 0, "load", "rate_per_s"), math.nan),
+    "inf-duration": _set(("phases", 1, "duration_s"), math.inf),
+    "nan-workload-bandwidth": _set(("workload", "mean_bandwidth_gbps"), math.nan),
+    "unbounded-rate": _set(("phases", 0, "load", "rate_per_s"), 1e12),
+    "missing-name": _set(("name",), ...),
+    "missing-fault-at": _set(("phases", 1, "faults", 0, "at_s"), ...),
+    "phases-null": _set(("phases",), None),
+    "topology-list": _set(("topology",), []),
+    "load-string": _set(("phases", 0, "load"), "constant"),
+    "switch-list": _set(("topology", "switch"), [4, 6]),
+    "duration-string": _set(("phases", 0, "duration_s"), "abc"),
+    "seed-string": _set(("seed",), "x"),
+    "seed-negative": _set(("seed",), -1),
+    "num-switches-fraction": _set(("topology", "num_switches"), 2.5),
+    "rule-bits-zero": _set(("topology", "switch", "rule_bits"), 0),
+    "workload-unknown-key": _set(("workload", "bogus"), 1),
+    "phase-name-number": _set(("phases", 0, "name"), 7),
+    "record-list": lambda record: [record],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_spec_is_a_scenario_error_within_a_time_bound(case):
+    text = json.dumps(MALFORMED[case](make_tiny_spec().to_dict()))
+    with time_bound(5.0), pytest.raises(ScenarioError):
+        compile_scenario(ScenarioSpec.from_json(text))

@@ -67,13 +67,6 @@ class TestRun:
         with pytest.raises(ScenarioError, match="precedes the first phase"):
             runner.run(headless)
 
-    def test_invariant_checks_can_be_disabled(self, tiny_spec):
-        fabric = build_fabric(tiny_spec)
-        runner = ScenarioRunner(fabric, check_invariants=False)
-        report = runner.run(compile_scenario(tiny_spec))
-        assert report.ok  # vacuously: no problems were looked for
-        assert all(p.digest for p in report.phases)
-
     def test_wal_dir_journal_recovers(self, tiny_spec, tmp_path):
         from repro.durability import recover_fabric
 

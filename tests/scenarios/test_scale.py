@@ -65,13 +65,6 @@ class TestSynthesizeFill:
             assert len(set(row.tolist())) == len(row)
             assert row.min() >= 1 and row.max() <= TINY_WORKLOAD.num_types
 
-    def test_grid_bandwidths_land_on_the_half_gbps_grid(self):
-        arrays = synthesize_fill(TINY_WORKLOAD, 300, rng=7, grid_bandwidth=True)
-        doubled = arrays.bandwidths * 2.0
-        assert np.array_equal(doubled, np.round(doubled))
-        assert arrays.bandwidths.min() >= 0.5
-        assert arrays.bandwidths.max() <= 4.0
-
     def test_same_seed_same_arrays(self):
         a = synthesize_fill(TINY_WORKLOAD, 100, rng=11)
         b = synthesize_fill(TINY_WORKLOAD, 100, rng=11)
@@ -169,9 +162,7 @@ class TestScaleFabricUnit:
 class TestDecisionIdentity:
     @pytest.mark.parametrize("num_switches", [1, 3, 4])
     def test_scale_matches_real_fabric_admit_for_admit(self, num_switches):
-        arrays = synthesize_fill(
-            TINY_WORKLOAD, 250, rng=20260807, grid_bandwidth=True
-        )
+        arrays = synthesize_fill(TINY_WORKLOAD, 250, rng=20260807)
         scale = make_scale(num_switches=num_switches)
         real = make_real_twin(scale)
         for i in range(arrays.num_tenants):
@@ -210,9 +201,7 @@ class TestDecisionIdentity:
             )
 
     def test_interleaved_evictions_stay_identical(self):
-        arrays = synthesize_fill(
-            TINY_WORKLOAD, 150, rng=41, grid_bandwidth=True
-        )
+        arrays = synthesize_fill(TINY_WORKLOAD, 150, rng=41)
         scale = make_scale()
         real = make_real_twin(scale)
         rng = make_rng(5)

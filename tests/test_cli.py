@@ -1,8 +1,11 @@
 """Tests for the sfp command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from tests.scenarios.conftest import make_tiny_spec, time_bound
 
 
 def test_version(capsys):
@@ -197,11 +200,10 @@ def test_fabric_journals_then_recovers(capsys, tmp_path):
     assert "fabric invariant: OK" in out
 
 
-def test_recover_rejects_a_directory_without_a_manifest(tmp_path):
-    from repro.errors import DurabilityError
-
-    with pytest.raises(DurabilityError, match="no .* in"):
-        main(["recover", str(tmp_path / "nowhere")])
+def test_recover_rejects_a_directory_without_a_manifest(capsys, tmp_path):
+    assert main(["recover", str(tmp_path / "nowhere")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sfp: error: no ") and " in " in err
 
 
 def test_scenario_list_names_every_campaign(capsys):
@@ -227,6 +229,33 @@ def test_scenario_run_smoke_audits_every_phase(capsys):
 def test_scenario_run_needs_a_name_or_spec(capsys):
     assert main(["scenario", "run"]) == 2
     assert "NAME or --spec" in capsys.readouterr().err
+
+
+def _nan_rate_spec() -> str:
+    record = make_tiny_spec().to_dict()
+    record["phases"][0]["load"]["rate_per_s"] = float("nan")
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ('{"name": "bad", "phases": [', "unparseable scenario JSON"),
+        ('{"name": "bad"}', "missing key 'topology'"),
+        (_nan_rate_spec(), "rate_per_s must be a finite number"),
+    ],
+    ids=["broken-json", "missing-key", "nan-rate"],
+)
+def test_scenario_run_reports_a_bad_spec_in_one_line(capsys, tmp_path, text, reason):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    with time_bound(10.0):
+        assert main(["scenario", "run", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sfp: error: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_scenario_compile_writes_a_verifiable_trace(capsys, tmp_path):

@@ -1,13 +1,21 @@
-"""The serving path does not pay for the solver: importing the server, the
-fabric, the controller and the data plane loads no ``scipy`` module; the
-first ``solve()`` of the process does (DESIGN §14)."""
+"""Import hygiene.
 
+* The serving path does not pay for the solver: importing the server, the
+  fabric, the controller and the data plane loads no ``scipy`` module; the
+  first ``solve()`` of the process does (DESIGN §14).
+* The public surface is what something runs: every ``src/repro`` module is
+  reached, by static import, from a CLI command, the HTTP server, an
+  experiment, an example or the end-to-end benchmark.
+"""
+
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SCRIPT = """
 import sys
@@ -57,3 +65,74 @@ def test_serving_imports_load_no_scipy_and_the_solver_still_solves():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+#: Modules allowed to be unreached, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "repro.scenarios.scale": "kept for `bench_scale.py` until ROADMAP 1(b)'s "
+    "fleet-size workload replaces it; 3(b)",
+}
+
+
+def _repro_modules() -> dict[str, Path]:
+    modules = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
+
+
+def test_every_module_is_reached_from_something_that_runs():
+    """Walk the static import graph (no import is executed) from the roots.
+    Imports inside function bodies count: the solver imports are lazy.  A
+    name imported from a package resolves to the module that defines it, so
+    a package ``__init__`` re-export does not by itself keep a module alive;
+    a module's ancestor packages count as reached with it."""
+    modules = _repro_modules()
+    trees = {name: ast.parse(path.read_text()) for name, path in modules.items()}
+
+    def resolve(module: str, name: str) -> str | None:
+        if f"{module}.{name}" in modules:
+            return f"{module}.{name}"
+        if module not in modules:
+            return None
+        if modules[module].name == "__init__.py":
+            for node in trees[module].body:
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    for alias in node.names:
+                        if (alias.asname or alias.name) == name:
+                            return resolve(node.module, alias.name)
+        return module
+
+    def imports(tree: ast.Module):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (a.name for a in node.names if a.name in modules)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                for alias in node.names:
+                    target = resolve(node.module, alias.name)
+                    if target is not None:
+                        yield target
+
+    scripts = [*(ROOT / "examples").glob("*.py"), *(ROOT / "benchmarks/e2e").glob("*.py")]
+    stack = ["repro.cli", "repro.frontend.server"]
+    stack += [name for name in modules if name.split(".")[:2] == ["repro", "experiments"]]
+    for script in scripts:
+        stack.extend(imports(ast.parse(script.read_text())))
+    reached: set[str] = set()
+    while stack:
+        module = stack.pop()
+        if module not in reached:
+            reached.add(module)
+            stack.extend(imports(trees[module]))
+    for module in list(reached):
+        parts = module.split(".")
+        reached.update(".".join(parts[:i]) for i in range(1, len(parts)))
+
+    unreached = set(modules) - reached
+    stray = sorted(unreached - set(UNREACHED_ALLOWED))
+    assert not stray, (
+        f"modules nothing runs: {', '.join(stray)}; delete them, or reach them "
+        "from a CLI command, an experiment, an example or the e2e benchmark"
+    )
+    assert set(UNREACHED_ALLOWED) <= unreached, "allowlist entry is now reached"
