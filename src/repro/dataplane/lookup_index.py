@@ -36,8 +36,10 @@ that structure:
 The ranking is identical to the reference linear scan: priority descending,
 then total LPM prefix length descending (standard P4 longest-prefix
 semantics), then insertion order.  ``order`` is a monotonically increasing
-sequence number assigned by the owning table; the index never invents
-tie-breaks of its own, which is what lets the differential harness
+sequence number assigned by the owning table, which keeps one index per
+tenant partition and merges a packet's tenant and shared winners on that
+same rank; the index never invents tie-breaks of its own, which is what
+lets the differential harness
 (``tests/dataplane/test_differential_lookup.py``) assert bit-for-bit
 agreement with the linear oracle.
 """
@@ -49,7 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.dataplane.packet import MATCHABLE_FIELDS, Packet
+from repro.dataplane.packet import MATCHABLE_FIELDS
 from repro.errors import DataPlaneError
 
 
@@ -149,17 +151,20 @@ class _ShapeGroup:
 
 
 class LookupIndex:
-    """Incremental fast-path index over one table's entries.
+    """Incremental fast-path index over one table partition's entries.
 
     The owning table calls :meth:`add` / :meth:`remove` with the entry's
-    insertion-order sequence number on every mutation and :meth:`lookup` per
-    packet; :meth:`clear` supports wholesale rebuilds (rollback restore).
+    insertion-order sequence number on every mutation of the partition and
+    :meth:`lookup` per packet.
     """
 
     def __init__(self, key: Sequence[MatchField]) -> None:
         self.key = tuple(key)
         #: shape (= extractor tuple) -> group of hash buckets.
         self._groups: dict[tuple, _ShapeGroup] = {}
+        #: order -> ``(group, bucket key, bucket item)`` as :meth:`add`
+        #: filed it, so :meth:`remove` need not classify the entry again.
+        self._filed: dict[int, tuple] = {}
 
     # -- classification ----------------------------------------------------
     def _classify(self, entry) -> tuple[tuple, tuple, tuple]:
@@ -192,20 +197,6 @@ class LookupIndex:
                 ranges.append((pos, spec[0], spec[1]))
         return tuple(extractors), tuple(values), tuple(ranges)
 
-    def _lpm_specificity(self, entry) -> int:
-        total = 0
-        for f in self.key:
-            if f.kind is MatchKind.LPM:
-                spec = entry.match.get(f.name)
-                if spec is not None:
-                    total += int(spec[1])
-        return total
-
-    def _sortkey(self, entry, order: int) -> tuple[int, int, int]:
-        """Ascending sort key mirroring the rank ``(priority desc, LPM
-        specificity desc, insertion order asc)``; unique per ``order``."""
-        return (-int(entry.priority), -self._lpm_specificity(entry), order)
-
     # -- maintenance -------------------------------------------------------
     def add(self, entry, order: int) -> None:
         """Index ``entry`` installed with sequence number ``order``."""
@@ -214,44 +205,41 @@ class LookupIndex:
         if group is None:
             group = _ShapeGroup(extractors)
             self._groups[extractors] = group
-        # ``(sortkey,)`` sorts before every item with that (unique) key.
         bucket = group.buckets.setdefault(values, [])
-        sortkey = self._sortkey(entry, order)
-        bucket.insert(bisect_left(bucket, (sortkey,)), (sortkey, entry, ranges))
+        # The sort key mirrors the rank (priority desc, LPM specificity
+        # desc, insertion order asc) and is unique per ``order``, so
+        # ``(sortkey,)`` sorts right before its item.
+        sortkey = (-int(entry.priority), -entry.lpm_specificity(self.key), order)
+        item = (sortkey, entry, ranges)
+        bucket.insert(bisect_left(bucket, (sortkey,)), item)
+        self._filed[order] = (group, values, item)
 
-    def remove(self, entry, order: int) -> None:
+    def remove(self, order: int) -> None:
         """Un-index the entry previously added with ``order``."""
-        sortkey = self._sortkey(entry, order)
-        extractors, values, _ranges = self._classify(entry)
-        group = self._groups.get(extractors)
-        bucket = group.buckets.get(values) if group is not None else None
-        if bucket is None:
+        filed = self._filed.pop(order, None)
+        if filed is None:
             raise DataPlaneError("index out of sync: entry not indexed")
-        i = bisect_left(bucket, (sortkey,))
-        if not (i < len(bucket) and bucket[i][0] == sortkey and bucket[i][1] is entry):
-            raise DataPlaneError("index out of sync: entry not indexed")
-        del bucket[i]
+        group, values, item = filed
+        bucket = group.buckets[values]
+        del bucket[bisect_left(bucket, item[:1])]
         if not bucket:
             del group.buckets[values]
             if not group.buckets:
-                del self._groups[extractors]
-
-    def clear(self) -> None:
-        """Drop every indexed entry (rebuild support)."""
-        self._groups.clear()
+                del self._groups[group.extractors]
 
     # -- lookup ------------------------------------------------------------
-    def lookup(self, packet: Packet):
-        """The winning entry for ``packet``, or ``None`` on a table miss.
+    def lookup(self, values: Sequence[int], best=None):
+        """The winning ``(sortkey, entry, ranges)`` item for a packet whose
+        key fields read ``values`` (in key order), or ``best`` — a winner
+        from another index of the same table — when nothing here outranks
+        it; ``None`` on a miss.
 
         One dict probe per shape; inside the bucket a rank-ordered scan of
         the range predicates alone, which stops at the first entry that
         passes or that the best candidate so far already outranks (an
         entry with no range spec passes at once: the bucket head).
         """
-        values = [packet.get_field(f.name) for f in self.key]
-        best_key = None
-        best_entry = None
+        best_key = None if best is None else best[0]
         for group in self._groups.values():
             probe = tuple(
                 values[pos] if mask is None else values[pos] & mask
@@ -260,16 +248,16 @@ class LookupIndex:
             bucket = group.buckets.get(probe)
             if not bucket:
                 continue
-            for sortkey, entry, ranges in bucket:
-                if best_key is not None and sortkey >= best_key:
+            for item in bucket:
+                if best_key is not None and item[0] >= best_key:
                     break  # rank-sorted: nothing further can win
-                for pos, lo, hi in ranges:
+                for pos, lo, hi in item[2]:
                     if not lo <= values[pos] <= hi:
                         break
                 else:
-                    best_key, best_entry = sortkey, entry
+                    best, best_key = item, item[0]
                     break  # first match in a bucket is the bucket's best
-        return best_entry
+        return best
 
     # -- introspection -----------------------------------------------------
     @property
@@ -277,4 +265,4 @@ class LookupIndex:
         return len(self._groups)
 
     def __len__(self) -> int:
-        return sum(len(b) for g in self._groups.values() for b in g.buckets.values())
+        return len(self._filed)

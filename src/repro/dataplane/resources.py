@@ -80,7 +80,7 @@ class StageResources:
             raise ResourceExhaustedError(f"no reservation for {owner!r}")
         return (reservation.entries_used, reservation.blocks)
 
-    def restore_reservation_state(self, owner: str, state: tuple[int, int]) -> None:
+    def reset_reservation_state(self, owner: str, state: tuple[int, int]) -> None:
         """Reset ``owner``'s reservation to a prior :meth:`reservation_state`
         snapshot.  No feasibility check: the snapshot was feasible when
         taken, and a rollback restores every touched reservation."""

@@ -5,6 +5,9 @@ INSERT / MODIFY / DELETE operations on named tables, mirroring the
 P4Runtime ``Write(WriteRequest)`` RPC.  Batches are atomic: if any operation
 fails validation or resources, the whole batch is rolled back — which is
 what lets the runtime-update engine (§V-E) swap tenant rule sets safely.
+A batch costs what it carries: each table is resolved once, a run of
+inserts into one table is charged once, and rollback replays an undo log of
+the applied ops rather than restoring table copies.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class WriteResult:
 
 
 class RuntimeAPI:
-    """Batched entry CRUD with rollback, plus simple read RPCs."""
+    """Batched entry CRUD with all-or-nothing rollback."""
 
     def __init__(self, pipeline: SwitchPipeline) -> None:
         self.pipeline = pipeline
@@ -58,43 +61,16 @@ class RuntimeAPI:
         #: a ``runtime.write`` span (child of the caller's open span).
         self.tracer: Tracer | None = None
 
-    # -- reads ------------------------------------------------------------
-    def read_entries(self, table_name: str) -> list[TableEntry]:
-        """All entries currently installed in ``table_name`` (Read RPC)."""
-        _stage, table = self.pipeline.find_table(table_name)
-        return list(table.entries)  # type: ignore[attr-defined]
-
-    # -- writes ------------------------------------------------------------
-    def _apply_one(self, op: WriteOp) -> None:
-        """Apply one op (no rollback bookkeeping: :meth:`write` restores
-        whole-table snapshots on failure)."""
-        stage, table = self.pipeline.find_table(op.table)
-        if op.op is OpType.INSERT:
-            stage.resources.charge_entries(op.table, 1)
-            table.insert(op.entry)  # type: ignore[attr-defined]
-            return
-        if op.op is OpType.DELETE:
-            table.delete(op.entry)  # type: ignore[attr-defined]
-            stage.resources.refund_entries(op.table, 1)
-            return
-        if op.op is OpType.MODIFY:
-            if op.replacement is None:
-                raise DataPlaneError("MODIFY needs a replacement entry")
-            table.delete(op.entry)  # type: ignore[attr-defined]
-            table.insert(op.replacement)  # type: ignore[attr-defined]
-            return
-        raise DataPlaneError(f"unhandled op {op.op}")  # pragma: no cover
-
     def write(self, ops: list[WriteOp]) -> WriteResult:
         """Apply a batch atomically; on any failure undo what was applied
         and report the error.
 
-        Rollback restores per-table *snapshots* rather than replaying
-        inverse ops: re-inserting a deleted entry would append it at the
-        end of the table, silently changing insertion-order tie-breaks
-        between equal-priority overlapping entries.  The snapshot restore
-        rebuilds each touched table (and its lookup index) exactly as it
-        was before the batch, resource reservations included.
+        Every applied op leaves an undo record in its table
+        (:meth:`~repro.dataplane.table.MatchActionTable.undo`): rollback
+        removes what was inserted and re-files what was deleted under its
+        original order, so rule ids and insertion-order tie-breaks between
+        equal-priority overlapping entries come back exactly.  Each touched
+        table's resource reservation is captured once and restored too.
 
         With a :attr:`tracer` attached each batch is timed as a
         ``runtime.write`` span annotated with op and applied counts.
@@ -112,45 +88,64 @@ class RuntimeAPI:
         """The untraced batch application :meth:`write` wraps."""
         result = WriteResult()
         self.batches_total += 1
-        #: table name -> (stage, table, entries snapshot, reservation state,
-        #: pre-batch generation), captured on first touch.
+        #: table name -> (stage, table, reservation state, undo records),
+        #: resolved and captured on first touch.
         touched: dict[str, tuple] = {}
-        #: table name -> entries written (insert/delete targets and MODIFY
-        #: replacements), reported to an attached fast-path engine so it
-        #: can drop what it cached for the tenants they name.
-        written: dict[str, list[TableEntry]] = {}
-        for op in ops:
-            try:
-                if op.table not in touched:
-                    stage, table = self.pipeline.find_table(op.table)
-                    touched[op.table] = (
-                        stage,
-                        table,
-                        table.snapshot(),  # type: ignore[attr-defined]
-                        stage.resources.reservation_state(op.table),
-                        table.generation,  # type: ignore[attr-defined]
+        i, n = 0, len(ops)
+        try:
+            while i < n:
+                op = ops[i]
+                name = op.table
+                state = touched.get(name)
+                if state is None:
+                    stage, table = self.pipeline.find_table(name)
+                    state = touched[name] = (
+                        stage, table, stage.resources.reservation_state(name), []
                     )
-                self._apply_one(op)
-            except (DataPlaneError, ResourceExhaustedError) as exc:
-                result.errors.append(f"{op.op.value} {op.table}: {exc}")
-                # The restore keeps the generation of every partition the
-                # batch did not write: the fast path recompiles only the
-                # tenants it named.
-                for name, (stage, table, entries, reservation, since) in touched.items():
-                    table.restore(entries, since)  # type: ignore[attr-defined]
-                    stage.resources.restore_reservation_state(name, reservation)
-                result.applied = 0
-                return result
-            batch = written.setdefault(op.table, [])
-            batch.append(op.entry)
-            if op.replacement is not None:
-                batch.append(op.replacement)
-            result.applied += 1
-            self.writes_total += 1
+                stage, table, _reservation, undo = state
+                if op.op is OpType.INSERT:
+                    # Charge the run of inserts into this table at once: its
+                    # charges only grow, so it fails iff its last one would.
+                    # If it does, charge op by op to fail at the same op.
+                    end = i + 1
+                    while end < n and ops[end].op is OpType.INSERT and ops[end].table == name:
+                        end += 1
+                    try:
+                        stage.resources.charge_entries(name, end - i)
+                        each = False
+                    except ResourceExhaustedError:
+                        each = True
+                    for op in ops[i:end]:
+                        if each:
+                            stage.resources.charge_entries(name, 1)
+                        undo.append(table.insert(op.entry))
+                        result.applied += 1
+                    i = end
+                    continue
+                if op.op is OpType.DELETE:
+                    undo.append(table.delete(op.entry))
+                    stage.resources.refund_entries(name, 1)
+                else:
+                    if op.replacement is None:
+                        raise DataPlaneError("MODIFY needs a replacement entry")
+                    undo.append(table.delete(op.entry))
+                    undo.append(table.insert(op.replacement))
+                result.applied += 1
+                i += 1
+        except (DataPlaneError, ResourceExhaustedError) as exc:
+            result.errors.append(f"{op.op.value} {op.table}: {exc}")
+            for name, (stage, table, reservation, undo) in touched.items():
+                table.undo(undo)
+                stage.resources.reset_reservation_state(name, reservation)
+            self.writes_total += result.applied
+            result.applied = 0
+            return result
+        self.writes_total += result.applied
         engine = getattr(self.pipeline, "fastpath", None)
         if engine is not None:
-            for name, entries in written.items():
-                engine.notify_write(touched[name][1], entries)
+            # Hand over the partition keys the undo records already carry.
+            for _stage, table, _reservation, undo in touched.values():
+                engine.notify_write(table, {key for *_record, key in undo})
         return result
 
     # -- conveniences ------------------------------------------------------

@@ -7,9 +7,15 @@ virtualizes: physical NFs prepend ``tenant_id`` (exact) and ``pass_id``
 (exact) fields to their match key so one physical table hosts many tenants'
 logical NFs (Fig. 3).
 
-Lookups run on an indexed fast path by default — a tuple-space-search index
-(:mod:`repro.dataplane.lookup_index`) maintained incrementally through every
-mutation — while :meth:`MatchActionTable.lookup_reference` keeps the naive
+Entries are held by their insert order — ``order -> entry`` rows, split into
+per-tenant partitions — so a write costs what it writes: an insert files one
+row, a delete pops one through the entry's order, and :meth:`undo` takes a
+failed batch back by re-filing each entry under its original order.
+
+Lookups run on an indexed fast path by default — one tuple-space-search
+index (:mod:`repro.dataplane.lookup_index`) per partition, built by the
+first lookup that reaches the partition and maintained incrementally from
+then on — while :meth:`MatchActionTable.lookup_reference` keeps the naive
 linear scan alive as the semantic oracle the differential test harness
 checks the index against.  Construct with ``indexed=False`` to force a table
 onto the reference path wholesale.
@@ -17,8 +23,9 @@ onto the reference path wholesale.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.dataplane.lookup_index import (  # re-exported: historical home
     LookupIndex,
@@ -84,36 +91,40 @@ class MatchActionTable:
             raise DataPlaneError(f"table {name!r}: duplicate match fields {names}")
         self.name = name
         self.key = tuple(key)
+        self._fields = {f.name: f for f in self.key}
         self.default_action = default_action
         self.default_params = dict(default_params or {})
         self.max_entries = max_entries
-        self.entries: list[TableEntry] = []
         #: Lookup statistics (hit = entry matched, miss = default action).
         self.hits = 0
         self.misses = 0
         #: Whether lookups take the indexed fast path (False = oracle mode).
         self.indexed = bool(indexed)
-        self._index: LookupIndex | None = (
-            LookupIndex(self.key) if self.indexed else None
-        )
         #: Monotonic rule-churn counter: bumped on every entry mutation
-        #: (insert, delete, restore).  Nothing compares it; it is the clock
+        #: (insert, delete, undo).  Nothing compares it; it is the clock
         #: the per-partition generations below are stamped from.
         self.generation = 0
-        #: The entries partitioned by the exact ``tenant_id`` component of
+        #: Position of the exact ``tenant_id`` key field (``None``: no such
+        #: field, so the table is one shared partition).
+        tenant = self._fields.get("tenant_id")
+        exact = tenant is not None and tenant.kind is MatchKind.EXACT
+        self._tenant_pos = self.key.index(tenant) if exact else None
+        #: Insert order -> entry, ascending: the installed rules.
+        self._rows: dict[int, TableEntry] = {}
+        #: The rows partitioned by the exact ``tenant_id`` component of
         #: their match — ``partition key -> {insert order: entry}``; ``None``
         #: is the shared partition (wildcard tenant, or a key without an
         #: exact ``tenant_id``) — the paper's layout: one physical table,
         #: each tenant's rules a block of it.
-        self._tenant_exact = any(
-            f.name == "tenant_id" and f.kind is MatchKind.EXACT for f in self.key
-        )
         self._parts: dict[int | None, dict[int, TableEntry]] = {}
         #: Partition key -> :attr:`generation` at its last mutation (absent
         #: = empty = 0).  The compiled fast path (:mod:`repro.fastpath`)
         #: records the generations of the partitions a tenant's blocks were
         #: read from: what it cached is current iff they are unchanged.
         self._part_gens: dict[int | None, int] = {}
+        #: Partition key -> its lookup index, for the partitions a lookup
+        #: has reached; dropped when the partition empties.
+        self._indexes: dict[int | None, LookupIndex] = {}
         #: Monotonic sequence assigned per insert; the rank tie-break.
         self._seq = 0
         #: id(entry) -> its live sequence numbers, oldest first (an entry
@@ -125,13 +136,17 @@ class MatchActionTable:
         return tuple(f.name for f in self.key)
 
     @property
+    def entries(self) -> list[TableEntry]:
+        """The installed entries, oldest first (a copy)."""
+        return list(self._rows.values())
+
+    @property
     def num_entries(self) -> int:
-        return len(self.entries)
+        return len(self._rows)
 
     def _validate(self, entry: TableEntry) -> None:
-        by_name = {f.name: f for f in self.key}
         for fname, spec in entry.match.items():
-            f = by_name.get(fname)
+            f = self._fields.get(fname)
             if f is None:
                 raise DataPlaneError(
                     f"table {self.name!r}: entry matches unknown field {fname!r} "
@@ -145,11 +160,11 @@ class MatchActionTable:
                 ) from None
 
     # -- partitions --------------------------------------------------------
-    def partition_key(self, entry: TableEntry) -> int | None:
+    def _partition_key(self, entry: TableEntry) -> int | None:
         """The partition ``entry`` lives in: its exact ``tenant_id``, or
         ``None`` (shared) when it wildcards the tenant or the key has no
         exact ``tenant_id`` field."""
-        spec = entry.match.get("tenant_id") if self._tenant_exact else None
+        spec = None if self._tenant_pos is None else entry.match.get("tenant_id")
         return None if spec is None else int(spec)
 
     def partition(self, key: int | None) -> list[tuple[int, TableEntry]]:
@@ -161,62 +176,69 @@ class MatchActionTable:
         return self._part_gens.get(key, 0)
 
     # -- mutation ----------------------------------------------------------
-    def _append(self, entry: TableEntry) -> None:
-        """Install a validated, capacity-checked entry (list + partition +
-        index)."""
-        self.generation += 1
-        self.entries.append(entry)
-        order = self._seq
-        self._seq += 1
-        self._orders.setdefault(id(entry), []).append(order)
-        key = self.partition_key(entry)
+    def _put(self, entry: TableEntry, order: int, key: int | None) -> None:
+        """File ``entry`` under ``order`` in partition ``key`` (row, order
+        bookkeeping, partition, and the partition's index if built)."""
+        self._rows[order] = entry
+        insort(self._orders.setdefault(id(entry), []), order)
         self._parts.setdefault(key, {})[order] = entry
-        self._part_gens[key] = self.generation
-        if self._index is not None:
-            self._index.add(entry, order)
-
-    def _forget(self, entry: TableEntry) -> None:
-        """Drop the oldest installed copy of ``entry`` from the partition,
-        index and order bookkeeping (the caller already removed it from
-        ``entries``)."""
         self.generation += 1
+        self._part_gens[key] = self.generation
+        index = self._indexes.get(key)
+        if index is not None:
+            index.add(entry, order)
+
+    def _take(self, order: int, key: int | None) -> None:
+        """Remove the row filed under ``order`` in partition ``key``;
+        an emptied partition loses its generation and its index."""
+        entry = self._rows.pop(order)
         orders = self._orders[id(entry)]
-        order = orders.pop(0)
+        orders.remove(order)
         if not orders:
             del self._orders[id(entry)]
-        key = self.partition_key(entry)
         part = self._parts[key]
         del part[order]
+        self.generation += 1
         if part:
             self._part_gens[key] = self.generation
+            index = self._indexes.get(key)
+            if index is not None:
+                index.remove(order)
         else:
             del self._parts[key], self._part_gens[key]
-        if self._index is not None:
-            self._index.remove(entry, order)
+            self._indexes.pop(key, None)
 
-    def insert(self, entry: TableEntry) -> None:
-        """Install a rule (P4Runtime INSERT).
+    def _append(self, entry: TableEntry) -> tuple:
+        order = self._seq
+        self._seq += 1
+        key = self._partition_key(entry)
+        self._put(entry, order, key)
+        return (True, entry, order, key)
+
+    def insert(self, entry: TableEntry) -> tuple:
+        """Install a rule (P4Runtime INSERT); returns the record
+        :meth:`undo` takes it back with.
 
         Malformed match specs are rejected here, once, rather than on the
         per-packet lookup path.
         """
         self._validate(entry)
-        if self.max_entries is not None and self.num_entries >= self.max_entries:
+        if self.max_entries is not None and len(self._rows) >= self.max_entries:
             raise DataPlaneError(
                 f"table {self.name!r} full ({self.max_entries} entries)"
             )
-        self._append(entry)
+        return self._append(entry)
 
     def insert_many(self, entries: Sequence[TableEntry]) -> None:
         """Install several rules in order, atomically: validation and the
         capacity check run up front, so a bad batch leaves the table (and
-        its index) untouched."""
+        its lookup indexes) untouched."""
         entries = list(entries)
         for entry in entries:
             self._validate(entry)
         if (
             self.max_entries is not None
-            and self.num_entries + len(entries) > self.max_entries
+            and len(self._rows) + len(entries) > self.max_entries
         ):
             raise DataPlaneError(
                 f"table {self.name!r} full ({self.max_entries} entries)"
@@ -224,68 +246,55 @@ class MatchActionTable:
         for entry in entries:
             self._append(entry)
 
-    def delete(self, entry: TableEntry) -> None:
-        """Remove a previously installed rule (P4Runtime DELETE).
+    def delete(self, entry: TableEntry) -> tuple:
+        """Remove a previously installed rule (P4Runtime DELETE); returns
+        the record :meth:`undo` puts it back with.
 
-        Prefers removing the *identical* object (what install bookkeeping
-        holds), falling back to the first equal entry — so deleting a
-        specific duplicate never disturbs the insertion-order tie-break of
-        the entries before it.
+        Removes the oldest copy of the *identical* object (what install
+        bookkeeping holds) through its order, comparing no entries; an
+        equal but non-identical rule falls back to the oldest equal entry
+        of its own partition.  Either way the entries before it keep their
+        insertion-order tie-break.
         """
-        for i, existing in enumerate(self.entries):
-            if existing is entry:
-                del self.entries[i]
-                self._forget(existing)
-                return
-        for i, existing in enumerate(self.entries):
-            if existing == entry:
-                del self.entries[i]
-                self._forget(existing)
-                return
-        raise DataPlaneError(f"table {self.name!r}: entry not present for delete")
+        orders = self._orders.get(id(entry))
+        if orders is None:
+            try:
+                part = self._parts.get(self._partition_key(entry), {})
+            except (TypeError, ValueError):  # a malformed spec: installed nowhere
+                part = {}
+            entry = next((e for e in part.values() if e == entry), None)
+            if entry is None:
+                raise DataPlaneError(
+                    f"table {self.name!r}: entry not present for delete"
+                )
+            orders = self._orders[id(entry)]
+        order, key = orders[0], self._partition_key(entry)
+        self._take(order, key)
+        return (False, entry, order, key)
 
-    def delete_where(self, **match_fields: object) -> int:
-        """Delete all entries whose match spec contains the given field
-        values exactly (used for per-tenant teardown); returns the count."""
-        kept: list[TableEntry] = []
-        removed: list[TableEntry] = []
-        for e in self.entries:
-            if all(e.match.get(k) == v for k, v in match_fields.items()):
-                removed.append(e)
+    def undo(self, records: Sequence[tuple]) -> None:
+        """Take back ``records`` — what :meth:`insert` and :meth:`delete`
+        returned, oldest first — newest first: an insert is removed, a
+        delete is re-filed under its original order, so rule ids and
+        insertion-order tie-breaks come back exactly.  The partitions
+        touched get fresh generations (stamps are never reissued, so what
+        was compiled from the transient content cannot pass for current);
+        every other partition keeps its own.  Hit/miss counters are left
+        alone (traffic really happened)."""
+        refiled = set()
+        for inserted, entry, order, key in reversed(records):
+            if inserted:
+                self._take(order, key)
             else:
-                kept.append(e)
-        self.entries = kept
-        for e in removed:
-            self._forget(e)
-        return len(removed)
-
-    # -- rollback support --------------------------------------------------
-    def snapshot(self) -> tuple[TableEntry, ...]:
-        """The installed entries, in order, for later :meth:`restore`."""
-        return tuple(self.entries)
-
-    def restore(self, snapshot: Iterable[TableEntry], since: int = -1) -> None:
-        """Reset the table to a prior :meth:`snapshot`, rebuilding the index
-        so insertion-order tie-breaks are exactly as captured.  Hit/miss
-        counters are left alone (traffic really happened).
-
-        ``since`` is :attr:`generation` as it was when the snapshot was
-        taken: a partition not written since then keeps its generation —
-        what was compiled from it is still current, so a rolled-back batch
-        costs only the tenants it touched a recompile.  Every other
-        partition (every one, by default) is freshly stamped."""
-        untouched = {k: g for k, g in self._part_gens.items() if g <= since}
-        self.generation += 1
-        self.entries = []
-        self._seq = 0
-        self._orders = {}
-        self._parts = {}
-        self._part_gens = {}
-        if self._index is not None:
-            self._index.clear()
-        for entry in snapshot:
-            self._append(entry)
-        self._part_gens.update(untouched)
+                self._put(entry, order, key)
+                refiled.add(key)
+        if refiled:
+            # Re-filed rows went in at the dict tails: back to ascending.
+            self._rows = dict(sorted(self._rows.items()))
+            for key in refiled:
+                part = self._parts.get(key)
+                if part:
+                    self._parts[key] = dict(sorted(part.items()))
 
     def entry_id(self, entry: TableEntry) -> int | None:
         """The stable per-table rule id of an installed entry: its insert
@@ -297,36 +306,55 @@ class MatchActionTable:
         return orders[0] if orders else None
 
     # -- lookup ------------------------------------------------------------
+    def _probe(self, key: int | None, values: list[int], best):
+        """``best`` merged with partition ``key``'s winner (see
+        :meth:`LookupIndex.lookup`), building the partition's index on the
+        first lookup that reaches it."""
+        index = self._indexes.get(key)
+        if index is None:
+            part = self._parts.get(key)
+            if part is None:
+                return best
+            index = LookupIndex(self.key)
+            for order, entry in list(part.items()):
+                index.add(entry, order)
+            self._indexes[key] = index  # published whole, never half-built
+        return index.lookup(values, best)
+
     def lookup(self, packet: Packet) -> tuple[TableEntry | None, str, Mapping[str, object]]:
         """Find the winning entry for ``packet``.
 
         Returns ``(entry, action, params)``; ``entry`` is ``None`` on a miss
         (default action).  Match semantics: all key fields must match;
         priority desc, then LPM specificity desc, then insertion order.
-        Runs on the index when enabled; :meth:`lookup_reference` is the
+        Runs on the indexes of the packet's tenant partition and the shared
+        one, merged by rank, when enabled; :meth:`lookup_reference` is the
         always-available linear oracle with identical semantics.
         """
-        if self._index is None:
+        if not self.indexed:
             return self.lookup_reference(packet)
-        best = self._index.lookup(packet)
+        values = [packet.get_field(f.name) for f in self.key]
+        best = None
+        if self._tenant_pos is not None:
+            best = self._probe(values[self._tenant_pos], values, None)
+        best = self._probe(None, values, best)
         if best is None:
             self.misses += 1
             return None, self.default_action, self.default_params
         self.hits += 1
-        return best, best.action, best.params
+        entry = best[1]
+        return entry, entry.action, entry.params
 
     def lookup_reference(self, packet: Packet) -> tuple[TableEntry | None, str, Mapping[str, object]]:
         """The reference linear scan (the oracle the index is tested
         against).  Updates the same hit/miss counters as :meth:`lookup`."""
         best: TableEntry | None = None
         best_rank: tuple[int, int, int] | None = None
-        for order, entry in enumerate(self.entries):
-            ok = True
-            for f in self.key:
-                if not _match_one(f.kind, entry.match.get(f.name), packet.get_field(f.name)):
-                    ok = False
-                    break
-            if not ok:
+        for order, entry in self._rows.items():
+            if not all(
+                _match_one(f.kind, entry.match.get(f.name), packet.get_field(f.name))
+                for f in self.key
+            ):
                 continue
             rank = (entry.priority, entry.lpm_specificity(self.key), -order)
             if best_rank is None or rank > best_rank:

@@ -26,12 +26,12 @@ bypass ``RuntimeAPI`` — the SFC virtualizer writes tables directly — can
 never run stale blocks); a stale one is recompiled from the tenant's own
 partitions and republishes its blocks.  A write to tenant A therefore costs
 A one recompile and nobody else anything, negative verdicts included, and
-so does a rolled-back batch that touched A (``MatchActionTable.restore``
-keeps the generation of every partition not written since the snapshot).
-``RuntimeAPI`` additionally reports each committed
-batch (:meth:`FastPathEngine.notify_write`) so the blocks and verdicts of
-the tenants it names are dropped eagerly: wire IDs are never reused, so
-this is what keeps dead blocks from accumulating.
+so does a rolled-back batch that touched A (``MatchActionTable.undo``
+restamps only the partitions the batch wrote).  ``RuntimeAPI`` additionally
+reports the partitions each committed batch wrote
+(:meth:`FastPathEngine.notify_write`) so the blocks and verdicts of the
+tenants it names are dropped eagerly: wire IDs are never reused, so this is
+what keeps dead blocks from accumulating.
 """
 
 from __future__ import annotations
@@ -136,14 +136,13 @@ class FastPathEngine:
         return sum(len(by_pass) for per in self._blocks for by_pass in per.values())
 
     # -- write notifications ----------------------------------------------
-    def notify_write(self, table, entries) -> None:
-        """A committed RuntimeAPI batch wrote ``entries`` (inserted,
-        deleted, or replacement forms) to ``table``: drop what is cached
-        under the tenant IDs they name.  O(entries written); correctness
-        never depends on it (``plan_for`` revalidates), only memory does."""
+    def notify_write(self, table, keys) -> None:
+        """A committed RuntimeAPI batch wrote the partitions ``keys`` of
+        ``table`` (tenant IDs; ``None`` = shared): drop what is cached
+        under those tenant IDs.  O(partitions written); correctness never
+        depends on it (``plan_for`` revalidates), only memory does."""
         if not self._plans and not any(self._blocks):
             return  # nothing cached (a control-plane-only shard: no traffic)
-        keys = {table.partition_key(entry) for entry in entries}
         with self._lock:
             if None in keys:
                 # A shared-partition rule is part of every tenant's blocks.

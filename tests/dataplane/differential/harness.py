@@ -9,7 +9,10 @@ races are all exercised, not just misses.
 
 from __future__ import annotations
 
+from repro.core.spec import SwitchSpec
 from repro.dataplane.packet import Packet
+from repro.dataplane.pipeline import SwitchPipeline
+from repro.dataplane.runtime_api import OpType, RuntimeAPI, WriteOp
 from repro.dataplane.table import (
     MatchActionTable,
     MatchField,
@@ -80,7 +83,9 @@ def random_packet(rng) -> Packet:
 
 
 class TwinTables:
-    """An indexed table and its linear-scan oracle, mutated in lockstep.
+    """An indexed table and its linear-scan oracle, each alone in a
+    one-stage pipeline and mutated in lockstep through identical
+    :class:`RuntimeAPI` batches.
 
     Every entry object is shared by both tables, so agreement is checked by
     *identity*, the strictest possible form: the engines must pick the very
@@ -88,40 +93,64 @@ class TwinTables:
     """
 
     def __init__(self, key=KEY, max_entries: int | None = None) -> None:
-        self.fast = MatchActionTable("fast", key=key, max_entries=max_entries)
+        self.fast = MatchActionTable("t", key=key, max_entries=max_entries)
         self.oracle = MatchActionTable(
-            "oracle", key=key, max_entries=max_entries, indexed=False
+            "t", key=key, max_entries=max_entries, indexed=False
         )
+        self.apis = []
+        for table in (self.fast, self.oracle):
+            pipeline = SwitchPipeline(spec=SwitchSpec(stages=1))
+            pipeline.stage(0).install_table(table)
+            self.apis.append(RuntimeAPI(pipeline))
         self.live: list[TableEntry] = []
 
     # -- mirrored mutations ------------------------------------------------
+    def write(self, ops: list[WriteOp]):
+        fast, oracle = (api.write(ops) for api in self.apis)
+        assert (fast.ok, fast.applied) == (oracle.ok, oracle.applied)
+        return fast
+
     def insert(self, entry: TableEntry) -> None:
-        self.fast.insert(entry)
-        self.oracle.insert(entry)
-        self.live.append(entry)
+        self.insert_many([entry])
 
     def insert_many(self, entries) -> None:
         entries = list(entries)
-        self.fast.insert_many(entries)
-        self.oracle.insert_many(entries)
+        assert self.write([WriteOp(OpType.INSERT, "t", e) for e in entries]).ok
         self.live.extend(entries)
 
     def delete(self, entry: TableEntry) -> None:
-        self.fast.delete(entry)
-        self.oracle.delete(entry)
+        assert self.write([WriteOp(OpType.DELETE, "t", entry)]).ok
         self.live.remove(entry)
 
-    def delete_where(self, **match_fields) -> int:
-        removed_fast = self.fast.delete_where(**match_fields)
-        removed_oracle = self.oracle.delete_where(**match_fields)
-        assert removed_fast == removed_oracle
-        self.live = list(self.oracle.entries)
-        return removed_fast
+    def teardown(self, tenant: int) -> int:
+        """Delete every rule of ``tenant``, one DELETE per rule, in one
+        batch; returns the count."""
+        victims = [e for e in self.live if e.match.get("tenant_id") == tenant]
+        assert self.write([WriteOp(OpType.DELETE, "t", e) for e in victims]).ok
+        self.live = [e for e in self.live if e.match.get("tenant_id") != tenant]
+        return len(victims)
 
-    def snapshot_restore_roundtrip(self) -> None:
-        """Restore both tables from their own snapshots (index rebuild)."""
-        self.fast.restore(self.fast.snapshot())
-        self.oracle.restore(self.oracle.snapshot())
+    def failed_batch_roundtrip(self, rng) -> None:
+        """Delete some live rules, modify one, insert fresh ones, then fail
+        the batch on a never-installed entry: both tables must come back
+        with the same entries in the same order under the same rule ids."""
+        before = [(e, self.fast.entry_id(e)) for e in self.fast.entries]
+        ops = [
+            WriteOp(OpType.DELETE, "t", e)
+            for e in self.live if rng.random() < 0.3
+        ]
+        if self.live:
+            victim = self.live[int(rng.integers(0, len(self.live)))]
+            if all(op.entry is not victim for op in ops):
+                ops.append(WriteOp(
+                    OpType.MODIFY, "t", victim, replacement=random_entry(rng)
+                ))
+        ops += [WriteOp(OpType.INSERT, "t", random_entry(rng)) for _ in range(3)]
+        never_installed = TableEntry(match={}, action="poison")
+        ops.append(WriteOp(OpType.DELETE, "t", never_installed))
+        assert not self.write(ops).ok
+        for table in (self.fast, self.oracle):
+            assert [(e, table.entry_id(e)) for e in table.entries] == before
 
     # -- the differential check --------------------------------------------
     def check_lookup(self, packet: Packet) -> None:
@@ -148,8 +177,8 @@ def run_random_case(seed: int, num_entries: int = 24, num_packets: int = 20) -> 
     """One self-contained differential case; returns lookups compared.
 
     Phase 1: bulk insert, lookups.  Phase 2: interleaved deletes/inserts
-    with lookups after each mutation.  Phase 3: per-tenant teardown
-    (``delete_where``) plus a snapshot/restore round-trip, then lookups.
+    with lookups after each mutation.  Phase 3: per-tenant teardown plus a
+    rolled-back batch, then lookups.
     """
     rng = make_rng(seed)
     twins = TwinTables()
@@ -167,7 +196,7 @@ def run_random_case(seed: int, num_entries: int = 24, num_packets: int = 20) -> 
             twins.insert(random_entry(rng))
         compared += twins.check_many(rng, 2)
 
-    twins.delete_where(tenant_id=int(rng.choice(TENANTS)))
-    twins.snapshot_restore_roundtrip()
+    twins.teardown(int(rng.choice(TENANTS)))
+    twins.failed_batch_roundtrip(rng)
     compared += twins.check_many(rng, num_packets)
     return compared

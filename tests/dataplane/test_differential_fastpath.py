@@ -191,7 +191,7 @@ def test_rule_churn_between_batches_stays_identical():
     for pipeline in (ref, got):
         api = RuntimeAPI(pipeline)
         entries = [
-            e for e in api.read_entries("firewall@s0")
+            e for e in pipeline.stage(0).table("firewall@s0").entries
             if e.match.get("tenant_id") == 1
         ]
         victim = entries[0]

@@ -10,14 +10,11 @@ same action and params, same hit/miss counters — per the acceptance bar of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.spec import SwitchSpec
-from repro.dataplane.pipeline import SwitchPipeline
-from repro.dataplane.runtime_api import OpType, RuntimeAPI, WriteOp
-from repro.dataplane.table import MatchActionTable, TableEntry
+from repro.dataplane.runtime_api import OpType, WriteOp
+from repro.dataplane.table import TableEntry
 from repro.rng import DEFAULT_SEED, make_rng
 
 from tests.dataplane.differential.harness import (
-    KEY,
     TwinTables,
     random_entry,
     random_packet,
@@ -28,8 +25,9 @@ NUM_CASES = 40
 
 
 def test_differential_bulk_and_interleaved_mutations():
-    """>= 500 random lookups across insert/delete/delete_where/restore
-    sequences, all agreeing between the indexed and reference engines."""
+    """>= 500 random lookups across insert / delete / per-tenant teardown /
+    rolled-back batch sequences, all agreeing between the indexed and
+    reference engines."""
     from tests.dataplane.differential.harness import run_random_case
 
     compared = 0
@@ -53,7 +51,7 @@ def test_differential_many_tenants_all_range_rules():
     carrying a port range (overlapping, mixed priorities) next to the
     exact/ternary/LPM fields.  The index buckets them by ``(tenant, pass,
     ...)`` and checks only the ranges inside; winners stay identical
-    through per-tenant teardown and a restore."""
+    through per-tenant teardown and a rolled-back batch."""
     rng = make_rng(DEFAULT_SEED + 77)
     tenants = range(100, 140)
     twins = TwinTables()
@@ -83,59 +81,21 @@ def test_differential_many_tenants_all_range_rules():
     check(400)
     assert twins.fast.hits > 100, "the ranges never matched"
     for tenant in (100, 119, 139):
-        assert twins.delete_where(tenant_id=tenant) == 12
-    twins.snapshot_restore_roundtrip()
+        assert twins.teardown(tenant) == 12
+    twins.failed_batch_roundtrip(rng)
     check(200)
-
-
-class _TwinRuntime:
-    """Two single-stage pipelines (indexed vs oracle table) driven through
-    identical :class:`RuntimeAPI` batches, including failing ones."""
-
-    def __init__(self, max_entries: int | None = None) -> None:
-        self.sides = []
-        for indexed in (True, False):
-            pipeline = SwitchPipeline(spec=SwitchSpec(stages=1))
-            table = MatchActionTable(
-                "t", key=KEY, max_entries=max_entries, indexed=indexed
-            )
-            pipeline.stage(0).install_table(table)
-            self.sides.append((RuntimeAPI(pipeline), table))
-
-    def write(self, ops: list[WriteOp]):
-        results = [api.write(ops) for api, _table in self.sides]
-        assert results[0].ok == results[1].ok
-        assert results[0].applied == results[1].applied
-        return results[0]
-
-    @property
-    def live(self) -> list[TableEntry]:
-        # The oracle's entry list is ground truth for what survived.
-        return list(self.sides[1][1].entries)
-
-    def check_many(self, rng, num_packets: int) -> int:
-        fast, oracle = self.sides[0][1], self.sides[1][1]
-        for _ in range(num_packets):
-            packet = random_packet(rng)
-            fast_hit = fast.lookup(packet)
-            ref_hit = oracle.lookup(packet)
-            assert fast_hit[0] is ref_hit[0], (
-                f"divergence after batched writes for {packet}"
-            )
-            assert fast_hit[1:] == ref_hit[1:]
-        assert (fast.hits, fast.misses) == (oracle.hits, oracle.misses)
-        return num_packets
 
 
 def test_differential_runtime_batches_with_rollback():
     """Random INSERT/DELETE/MODIFY batches — roughly a third poisoned so
     they roll back — leave both engines in identical states throughout."""
     rng = make_rng(DEFAULT_SEED + 1000)
-    twins = _TwinRuntime()
+    twins = TwinTables()
     compared = 0
     failed_batches = 0
     for _round in range(30):
-        live = twins.live
+        # The oracle's entry list is ground truth for what survived.
+        live = twins.oracle.entries
         ops: list[WriteOp] = []
         for _ in range(int(rng.integers(1, 6))):
             roll = rng.random()

@@ -2,14 +2,17 @@
 
 The differential harness proves equivalence statistically; these tests pin
 the structural behaviors directly — shape grouping, bucket ordering,
-range-bucket early exit, insert-time spec validation, and index consistency
-through every mutation path.
+range-bucket early exit, insert-time spec validation, and per-partition
+index consistency through every mutation path, rollback included.
 """
 
 import pytest
 
+from repro.core.spec import SwitchSpec
 from repro.dataplane.lookup_index import LookupIndex, validate_spec
 from repro.dataplane.packet import Packet
+from repro.dataplane.pipeline import SwitchPipeline
+from repro.dataplane.runtime_api import OpType, RuntimeAPI, WriteOp
 from repro.dataplane.table import (
     MatchActionTable,
     MatchField,
@@ -28,6 +31,10 @@ KEY = (
 
 def _table(**kwargs):
     return MatchActionTable("t", key=KEY, **kwargs)
+
+
+def _values(packet):
+    return [packet.get_field(f.name) for f in KEY]
 
 
 class TestShapeGrouping:
@@ -77,9 +84,9 @@ class TestShapeGrouping:
         (group,) = index._groups.values()
         assert sorted(group.buckets) == [(1,), (2,)]
         assert all(len(b) == 2 for b in group.buckets.values())
-        hit = index.lookup(Packet(tenant_id=2, dst_port=100))
+        _sortkey, hit, _ranges = index.lookup(_values(Packet(tenant_id=2, dst_port=100)))
         assert hit.match == {"tenant_id": 2, "dst_port": (0, 443)}
-        assert index.lookup(Packet(tenant_id=2, dst_port=500)) is None
+        assert index.lookup(_values(Packet(tenant_id=2, dst_port=500))) is None
 
 
 class TestRanking:
@@ -111,6 +118,19 @@ class TestRanking:
         ranged = TableEntry(match={"dst_port": (0, 100)}, action="drop", priority=9)
         t.insert(ranged)
         assert t.lookup(Packet(tenant_id=1, dst_port=50))[0] is ranged
+
+    def test_tenant_and_shared_partitions_merge_by_rank(self):
+        # Equal priorities: the older rule wins, whichever partition holds it.
+        t = _table()
+        shared = TableEntry(match={"pass_id": 1}, action="drop", priority=5)
+        mine = TableEntry(match={"tenant_id": 1}, action="permit", priority=5)
+        t.insert(shared)
+        t.insert(mine)
+        assert t.lookup(Packet(tenant_id=1, pass_id=1))[0] is shared
+        t.delete(shared)
+        t.insert(shared)
+        assert t.lookup(Packet(tenant_id=1, pass_id=1))[0] is mine
+        assert t.lookup(Packet(tenant_id=2, pass_id=1))[0] is shared
 
     def test_residue_scan_early_exits_behind_indexed_winner(self):
         t = _table()
@@ -168,6 +188,17 @@ class TestSpecValidation:
 
 
 class TestIndexConsistency:
+    def test_no_index_until_first_lookup(self):
+        t = _table()
+        t.insert(TableEntry(match={"tenant_id": 1}, action="permit"))
+        t.insert(TableEntry(match={"tenant_id": 2}, action="permit"))
+        t.insert(TableEntry(match={}, action="drop"))
+        assert t._indexes == {}
+        t.lookup(Packet(tenant_id=1))
+        assert set(t._indexes) == {1, None}  # the tenant's and the shared one
+        t.lookup(Packet(tenant_id=3))  # no such partition: nothing to build
+        assert set(t._indexes) == {1, None}
+
     def test_index_tracks_entry_count_through_mutations(self):
         t = _table()
         entries = [
@@ -176,42 +207,56 @@ class TestIndexConsistency:
         ]
         for e in entries:
             t.insert(e)
-        assert len(t._index) == 12
+        for tenant in range(3):
+            t.lookup(Packet(tenant_id=tenant, pass_id=1))
+        assert [len(t._indexes[k]) for k in range(3)] == [4, 4, 4]
         t.delete(entries[5])
-        assert len(t._index) == 11
-        assert t.delete_where(tenant_id=0) == 4
-        assert len(t._index) == len(t.entries) == 7
+        assert [len(t._indexes[k]) for k in range(3)] == [4, 4, 3]
+        t.insert(TableEntry(match={"tenant_id": 1, "pass_id": 1}, action="drop"))
+        assert [len(t._indexes[k]) for k in range(3)] == [4, 5, 3]
+        for e in entries[0::3]:
+            t.delete(e)
+        assert 0 not in t._indexes  # an emptied partition drops its index
+        assert sum(len(i) for i in t._indexes.values()) == len(t.entries) == 8
 
     def test_duplicate_object_install_and_delete(self):
         t = _table()
         e = TableEntry(match={"tenant_id": 1}, action="permit")
         t.insert(e)
         t.insert(e)
-        assert len(t._index) == 2
+        assert t.lookup(Packet(tenant_id=1))[0] is e
+        assert len(t._indexes[1]) == 2
         t.delete(e)
-        assert len(t._index) == 1
+        assert len(t._indexes[1]) == 1
         assert t.lookup(Packet(tenant_id=1))[0] is e
         t.delete(e)
-        assert len(t._index) == 0
+        assert t._indexes == {}
 
-    def test_restore_rebuilds_index(self):
+    def test_rolled_back_batch_keeps_index_and_order(self):
+        pipeline = SwitchPipeline(spec=SwitchSpec(stages=1))
         t = _table()
+        pipeline.stage(0).install_table(t)
+        api = RuntimeAPI(pipeline)
         e1 = TableEntry(match={"tenant_id": 1}, action="permit")
         e2 = TableEntry(match={"tenant_id": 1}, action="drop")
-        t.insert(e1)
-        t.insert(e2)
-        snap = t.snapshot()
-        t.delete(e1)
-        t.restore(snap)
-        assert len(t._index) == 2
+        assert api.write([WriteOp(OpType.INSERT, "t", e) for e in (e1, e2)]).ok
+        assert t.lookup(Packet(tenant_id=1))[0] is e1
+        result = api.write([
+            WriteOp(OpType.DELETE, "t", e1),
+            WriteOp(OpType.INSERT, "t", TableEntry(match={"tenant_id": 1}, action="no_op")),
+            WriteOp(OpType.DELETE, "t", TableEntry(match={}, action="never_installed")),
+        ])
+        assert not result.ok
+        assert len(t._indexes[1]) == 2
         assert t.lookup(Packet(tenant_id=1))[0] is e1  # order restored
+        assert t.entries == [e1, e2]
 
     def test_unindexed_table_has_no_index(self):
         t = _table(indexed=False)
-        assert t._index is None
         e = TableEntry(match={"tenant_id": 1}, action="drop")
         t.insert(e)
         assert t.lookup(Packet(tenant_id=1))[0] is e
+        assert t._indexes == {}
         assert t.hits == 1
 
     def test_counters_identical_between_paths(self):

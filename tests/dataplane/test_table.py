@@ -121,7 +121,7 @@ def test_delete_entry(acl):
         acl.delete(entry)
 
 
-def test_delete_where_by_tenant():
+def test_delete_by_equal_entry_scans_its_partition_only():
     t = MatchActionTable(
         "t",
         key=[
@@ -129,11 +129,17 @@ def test_delete_where_by_tenant():
             MatchField("protocol", MatchKind.EXACT),
         ],
     )
+    kept = TableEntry(match={"tenant_id": 2, "protocol": 6}, action="drop")
     t.insert(TableEntry(match={"tenant_id": 1, "protocol": 6}, action="drop"))
     t.insert(TableEntry(match={"tenant_id": 1, "protocol": 17}, action="drop"))
-    t.insert(TableEntry(match={"tenant_id": 2, "protocol": 6}, action="drop"))
-    assert t.delete_where(tenant_id=1) == 2
-    assert t.num_entries == 1
+    t.insert(kept)
+    # Equal but not identical objects: found by value, in tenant 1's rows.
+    t.delete(TableEntry(match={"tenant_id": 1, "protocol": 17}, action="drop"))
+    t.delete(TableEntry(match={"tenant_id": 1, "protocol": 6}, action="drop"))
+    assert t.entries == [kept] and t.num_entries == 1
+    assert t.partition(1) == [] and t.partition(2) == [(2, kept)]
+    with pytest.raises(DataPlaneError):
+        t.delete(TableEntry(match={"tenant_id": "x"}, action="drop"))
 
 
 def test_hit_miss_counters(acl):

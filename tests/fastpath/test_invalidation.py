@@ -116,10 +116,10 @@ def test_rolled_back_batch_only_refreshes(pipeline, engine):
         WriteOp(OpType.DELETE, "acl", acl_entry(77)),
     ])
     assert not result.ok
-    # Net no-op, and nothing is dropped eagerly.  The restore kept the
+    # Net no-op, and nothing is dropped eagerly.  The undo kept the
     # generation of every partition the failed batch did not write, so
     # tenant 2's verdict is still current; tenant 1's partition was written
-    # and restored, which costs tenant 1 — and only tenant 1 — a recompile.
+    # and undone, which costs tenant 1 — and only tenant 1 — a recompile.
     assert engine.cached_plans == 2
     assert engine.stats["invalidations"] == 0
     compiles = engine.stats["compiles"]
@@ -130,25 +130,39 @@ def test_rolled_back_batch_only_refreshes(pipeline, engine):
     assert len(plan1.blocks[0, 1][1]) == 1  # the inserted rule is gone
 
 
-def test_verdict_compiled_inside_a_rolled_back_batch_goes_stale(pipeline, engine):
-    """The other half of the restore contract: a partition written since
-    the snapshot is restamped, and stamps are never reissued, so what was
-    compiled from the failed batch's transient content is not mistaken for
-    current afterwards."""
+def test_verdict_compiled_inside_a_rolled_back_batch_goes_stale(
+    pipeline, engine, monkeypatch
+):
+    """The other half of the undo contract: a partition the failed batch
+    wrote is restamped, and stamps are never reissued, so what was compiled
+    from the batch's transient content is not mistaken for current
+    afterwards."""
     table = pipeline.stage(0).table("acl")
-    snap, since = table.snapshot(), table.generation
-    table.insert(acl_entry(1, 0, 80, action="drop"))
-    transient = engine.plan_for(1)
-    assert len(transient.blocks[0, 1][1]) == 2
+    transient = []
+    delete = table.delete
+
+    def compile_then_delete(entry):
+        # Mid-batch: tenant 1's extra rule is in, the poison op not yet run.
+        transient.append(engine.plan_for(1))
+        return delete(entry)
+
+    monkeypatch.setattr(table, "delete", compile_then_delete)
+    result = RuntimeAPI(pipeline).write([
+        WriteOp(OpType.INSERT, "acl", acl_entry(1, 0, 80, action="drop")),
+        WriteOp(OpType.DELETE, "acl", acl_entry(77)),
+    ])
+    monkeypatch.undo()
+    assert not result.ok
+    (plan,) = transient
+    assert len(plan.blocks[0, 1][1]) == 2
     compiles = engine.stats["compiles"]
-    table.restore(snap, since)
-    engine.plan_for(2)  # tenant 2's partition was not written since
+    engine.plan_for(2)  # tenant 2's partition was not written by the batch
     assert engine.stats["compiles"] == compiles
-    assert not transient.is_current(pipeline)
+    assert not plan.is_current(pipeline)
     assert len(engine.plan_for(1).blocks[0, 1][1]) == 1
     # ... and a later write cannot land on the transient stamp either.
     table.insert(acl_entry(1, 0, 81, action="drop"))
-    assert not transient.is_current(pipeline)
+    assert not plan.is_current(pipeline)
 
 
 def test_direct_table_write_caught_lazily(pipeline, engine):
@@ -175,7 +189,7 @@ def test_fallback_verdicts_are_as_precise_as_positive_ones(pipeline, engine):
     assert engine.plan_for(3).fallback_reason is not None
     assert engine.stats["compiles"] == compiles
     # ... and such a change does re-open it.
-    assert t.delete_where(tenant_id=3) == 1
+    assert api.delete("acl", t.partition(3)[0][1]).ok
     assert engine.plan_for(3).fallback_reason is None
     assert engine.stats["compiles"] == compiles + 1
 
