@@ -2,25 +2,25 @@
 
 ``sfp fig4`` .. ``sfp fig11`` regenerate each evaluation figure; ``sfp
 place`` runs a placement algorithm over a synthesized workload; ``sfp
-controller`` replays a synthesized tenant-churn stream through the SFC
-controller and prints throughput, latency percentiles and rule churn;
-``sfp fabric`` replays churn over a multi-switch fabric (sharded
-controllers, cross-switch stitching, optional ``--drain`` failover demo);
-``sfp demo`` walks a packet through a virtualized chain; ``sfp trace``
-admits a recirculating chain under a control-plane tracer and prints the
-causally linked span tree plus an INT-style packet postcard; ``sfp
-metrics`` replays churn with sampled telemetry and renders the registry in
-Prometheus text format; ``sfp recover`` rebuilds a controller or fabric
-from a durability directory (``--wal-dir`` on churn runs) and ``sfp
-checkpoint`` snapshots + compacts one.  ``sfp scenario`` lists, compiles
-or replays the declarative campaign library (diurnal curves, flash
-crowds, correlated failures, rolling upgrades ...) with a fabric
-bit-identity audit at every phase boundary.  ``sfp ha`` runs the
-high-availability roles: ``demo`` (an in-process kill-primary /
-failover drill), ``primary`` / ``standby`` (a real two-process pair
-shipping WAL frames over TCP), and ``status`` (lease + log state of a
-cluster directory).  ``--quick`` shrinks the paper-scale sweeps to
-seconds.
+fabric`` is the one churn-replay command: it replays a synthesized
+tenant-churn stream (or any saved trace, campaign traces from ``sfp
+scenario compile`` included) over a fabric of paper switches — a single
+switch is ``--switches 1`` — and prints throughput, latency percentiles,
+rule churn and the bit-identity audit, with an optional ``--drain``
+failover demo and a ``--prometheus`` export of the metrics registry after
+sampled probe traffic.  ``sfp demo`` walks a packet through a virtualized
+chain; ``sfp trace`` admits a recirculating chain under a control-plane
+tracer and prints the causally linked span tree plus an INT-style packet
+postcard; ``sfp recover`` rebuilds a controller or fabric from a
+durability directory (``--wal-dir`` on replays) and ``sfp checkpoint``
+snapshots + compacts one.  ``sfp scenario`` lists, compiles or replays
+the declarative campaign library (diurnal curves, flash crowds,
+correlated failures, rolling upgrades ...) with a fabric bit-identity
+audit at every phase boundary.  ``sfp ha`` runs the high-availability
+roles: ``demo`` (an in-process kill-primary / failover drill), ``primary``
+/ ``standby`` (a real two-process pair shipping WAL frames over TCP), and
+``status`` (lease + log state of a cluster directory).  ``--quick``
+shrinks the paper-scale sweeps to seconds.
 """
 
 from __future__ import annotations
@@ -141,80 +141,48 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_controller(args: argparse.Namespace) -> int:
+def _paper_fabric(
+    switches: int,
+    partitioner: str = "hash",
+    link_capacity: float = 400.0,
+    with_dataplane: bool = False,
+):
+    """The full-mesh fabric of paper switches ``fabric``, ``serve`` and
+    ``ha`` run on."""
+    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
+    from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
+
+    return FabricOrchestrator(
+        FabricTopology.full_mesh(
+            switches, spec=PAPER_SWITCH, link_capacity_gbps=link_capacity
+        ),
+        num_types=PAPER_WORKLOAD.num_types,
+        partitioner=make_partitioner(partitioner),
+        with_dataplane=with_dataplane,
+    )
+
+
+def _churn(seed: int | None, events: int = 0, **knobs):
+    """The paper-workload churn stream ``fabric``, ``serve --demo-events``
+    and ``ha`` replay, with its config.  ``events`` > 0 keeps the first
+    ``events`` of a stream just long enough to hold them (8 arrivals/s);
+    otherwise ``knobs`` set the :class:`ChurnConfig` fields."""
     from dataclasses import replace
 
-    from repro.controller import (
-        ChurnConfig,
-        ChurnEngine,
-        SfcController,
-        save_events,
-        synthesize_churn,
-    )
-    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
-    from repro.traffic.workload import make_instance
+    from repro.controller import ChurnConfig, synthesize_churn
+    from repro.experiments.config import PAPER_WORKLOAD
 
-    workload = replace(PAPER_WORKLOAD, num_sfcs=0)
-    config = ChurnConfig(
-        duration_s=(5.0 if args.quick else args.duration),
-        arrival_rate_per_s=args.rate,
-        mean_lifetime_s=args.lifetime,
-        modify_fraction=args.modify_fraction,
-        workload=workload,
-    )
-    instance = make_instance(
-        workload, switch=PAPER_SWITCH, max_recirculations=2, rng=args.seed
-    )
-    controller = SfcController.for_instance(
-        instance, with_dataplane=not args.no_dataplane
-    )
-    if args.wal_dir:
-        from repro.durability import ControllerDurability
-
-        ControllerDurability(args.wal_dir, fsync=args.fsync).attach(controller)
-        print(f"journaling to {args.wal_dir} (fsync={args.fsync})")
-    events = synthesize_churn(config, rng=args.seed)
-    if args.save_trace:
-        save_events(args.save_trace, events, seed=args.seed, config=config)
-        print(f"wrote churn trace: {args.save_trace}")
-    report = ChurnEngine(controller).replay(events)
-    print(report.describe())
-    print(f"live tenants: {len(controller.tenants)}")
-    snapshot = controller.metrics.snapshot()
-    for name, value in snapshot["counters"].items():
-        print(f"  counter {name:>28}: {value}")
-    for name, value in snapshot["gauges"].items():
-        print(f"  gauge   {name:>28}: {value:.3f}")
-    return 0
+    if events:
+        knobs = {"duration_s": max(1.0, events / 8.0), "arrival_rate_per_s": 8.0}
+    config = ChurnConfig(workload=replace(PAPER_WORKLOAD, num_sfcs=0), **knobs)
+    return config, synthesize_churn(config, rng=seed)[: events or None]
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+    from repro.controller import ChurnEngine, load_events, save_events
 
-    from repro.controller import (
-        ChurnConfig,
-        ChurnEngine,
-        load_events,
-        save_events,
-        synthesize_churn,
-    )
-    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
-    from repro.fabric import (
-        FabricOrchestrator,
-        FabricTopology,
-        make_partitioner,
-    )
-
-    topology = FabricTopology.full_mesh(
-        args.switches,
-        spec=PAPER_SWITCH,
-        link_capacity_gbps=args.link_capacity,
-    )
-    fabric = FabricOrchestrator(
-        topology,
-        num_types=PAPER_WORKLOAD.num_types,
-        partitioner=make_partitioner(args.partitioner),
-        with_dataplane=not args.no_dataplane,
+    fabric = _paper_fabric(
+        args.switches, args.partitioner, args.link_capacity, not args.no_dataplane
     )
     if args.wal_dir:
         from repro.durability import FabricDurability
@@ -224,15 +192,13 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     if args.trace:
         events = load_events(args.trace)
     else:
-        workload = replace(PAPER_WORKLOAD, num_sfcs=0)
-        config = ChurnConfig(
+        config, events = _churn(
+            args.seed,
             duration_s=(5.0 if args.quick else args.duration),
             arrival_rate_per_s=args.rate,
             mean_lifetime_s=args.lifetime,
             modify_fraction=args.modify_fraction,
-            workload=workload,
         )
-        events = synthesize_churn(config, rng=args.seed)
         if args.save_trace:
             save_events(args.save_trace, events, seed=args.seed, config=config)
             print(f"wrote churn trace: {args.save_trace}")
@@ -251,10 +217,9 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         print(f"  counter {name:>12}: {counters.get(name, 0)}")
     problems = fabric.check_invariant()
     print(f"fabric invariant: {'OK' if not problems else problems}")
-    if problems:
-        return 1
+    code = 1 if problems else 0
 
-    if args.drain:
+    if args.drain and not problems:
         victim = (
             args.drain
             if args.drain != "auto"
@@ -268,14 +233,32 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             )
             print(f"  probes: {forwarding}/{drain.num_rehomed} re-homed "
                   f"chains forward end-to-end")
-            if forwarding != drain.num_rehomed:
-                return 1
+            code |= forwarding != drain.num_rehomed
         problems = fabric.check_invariant()
         print(f"fabric invariant after drain: "
               f"{'OK' if not problems else problems}")
-        if problems:
-            return 1
-    return 0
+        code |= bool(problems)
+
+    if args.prometheus:
+        # Probe traffic through the survivors' home shards gives the 1-in-64
+        # postcard sampler packets to observe (churn alone is control plane).
+        from repro.scenarios.runner import probe_traffic
+        from repro.telemetry import PostcardCollector, render_prometheus
+
+        collector = PostcardCollector(sample_every=64)
+        for shard in fabric.shards.values():
+            if shard.pipeline is not None:
+                shard.pipeline.telemetry = collector
+        probe_traffic(fabric, 64)
+        collector.publish(fabric.metrics)
+        text = render_prometheus(fabric.metrics)
+        if args.prometheus == "-":
+            print(text, end="")
+        else:
+            with open(args.prometheus, "w") as fh:
+                fh.write(text)
+            print(f"wrote {args.prometheus}")
+    return code
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -424,19 +407,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
-    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
-    from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
+    from repro.controller import ChurnEngine
     from repro.frontend import FrontendClient, FrontendServer, IntentQueue
 
-    topology = FabricTopology.full_mesh(
-        args.switches, spec=PAPER_SWITCH, link_capacity_gbps=args.link_capacity
-    )
-    fabric = FabricOrchestrator(
-        topology,
-        num_types=PAPER_WORKLOAD.num_types,
-        partitioner=make_partitioner(args.partitioner),
-        with_dataplane=not args.no_dataplane,
+    fabric = _paper_fabric(
+        args.switches, args.partitioner, args.link_capacity, not args.no_dataplane
     )
     if args.wal_dir:
         from repro.durability import FabricDurability
@@ -467,16 +442,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.demo_events:
             # Self-driving demo/CI mode: synthesize a short churn stream,
             # push it through the in-process client, then shut down.
-            from dataclasses import replace
-
-            client = FrontendClient(server.pool)
-            config = ChurnConfig(
-                duration_s=max(1.0, args.demo_events / 8.0),
-                arrival_rate_per_s=8.0,
-                workload=replace(PAPER_WORKLOAD, num_sfcs=0),
-            )
-            events = synthesize_churn(config, rng=args.seed)[: args.demo_events]
-            engine = ChurnEngine(client)
+            _config, events = _churn(args.seed, args.demo_events)
+            engine = ChurnEngine(FrontendClient(server.pool))
             ok = sum(engine.apply(event).ok for event in events)
             print(f"demo: {ok}/{len(events)} intents accepted, "
                   f"{fabric.summary()['tenants']} tenants live")
@@ -497,34 +464,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_ha(args: argparse.Namespace) -> int:
     import json
     import time
-    from dataclasses import replace
     from pathlib import Path
 
-    from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
-    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
-    from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
+    from repro.controller import ChurnEngine
 
     root = Path(args.dir)
     node = args.node or args.action
 
     def make_fabric():
-        topology = FabricTopology.full_mesh(
-            args.switches, spec=PAPER_SWITCH, link_capacity_gbps=400.0
-        )
-        return FabricOrchestrator(
-            topology,
-            num_types=PAPER_WORKLOAD.num_types,
-            partitioner=make_partitioner("hash"),
-            with_dataplane=False,
-        )
-
-    def churn_events(n: int):
-        config = ChurnConfig(
-            duration_s=max(1.0, n / 8.0),
-            arrival_rate_per_s=8.0,
-            workload=replace(PAPER_WORKLOAD, num_sfcs=0),
-        )
-        return synthesize_churn(config, rng=args.seed)[:n]
+        return _paper_fabric(args.switches)
 
     if args.action == "status":
         from repro.durability import CheckpointStore, FabricDurability, scan_wal
@@ -552,7 +500,7 @@ def _cmd_ha(args: argparse.Namespace) -> int:
         cluster.start()
         print(f"primary elected at epoch {cluster.primary_lease.epoch}; "
               f"shipping to an in-process standby")
-        events = churn_events(args.events)
+        _config, events = _churn(args.seed, args.events)
         engine = ChurnEngine(cluster.fabric)
         decided = 0
         acked = 0
@@ -583,33 +531,24 @@ def _cmd_ha(args: argparse.Namespace) -> int:
         cluster.close()
         return 0 if report.ok and preserved else 1
 
-    if args.action == "primary":
-        from repro.durability import FabricDurability
-        from repro.ha import LeaseCoordinator, LeaseStore, SocketSink, WalShipper
+    from repro.ha import LeaseCoordinator, LeaseStore
 
-        lease = LeaseCoordinator(node, LeaseStore(root / "lease"), ttl_s=args.ttl)
-        if lease.try_acquire() is None:
-            print("could not acquire the primary lease", file=sys.stderr)
-            return 1
-        fabric = make_fabric()
-        durability = FabricDurability(
-            root / "primary", fsync=args.fsync, checkpoint_every=64
-        ).attach(fabric)
-        durability.set_epoch(lease.epoch)
-        durability.set_fence(lease.check_fence)
-        fabric.epoch = lease.epoch
-        shipper = None
+    lease = LeaseCoordinator(node, LeaseStore(root / "lease"), ttl_s=args.ttl)
+    if args.action == "primary":
+        from repro.ha import SocketSink, start_primary
+
+        sink = None
         if args.peer:
             host, _, port = args.peer.rpartition(":")
-            shipper = WalShipper(
-                root / "primary",
-                SocketSink(host or "127.0.0.1", int(port)),
-                epoch_fn=lambda: lease.epoch or 0,
-            )
+            sink = SocketSink(host or "127.0.0.1", int(port))
             print(f"shipping WAL frames to {args.peer}")
+        fabric, durability, shipper = start_primary(
+            lease, make_fabric, root / "primary", sink,
+            fsync=args.fsync, checkpoint_every=64,
+        )
         print(f"primary {node!r} at epoch {lease.epoch}, "
               f"journaling to {root / 'primary'}")
-        events = churn_events(args.events)
+        _config, events = _churn(args.seed, args.events)
         engine = ChurnEngine(fabric)
         decided = 0
         for event in events:
@@ -627,7 +566,7 @@ def _cmd_ha(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "standby":
-        from repro.ha import LeaseCoordinator, LeaseStore, ReplicationListener, StandbyReplica
+        from repro.ha import ReplicationListener, StandbyReplica, take_over
 
         standby = StandbyReplica()
         host, _, port = args.listen.rpartition(":")
@@ -643,33 +582,16 @@ def _cmd_ha(args: argparse.Namespace) -> int:
         print(json.dumps(standby.status(), indent=2, sort_keys=True))
         if not args.promote:
             return 0
-        lease = LeaseCoordinator(node, LeaseStore(root / "lease"), ttl_s=args.ttl)
         print("waiting out the primary lease ...")
-        wait_deadline = time.time() + args.ttl * 10 + 5
-        epoch = lease.try_acquire()
-        while epoch is None and time.time() < wait_deadline:
-            time.sleep(0.1)
-            epoch = lease.try_acquire()
-        if epoch is None:
-            print("could not win the lease (primary still alive?)",
-                  file=sys.stderr)
-            return 1
-        from repro.durability import FabricDurability
-
-        caught_up = standby.catch_up_from(root / "primary", epoch=epoch)
-        durability = FabricDurability(
-            root / "standby", fsync=args.fsync,
-            start_lsn=standby.applied_lsn,
+        durability, report = take_over(
+            lease, standby, root / "primary", root / "standby",
+            max_wait_s=args.ttl * 10 + 5, poll_s=0.1, fsync=args.fsync,
         )
-        problems = standby.promote(epoch, durability=durability)
-        durability.set_fence(lease.check_fence)
-        print(f"promoted at epoch {epoch}: caught up {caught_up} records "
-              f"to lsn {standby.applied_lsn}, digest "
-              f"{standby.fabric.digest()}")
-        for problem in problems:
+        print(f"promoted: {report.describe()}, digest {report.digest}")
+        for problem in report.problems:
             print(f"  problem: {problem}")
         durability.close()
-        return 0 if not problems else 1
+        return 0 if report.ok else 1
 
     raise SystemExit(f"unknown ha action {args.action}")  # pragma: no cover
 
@@ -824,46 +746,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.controller import ChurnConfig, ChurnEngine, SfcController, synthesize_churn
-    from repro.dataplane.packet import Packet
-    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
-    from repro.telemetry import PostcardCollector, render_prometheus
-    from repro.traffic.workload import make_instance
-
-    workload = replace(PAPER_WORKLOAD, num_sfcs=0)
-    config = ChurnConfig(
-        duration_s=(5.0 if args.quick else args.duration),
-        arrival_rate_per_s=args.rate,
-        workload=workload,
-    )
-    instance = make_instance(
-        workload, switch=PAPER_SWITCH, max_recirculations=2, rng=args.seed
-    )
-    controller = SfcController.for_instance(instance)
-    collector = PostcardCollector(sample_every=args.sample_every)
-    assert controller.pipeline is not None
-    controller.pipeline.telemetry = collector
-    ChurnEngine(controller).replay(synthesize_churn(config, rng=args.seed))
-    # Push probe traffic through the survivors so the postcard sampler has
-    # packets to observe (churn alone only exercises the control plane).
-    for tenant_id in sorted(controller.tenants):
-        controller.pipeline.process_batch(
-            [Packet(tenant_id=tenant_id, pass_id=1) for _ in range(args.probes)]
-        )
-    collector.publish(controller.metrics)
-    text = render_prometheus(controller.metrics)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -887,40 +769,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_place)
 
     p = sub.add_parser(
-        "controller", help="replay a synthesized churn stream through the controller"
-    )
-    _add_common(p)
-    p.add_argument("--duration", type=float, default=20.0, help="stream horizon (s)")
-    p.add_argument("--rate", type=float, default=8.0, help="tenant arrivals per second")
-    p.add_argument("--lifetime", type=float, default=5.0, help="mean tenant lifetime (s)")
-    p.add_argument(
-        "--modify-fraction", type=float, default=0.2,
-        help="fraction of tenants issuing one mid-lifetime chain modification",
-    )
-    p.add_argument(
-        "--no-dataplane", action="store_true",
-        help="control-plane only (skip the behavioural pipeline mirror)",
-    )
-    p.add_argument(
-        "--save-trace", default=None, metavar="OUT",
-        help="also write the synthesized churn stream as a JSONL trace "
-             "(header records the seed, so the file alone replays the run)",
-    )
-    p.add_argument(
-        "--wal-dir", default=None, metavar="DIR",
-        help="journal every committed op to a write-ahead log in DIR "
-             "(recover later with `sfp recover DIR`)",
-    )
-    p.add_argument(
-        "--fsync", choices=("always", "batch", "off"), default="batch",
-        help="WAL fsync policy when --wal-dir is set",
-    )
-    p.set_defaults(func=_cmd_controller)
-
-    p = sub.add_parser(
         "fabric",
-        help="replay tenant churn over a multi-switch fabric (with optional "
-             "drain demo)",
+        help="replay a churn stream or a compiled campaign trace over a "
+             "fabric (--switches 1 = one switch), with optional drain demo "
+             "and Prometheus export",
     )
     _add_common(p)
     p.add_argument(
@@ -937,7 +789,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--trace", default=None,
-        help="replay a JSONL churn trace instead of synthesizing one",
+        help="replay a JSONL trace (`--save-trace` or `sfp scenario "
+             "compile` output) instead of synthesizing one",
     )
     p.add_argument("--duration", type=float, default=20.0, help="stream horizon (s)")
     p.add_argument("--rate", type=float, default=8.0, help="tenant arrivals per second")
@@ -968,6 +821,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--fsync", choices=("always", "batch", "off"), default="batch",
         help="WAL fsync policy when --wal-dir is set",
+    )
+    p.add_argument(
+        "--prometheus", default=None, metavar="OUT",
+        help="after the replay, push 64 probe packets per live tenant under "
+             "1-in-64 postcard sampling and write the metrics registry in "
+             "Prometheus text format to OUT (- = stdout)",
     )
     p.set_defaults(func=_cmd_fabric)
 
@@ -1234,28 +1093,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also export the spans as JSONL, one span per line",
     )
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "metrics",
-        help="replay churn with sampled telemetry and print the metrics "
-             "registry in Prometheus text format",
-    )
-    _add_common(p)
-    p.add_argument("--duration", type=float, default=20.0, help="stream horizon (s)")
-    p.add_argument("--rate", type=float, default=8.0, help="tenant arrivals per second")
-    p.add_argument(
-        "--sample-every", type=int, default=64,
-        help="postcard sampling period (0 = armed but never samples)",
-    )
-    p.add_argument(
-        "--probes", type=int, default=64,
-        help="probe packets per surviving tenant after the replay",
-    )
-    p.add_argument(
-        "-o", "--out", default=None,
-        help="write the exposition text to a file instead of stdout",
-    )
-    p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser(
         "report", help="run all figures and write the EXPERIMENTS.md report"

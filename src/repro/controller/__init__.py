@@ -32,7 +32,7 @@ from repro.controller.events import (
     ChurnReport,
     EventKind,
     load_events,
-    read_trace_header,
+    read_trace,
     save_events,
     synthesize_churn,
 )
@@ -73,7 +73,7 @@ __all__ = [
     "check_admission",
     "default_rule_factory",
     "load_events",
-    "read_trace_header",
+    "read_trace",
     "save_events",
     "synthesize_churn",
 ]

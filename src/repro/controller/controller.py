@@ -69,25 +69,6 @@ def default_rule_factory(sfc: SFC, position: int, nf_name: str) -> tuple[TableEn
     return (TableEntry(match={}, action="permit", priority=-1),)
 
 
-def rule_churn_by_stage(
-    sfc: SFC, stages: Iterable[int], num_physical_stages: int
-) -> dict[int, int]:
-    """Rule entries a chain assignment installs (or removes), per *physical*
-    stage: virtual stage ``k`` folds onto physical stage ``(k - 1) % S``."""
-    churn: dict[int, int] = {}
-    for j, k in enumerate(stages):
-        s = (k - 1) % num_physical_stages
-        churn[s] = churn.get(s, 0) + sfc.rules[j]
-    return churn
-
-
-def merge_churn(into: dict[int, int], other: dict[int, int]) -> dict[int, int]:
-    """Accumulate one per-stage churn dict into another (in place)."""
-    for s, count in other.items():
-        into[s] = into.get(s, 0) + count
-    return into
-
-
 @dataclass
 class TenantRecord:
     """Control-plane bookkeeping for one live tenant."""
@@ -113,8 +94,7 @@ class OpResult:
     #: False only when a modify degraded to break-before-make.
     hitless: bool = True
     latency_s: float = 0.0
-    #: Rule-entry churn under the shared control-plane accounting
-    #: (:func:`rule_churn_by_stage`).
+    #: Rule entries the op installed / removed (a chain's ``total_rules``).
     rules_added: int = 0
     rules_deleted: int = 0
 
@@ -448,13 +428,12 @@ class SfcController:
                 )
 
         self._book(tenant_id, TenantRecord(sfc=sfc, stages=stages))
-        S = self.base.switch.stages
-        added = sum(rule_churn_by_stage(sfc, stages, S).values())
+        added = sfc.total_rules
         deleted = 0
         self.metrics.inc("admitted" if old is None else "modified")
         self.metrics.inc("rules_inserted", added)
         if old is not None:
-            deleted = sum(rule_churn_by_stage(old.sfc, old.stages, S).values())
+            deleted = old.sfc.total_rules
             self.metrics.inc("rules_deleted", deleted)
         if not hitless:
             self.metrics.inc("updates_break_before_make")
@@ -505,12 +484,11 @@ class SfcController:
                 tenant_id, "evict", "unknown-tenant",
                 f"tenant {tenant_id} has no live chain", timer,
             )
-        S = self.base.switch.stages
         self._release(record)
         if self.with_dataplane:
             assert self.installer is not None
             self.installer.evict(tenant_id)
-        deleted = sum(rule_churn_by_stage(record.sfc, record.stages, S).values())
+        deleted = record.sfc.total_rules
         self.metrics.inc("evicted")
         self.metrics.inc("rules_deleted", deleted)
         self._refresh_gauges()
@@ -654,17 +632,12 @@ class SfcController:
         if gap <= self.reconfigure_threshold:
             return False
 
-        ordered = sorted(self.tenants)
-        added: dict[int, int] = {}
-        deleted: dict[int, int] = {}
-        S = self.base.switch.stages
-        survivors: dict[int, TenantRecord] = {}
-        for idx, t in enumerate(ordered):
-            record = self.tenants[t]
-            merge_churn(deleted, rule_churn_by_stage(record.sfc, record.stages, S))
-            asg = reference.assignments[idx]
-            merge_churn(added, rule_churn_by_stage(record.sfc, asg.stages, S))
-            survivors[t] = TenantRecord(sfc=record.sfc, stages=asg.stages)
+        survivors = {
+            t: TenantRecord(sfc=self.tenants[t].sfc, stages=reference.assignments[idx].stages)
+            for idx, t in enumerate(sorted(self.tenants))
+        }
+        # Every survivor's rules are removed and re-installed.
+        churn = sum(record.sfc.total_rules for record in survivors.values())
 
         if self.with_dataplane:
             assert self.installer is not None
@@ -687,8 +660,8 @@ class SfcController:
             reference, reserve_physical_block=self.reserve_physical_block
         )
         self.metrics.inc("reconfigurations")
-        self.metrics.inc("rules_inserted", sum(added.values()))
-        self.metrics.inc("rules_deleted", sum(deleted.values()))
+        self.metrics.inc("rules_inserted", churn)
+        self.metrics.inc("rules_deleted", churn)
         self._refresh_gauges()
         if self.durability is not None:
             self.durability.commit_op(

@@ -16,7 +16,7 @@ one process for the failover drills, the kill-primary sweep, and
 ``BENCH_ha``.
 """
 
-from repro.ha.cluster import FailoverReport, HaCluster
+from repro.ha.cluster import FailoverReport, HaCluster, start_primary, take_over
 from repro.ha.lease import LeaseCoordinator, LeaseState, LeaseStore
 from repro.ha.ship import (
     InProcessSink,
@@ -41,4 +41,6 @@ __all__ = [
     "encode_frame",
     "recv_frame",
     "StandbyReplica",
+    "start_primary",
+    "take_over",
 ]

@@ -112,27 +112,11 @@ class HaCluster:
     def start(self) -> None:
         """Elect the primary (epoch 1 on a fresh lease), attach its fenced
         durability, and connect the in-process replication stream."""
-        if self.primary_lease.try_acquire() is None:
-            raise DurabilityError("primary could not acquire the initial lease")
-        self.fabric = self.make_fabric()
-        self.durability = FabricDurability(
-            self.primary_dir,
-            fsync=self.fsync,
-            checkpoint_every=self.checkpoint_every,
-            keep_checkpoints=self.keep_checkpoints,
-            fault_hook=self.fault_hook,
-        )
-        self.durability.attach(self.fabric)
-        epoch = self.primary_lease.epoch
-        assert epoch is not None
-        self.durability.set_epoch(epoch)
-        self.durability.set_fence(self.primary_lease.check_fence)
-        self.fabric.epoch = epoch
-        self.shipper = WalShipper(
-            self.primary_dir,
-            InProcessSink(self.standby),
-            epoch_fn=lambda: self.primary_lease.epoch or 0,
-            clock=self.clock,
+        self.fabric, self.durability, self.shipper = start_primary(
+            self.primary_lease, self.make_fabric, self.primary_dir,
+            InProcessSink(self.standby), clock=self.clock,
+            fsync=self.fsync, checkpoint_every=self.checkpoint_every,
+            keep_checkpoints=self.keep_checkpoints, fault_hook=self.fault_hook,
         )
         self.primary_alive = True
 
@@ -173,43 +157,17 @@ class HaCluster:
         primary's TTL), raise its epoch bar, drain the primary's surviving
         WAL tail, and promote with a fresh fenced durability coordinator
         continuing the LSN sequence."""
-        t0 = self.clock()
-        deadline = t0 + max_wait_s
-        epoch = self.standby_lease.try_acquire()
-        while epoch is None:
-            if self.clock() >= deadline:
-                raise DurabilityError(
-                    f"standby could not win the lease within {max_wait_s}s"
-                )
-            self.sleep(poll_s)
-            epoch = self.standby_lease.try_acquire()
-        # Fence first: from here on, no frame or append stamped with the
-        # old epoch can be accepted anywhere.
-        self.standby.observe_epoch(epoch)
-        caught_up = self.standby.catch_up_from(self.primary_dir, epoch=epoch)
-        durability = FabricDurability(
-            self.standby_dir,
-            fsync=self.fsync,
-            checkpoint_every=self.checkpoint_every,
+        self.durability, report = take_over(
+            self.standby_lease, self.standby, self.primary_dir, self.standby_dir,
+            max_wait_s=max_wait_s, poll_s=poll_s, clock=self.clock, sleep=self.sleep,
+            fsync=self.fsync, checkpoint_every=self.checkpoint_every,
             keep_checkpoints=self.keep_checkpoints,
-            start_lsn=self.standby.applied_lsn,
         )
-        problems = self.standby.promote(epoch, durability=durability)
-        durability.set_fence(self.standby_lease.check_fence)
-        self.durability = durability
         self.fabric = self.standby.fabric
         # The promoted standby is the live node now; close() treats its
         # durability as cleanly closeable.
         self.primary_alive = True
         self.shipper = None
-        report = FailoverReport(
-            epoch=epoch,
-            applied_lsn=self.standby.applied_lsn,
-            caught_up=caught_up,
-            digest=self.standby.fabric.digest(),
-            problems=list(problems),
-            failover_s=self.clock() - t0,
-        )
         return report
 
     # ------------------------------------------------------------------
@@ -222,3 +180,80 @@ class HaCluster:
                 self.durability.abort()
         elif self.durability is not None:
             self.durability.abort()
+
+
+def start_primary(
+    lease: LeaseCoordinator,
+    make_fabric: Callable[[], object],
+    directory: str | Path,
+    sink=None,
+    clock: Callable[[], float] = time.time,
+    **durability_kwargs,
+):
+    """Elect a primary: acquire ``lease``, build the fabric, attach its
+    durability journaling to ``directory`` behind the lease's epoch and
+    fence, and — given a replication ``sink`` — a :class:`WalShipper`
+    streaming that journal into it.  Returns ``(fabric, durability,
+    shipper)`` (``shipper`` is ``None`` without a sink).  ``HaCluster``
+    and ``sfp ha primary`` both start through here."""
+    if lease.try_acquire() is None:
+        raise DurabilityError("primary could not acquire the initial lease")
+    fabric = make_fabric()
+    durability = FabricDurability(directory, **durability_kwargs).attach(fabric)
+    epoch = lease.epoch
+    assert epoch is not None
+    durability.set_epoch(epoch)
+    durability.set_fence(lease.check_fence)
+    fabric.epoch = epoch
+    shipper = None
+    if sink is not None:
+        shipper = WalShipper(
+            directory, sink, epoch_fn=lambda: lease.epoch or 0, clock=clock
+        )
+    return fabric, durability, shipper
+
+
+def take_over(
+    lease: LeaseCoordinator,
+    standby: StandbyReplica,
+    primary_dir: str | Path,
+    standby_dir: str | Path,
+    max_wait_s: float = 30.0,
+    poll_s: float = 0.02,
+    clock: Callable[[], float] = time.time,
+    sleep: Callable[[float], None] = time.sleep,
+    **durability_kwargs,
+) -> tuple[FabricDurability, FailoverReport]:
+    """A standby's takeover: win ``lease`` (waiting out the dead primary's
+    TTL), raise the standby's epoch bar, drain the primary's surviving WAL
+    tail from ``primary_dir``, and promote with a fresh fenced durability
+    coordinator in ``standby_dir`` continuing the LSN sequence.  Returns
+    that coordinator and the report.  ``HaCluster.failover`` and
+    ``sfp ha standby --promote`` both take over through here."""
+    t0 = clock()
+    deadline = t0 + max_wait_s
+    epoch = lease.try_acquire()
+    while epoch is None:
+        if clock() >= deadline:
+            raise DurabilityError(
+                f"standby could not win the lease within {max_wait_s}s"
+            )
+        sleep(poll_s)
+        epoch = lease.try_acquire()
+    # Fence first: from here on, no frame or append stamped with the
+    # old epoch can be accepted anywhere.
+    standby.observe_epoch(epoch)
+    caught_up = standby.catch_up_from(primary_dir, epoch=epoch)
+    durability = FabricDurability(
+        standby_dir, start_lsn=standby.applied_lsn, **durability_kwargs
+    )
+    problems = standby.promote(epoch, durability=durability)
+    durability.set_fence(lease.check_fence)
+    return durability, FailoverReport(
+        epoch=epoch,
+        applied_lsn=standby.applied_lsn,
+        caught_up=caught_up,
+        digest=standby.fabric.digest(),
+        problems=list(problems),
+        failover_s=clock() - t0,
+    )

@@ -9,13 +9,16 @@ event streams that drive the real multi-switch fabric:
     JSON/YAML round-tripping.
 ``repro.scenarios.compile``
     Spec → stream compiler: a seeded, totally ordered
-    :class:`ScenarioEvent` list with a byte-stable trace digest and JSONL
-    save/load.
+    :class:`~repro.controller.events.ChurnEvent` stream (phase markers,
+    drains, undrains, reoptimize passes and tenant lifecycle) with a
+    byte-stable trace digest, saved as an ordinary churn trace whose
+    header also carries the spec and digest.
 ``repro.scenarios.runner``
     Replays a compiled campaign against a :class:`~repro.fabric.
-    orchestrator.FabricOrchestrator` (drains, undrains and lifecycle
-    events alike), checking the fabric bit-identity invariant at every
-    phase boundary and reporting per-phase + campaign-wide summaries.
+    orchestrator.FabricOrchestrator` through the one churn dispatch
+    (:class:`~repro.controller.events.ChurnEngine`), checking the fabric
+    bit-identity invariant at every phase boundary and reporting
+    per-phase + campaign-wide summaries.
 ``repro.scenarios.library``
     Production-shaped campaign library (diurnal, flash crowd, correlated
     failures at peak, rolling upgrade, noisy neighbor, burst modifies).
@@ -27,7 +30,6 @@ event streams that drive the real multi-switch fabric:
 
 from repro.scenarios.compile import (
     CompiledCampaign,
-    ScenarioEvent,
     compile_scenario,
     load_campaign,
     save_campaign,
@@ -64,7 +66,6 @@ __all__ = [
     "PhaseReport",
     "PhaseSpec",
     "ScaleFabric",
-    "ScenarioEvent",
     "ScenarioRunner",
     "ScenarioSpec",
     "TopologySpec",

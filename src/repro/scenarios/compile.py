@@ -1,16 +1,19 @@
 """Scenario compiler: a :class:`~repro.scenarios.dsl.ScenarioSpec` plus a
-seed becomes a totally ordered, replayable event stream.
+seed becomes a totally ordered, replayable
+:class:`~repro.controller.events.ChurnEvent` stream.
 
 Arrivals are drawn per phase by *thinning* (rejection sampling a homogeneous
 Poisson process at the curve's peak rate), so any :class:`LoadCurve` shape
 yields an exact non-homogeneous Poisson stream from one
-:func:`~repro.rng.make_rng` generator.  Lifetimes, modify draws, fault
-schedules and burst-modify coin flips all come from the same generator in a
-fixed order, so **the same (spec, seed) always compiles to the same
-stream** — byte for byte.  :func:`trace_digest` pins that down: it hashes
-the canonical JSONL encoding of every event, and
-:func:`save_campaign`/:func:`load_campaign` write/verify it in the trace
-header.
+:func:`~repro.rng.make_rng` generator; each phase's tenants then get the
+same lifecycle draw as plain churn
+(:func:`~repro.controller.events.draw_lifecycle`).  Fault schedules and
+burst-modify coin flips come from the same generator in a fixed order, so
+**the same (spec, seed) always compiles to the same stream** — byte for
+byte.  :func:`trace_digest` pins that down: it hashes the canonical JSONL
+encoding of every event, and :func:`save_campaign`/:func:`load_campaign`
+write/verify it in the header of an ordinary
+:func:`~repro.controller.events.save_events` trace.
 """
 
 from __future__ import annotations
@@ -22,106 +25,23 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Iterable
 
-from repro.controller.events import ChurnEvent, EventKind
-from repro.core.spec import SFC
+from repro.controller.events import (
+    ChurnEvent,
+    EventKind,
+    draw_lifecycle,
+    read_trace,
+    save_events,
+)
 from repro.errors import ScenarioError
 from repro.rng import make_rng
 from repro.scenarios.dsl import ScenarioSpec
 from repro.traffic.workload import make_sfcs
 
-#: Trace format version written into campaign headers.
-CAMPAIGN_TRACE_VERSION = 1
-
-#: Event kinds, in same-timestamp replay order: the phase marker first,
-#: then administrative undrain/drain, then tenant lifecycle, then the
-#: global ``reoptimize`` pass (appended last so pre-existing traces keep
-#: their byte-identical ordering; a re-optimization sees the instant's
-#: churn already applied).
-EVENT_KINDS = (
-    "phase", "undrain", "drain", "departure", "modify", "arrival", "reoptimize"
-)
-
-_KIND_RANK = {kind: rank for rank, kind in enumerate(EVENT_KINDS)}
-
-#: Scenario event kinds that map 1:1 onto churn-stream lifecycle kinds.
-LIFECYCLE_KINDS = ("arrival", "departure", "modify")
+#: The ``kind`` a campaign trace's header carries.
+CAMPAIGN_KIND = "scenario-campaign"
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
-    """One compiled campaign event.
-
-    Lifecycle kinds (``arrival``/``departure``/``modify``) carry a
-    ``tenant_id`` (and an ``sfc`` for arrivals/modifies) and convert to
-    :class:`~repro.controller.events.ChurnEvent` via :meth:`to_churn_event`;
-    administrative kinds (``drain``/``undrain``) carry a ``switch`` while
-    ``reoptimize`` triggers a fabric-wide pass; the ``phase`` marker opens
-    each phase.  ``seq`` makes replay order total.
-    """
-
-    time_s: float
-    seq: int
-    kind: str
-    phase: str
-    tenant_id: int = -1
-    switch: str | None = None
-    sfc: SFC | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise ScenarioError(
-                f"unknown event kind {self.kind!r}; choices: {EVENT_KINDS}"
-            )
-
-    @property
-    def lifecycle(self) -> bool:
-        """Whether this event is a tenant lifecycle event (vs admin/marker)."""
-        return self.kind in LIFECYCLE_KINDS
-
-    def to_churn_event(self) -> ChurnEvent:
-        """This event as the churn-stream type the fabric engine replays
-        (lifecycle kinds only)."""
-        if not self.lifecycle:
-            raise ScenarioError(f"{self.kind} events have no churn equivalent")
-        return ChurnEvent(
-            time_s=self.time_s,
-            seq=self.seq,
-            kind=EventKind(self.kind),
-            tenant_id=self.tenant_id,
-            sfc=self.sfc,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-native form (one JSONL trace record; exact inverse of
-        :meth:`from_dict`)."""
-        record = {
-            "time_s": self.time_s,
-            "seq": self.seq,
-            "kind": self.kind,
-            "phase": self.phase,
-            "tenant_id": self.tenant_id,
-        }
-        if self.switch is not None:
-            record["switch"] = self.switch
-        if self.sfc is not None:
-            record["sfc"] = self.sfc.to_dict()
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "ScenarioEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            time_s=float(record["time_s"]),
-            seq=int(record["seq"]),
-            kind=record["kind"],
-            phase=record["phase"],
-            tenant_id=int(record["tenant_id"]),
-            switch=record.get("switch"),
-            sfc=SFC.from_dict(record["sfc"]) if "sfc" in record else None,
-        )
-
-
-def trace_digest(events: Iterable[ScenarioEvent]) -> str:
+def trace_digest(events: Iterable[ChurnEvent]) -> str:
     """Stable blake2b digest of the canonical JSONL encoding of a stream.
     Two streams digest equal iff their serialized traces are byte-identical
     — the replayability guarantee the property suite asserts."""
@@ -140,7 +60,7 @@ class CompiledCampaign:
 
     spec: ScenarioSpec
     seed: int
-    events: tuple[ScenarioEvent, ...]
+    events: tuple[ChurnEvent, ...]
 
     @property
     def num_events(self) -> int:
@@ -153,9 +73,9 @@ class CompiledCampaign:
 
     def counts(self) -> dict[str, int]:
         """Events per kind (diagnostic view)."""
-        out: dict[str, int] = {kind: 0 for kind in EVENT_KINDS}
+        out: dict[str, int] = {kind.value: 0 for kind in EventKind}
         for event in self.events:
-            out[event.kind] += 1
+            out[event.kind.value] += 1
         return out
 
 
@@ -193,63 +113,25 @@ def compile_scenario(
     def phase_of(t: float) -> str:
         return bounds[max(0, bisect_right(starts, t) - 1)][0]
 
-    # (time, rank, tenant_id, tiebreak) -> raw record; sorted at the end.
-    raw: list[tuple[tuple, dict]] = []
-
-    def push(time_s: float, kind: str, **fields) -> None:
-        key = (
-            time_s,
-            _KIND_RANK[kind],
-            fields.get("tenant_id", -1),
-            fields.get("switch") or "",
-        )
-        raw.append((key, {"time_s": time_s, "kind": kind, **fields}))
-
-    tenant_counter = 0
-    arrival_at: dict[int, float] = {}
-    depart_at: dict[int, float] = {}
-
+    raw: list[ChurnEvent] = []
+    tenants = 0
     for phase, (name, start, _end) in zip(spec.phases, bounds):
-        push(start, "phase", phase_name=name)
+        raw.append(ChurnEvent(start, 0, EventKind.PHASE, phase=name))
         for action in phase.faults:
-            push(start + action.at_s, action.kind, switch=action.switch)
-        times = _draw_arrivals(rng, phase.load, phase.duration_s)
-        n = len(times)
-        chains = make_sfcs(spec.workload.with_num_sfcs(n), rng)
-        lifetimes = rng.exponential(phase.mean_lifetime_s, size=n)
-        modify_mask = rng.random(size=n) < phase.modify_fraction
-        modify_frac = rng.random(size=n)
-        mod_chains = make_sfcs(
-            spec.workload.with_num_sfcs(int(modify_mask.sum())), rng
-        )
-        mod_idx = 0
-        for idx, offset in enumerate(times):
-            tenant = tenant_counter
-            tenant_counter += 1
-            at = start + offset
-            arrival_at[tenant] = at
-            sfc = replace(
-                chains[idx], tenant_id=tenant, name=f"tenant-{tenant}"
+            raw.append(
+                ChurnEvent(start + action.at_s, 0, EventKind(action.kind), switch=action.switch)
             )
-            push(at, "arrival", tenant_id=tenant, sfc=sfc)
-            lifetime = float(lifetimes[idx])
-            if modify_mask[idx]:
-                new_chain = replace(
-                    mod_chains[mod_idx],
-                    tenant_id=tenant,
-                    name=f"tenant-{tenant}-v2",
-                )
-                mod_idx += 1
-                modifies_at = at + lifetime * float(modify_frac[idx])
-                if modifies_at < horizon:
-                    push(modifies_at, "modify", tenant_id=tenant, sfc=new_chain)
-            departs = at + lifetime
-            if departs < horizon:
-                depart_at[tenant] = departs
-                push(departs, "departure", tenant_id=tenant)
+        arrivals = [start + t for t in _draw_arrivals(rng, phase.load, phase.duration_s)]
+        raw.extend(draw_lifecycle(
+            rng, spec.workload, arrivals, horizon,
+            phase.mean_lifetime_s, phase.modify_fraction, tenants,
+        ))
+        tenants += len(arrivals)
 
     # Burst-modify storms: one coin per stream-live tenant per burst, in
     # (phase, burst, tenant-id) order so the draw sequence is fixed.
+    arrival_at = {e.tenant_id: e.time_s for e in raw if e.kind is EventKind.ARRIVAL}
+    depart_at = {e.tenant_id: e.time_s for e in raw if e.kind is EventKind.DEPARTURE}
     for phase, (_name, start, _end) in zip(spec.phases, bounds):
         for burst in phase.bursts:
             at = start + burst.at_s
@@ -268,93 +150,60 @@ def compile_scenario(
                     tenant_id=tenant,
                     name=f"tenant-{tenant}-burst",
                 )
-                push(at, "modify", tenant_id=tenant, sfc=new_chain)
+                raw.append(ChurnEvent(at, 0, EventKind.MODIFY, tenant, new_chain))
 
-    raw.sort(key=lambda pair: pair[0])
-    events = []
-    for seq, (_key, fields) in enumerate(raw):
-        kind = fields.pop("kind")
-        time_s = fields.pop("time_s")
-        name = fields.pop("phase_name", None)
-        events.append(
-            ScenarioEvent(
-                time_s=time_s,
-                seq=seq,
-                kind=kind,
-                phase=name if name is not None else phase_of(time_s),
-                **fields,
-            )
-        )
-    return CompiledCampaign(spec=spec, seed=used_seed, events=tuple(events))
+    rank = list(EventKind)  # declaration order is same-instant replay order
+    raw.sort(key=lambda e: (e.time_s, rank.index(e.kind), e.tenant_id, e.switch or ""))
+    events = tuple(
+        replace(e, seq=seq, phase=e.phase if e.phase is not None else phase_of(e.time_s))
+        for seq, e in enumerate(raw)
+    )
+    return CompiledCampaign(spec=spec, seed=used_seed, events=events)
 
 
 def save_campaign(path: str | Path, campaign: CompiledCampaign) -> None:
-    """Write a compiled campaign as JSONL: one header record carrying the
-    spec, seed, event count and trace digest, then one record per event —
-    the file alone re-verifies and replays the run."""
-    header = {
-        "header": True,
-        "version": CAMPAIGN_TRACE_VERSION,
-        "kind": "scenario-campaign",
-        "num_events": campaign.num_events,
-        "seed": campaign.seed,
-        "digest": campaign.digest(),
-        "spec": campaign.spec.to_dict(),
-    }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for event in campaign.events:
-            fh.write(
-                json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+    """Write a compiled campaign as a :func:`~repro.controller.events.
+    save_events` trace whose header also carries the spec and the trace
+    digest — the file alone re-verifies and replays the run."""
+    save_events(
+        path, campaign.events, seed=campaign.seed, kind=CAMPAIGN_KIND,
+        digest=campaign.digest(), spec=campaign.spec.to_dict(),
+    )
 
 
 def load_campaign(path: str | Path) -> CompiledCampaign:
     """Read a campaign written by :func:`save_campaign`, verifying the
-    header digest against the events actually read (a corrupted or edited
-    trace fails loudly)."""
-    path = Path(path)
-    header: dict | None = None
-    events: list[ScenarioEvent] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("header"):
-                header = record
-                continue
-            events.append(ScenarioEvent.from_dict(record))
-    if header is None:
+    header digest and count against the events actually read (a corrupted
+    or edited trace fails loudly with :class:`~repro.errors.ScenarioError`;
+    a malformed event line with :class:`~repro.errors.WorkloadError`)."""
+    header, events = read_trace(path)
+    if not header:
         raise ScenarioError(f"{path} has no campaign header record")
-    if header.get("kind") != "scenario-campaign":
+    if header.get("kind") != CAMPAIGN_KIND:
         raise ScenarioError(f"{path} is not a scenario campaign trace")
-    campaign = CompiledCampaign(
-        spec=ScenarioSpec.from_dict(header["spec"]),
-        seed=int(header["seed"]),
-        events=tuple(events),
-    )
+    try:
+        campaign = CompiledCampaign(
+            spec=ScenarioSpec.from_dict(header["spec"]),
+            seed=int(header["seed"]),
+            events=tuple(events),
+        )
+        expected, count = str(header["digest"]), int(header["num_events"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: bad campaign header ({exc!r})") from None
     digest = campaign.digest()
-    if digest != header["digest"]:
+    if digest != expected:
         raise ScenarioError(
-            f"{path}: trace digest {digest} != header {header['digest']} "
+            f"{path}: trace digest {digest} != header {expected} "
             "(corrupted or hand-edited trace)"
         )
-    if len(events) != int(header["num_events"]):
-        raise ScenarioError(
-            f"{path}: {len(events)} events != header count {header['num_events']}"
-        )
+    if len(events) != count:
+        raise ScenarioError(f"{path}: {len(events)} events != header count {count}")
     return campaign
 
 
 __all__ = [
-    "CAMPAIGN_TRACE_VERSION",
+    "CAMPAIGN_KIND",
     "CompiledCampaign",
-    "EVENT_KINDS",
-    "LIFECYCLE_KINDS",
-    "ScenarioEvent",
     "compile_scenario",
     "load_campaign",
     "save_campaign",

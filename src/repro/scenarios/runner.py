@@ -1,13 +1,14 @@
 """Campaign replay against the real fabric, phase by phase.
 
 :class:`ScenarioRunner` drives a :class:`~repro.fabric.orchestrator.
-FabricOrchestrator` with a compiled campaign stream: lifecycle events go
-through the normal :class:`~repro.controller.events.ChurnEngine` dispatch
-(admit / evict / modify), ``drain``/``undrain`` events call the fabric's
-failover API, ``reoptimize`` events run a fabric-wide global
-re-optimization pass (hitless migration included), and every ``phase``
-marker closes the previous phase with a
-**bit-identity audit** — :meth:`FabricOrchestrator.check_invariant` plus
+FabricOrchestrator` with a compiled campaign stream.  Every event goes
+through the one dispatch, :meth:`~repro.controller.events.ChurnEngine.
+apply` — admit / evict / modify, the fabric's drain / undrain, and
+fabric-wide ``reoptimize`` passes (hitless migration included) — into the
+open phase's :class:`~repro.controller.events.ChurnReport`.  The runner
+itself only does the phase-boundary work: every ``phase`` marker closes
+the previous phase with optional probe traffic (:func:`probe_traffic`) and
+a **bit-identity audit** — :meth:`FabricOrchestrator.check_invariant` plus
 the fabric digest — so each campaign asserts the paper-critical invariant
 at every phase boundary, not just at the end.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.controller.events import ChurnEngine, ChurnReport
+from repro.controller.events import ChurnEngine, ChurnReport, EventKind
 from repro.errors import ScenarioError
 from repro.fabric.orchestrator import FabricOrchestrator
 from repro.fabric.partitioner import make_partitioner
@@ -52,21 +53,48 @@ def build_fabric(
     )
 
 
+def probe_traffic(
+    fabric: FabricOrchestrator, packets_per_tenant: int
+) -> tuple[int, int, float]:
+    """Push ``packets_per_tenant`` 64-byte packets per live tenant through
+    its home shard's pipeline — one batch per shard, so compiled kernels
+    see real multi-tenant batches — in deterministic order.  Returns
+    ``(sent, delivered, seconds)``; nothing is sent on a control-plane-only
+    fabric."""
+    if packets_per_tenant <= 0 or not fabric.with_dataplane:
+        return 0, 0, 0.0
+    from repro.traffic.flows import FlowGenerator
+
+    by_switch: dict[str, list[int]] = {}
+    for tenant_id in sorted(fabric.tenants):
+        record = fabric.tenants[tenant_id]
+        by_switch.setdefault(record.segments[0].switch, []).append(tenant_id)
+    sent = delivered = 0
+    start = time.perf_counter()
+    for switch in sorted(by_switch):
+        shard = fabric.shards[switch]
+        assert shard.pipeline is not None
+        batch = []
+        for tenant_id in by_switch[switch]:
+            gen = FlowGenerator(tenant_id)
+            flows = gen.flows(4, tenant_id=tenant_id)
+            batch.extend(gen.packets(flows, packets_per_tenant, size_bytes=64))
+        results = shard.pipeline.process_batch(batch)
+        sent += len(results)
+        delivered += sum(r.delivered for r in results)
+    return sent, delivered, time.perf_counter() - start
+
+
 @dataclass
 class PhaseReport:
-    """One phase's outcome: the lifecycle replay report, administrative
-    action counts, and the phase-boundary audit (invariant problems +
-    fabric digest at the boundary)."""
+    """One phase's outcome: the replay report (lifecycle results and
+    administrative tallies) and the phase-boundary audit (invariant
+    problems + fabric digest at the boundary)."""
 
     name: str
     start_s: float
     end_s: float
     churn: ChurnReport = field(default_factory=ChurnReport)
-    drains: int = 0
-    undrains: int = 0
-    reoptimizes: int = 0
-    #: Migration moves executed by this phase's reoptimize passes.
-    reopt_moves: int = 0
     invariant_problems: list[str] = field(default_factory=list)
     digest: str = ""
     #: Phase-boundary traffic probe (0 packets when the runner has traffic
@@ -82,13 +110,8 @@ class PhaseReport:
 
     def summary(self) -> dict:
         """The phase's flat numbers: the churn summary (``None`` — not
-        NaN — percentiles on zero admits) plus admin counts and the
-        boundary audit result."""
+        NaN — percentiles on zero admits) plus the boundary audit result."""
         out = dict(self.churn.summary())
-        out["drains"] = float(self.drains)
-        out["undrains"] = float(self.undrains)
-        out["reoptimizes"] = float(self.reoptimizes)
-        out["reopt_moves"] = float(self.reopt_moves)
         out["invariant_ok"] = self.ok
         if self.traffic_packets:
             out["traffic_packets"] = float(self.traffic_packets)
@@ -98,22 +121,6 @@ class PhaseReport:
 
     def describe(self) -> str:
         """One human-readable line (the CLI's per-phase output)."""
-        s = self.summary()
-        if s["admit_p50_ms"] is None:
-            latency = "admit latency n/a (no successful admits)"
-        else:
-            latency = (
-                f"admit p50={s['admit_p50_ms']:.3f}ms "
-                f"p99={s['admit_p99_ms']:.3f}ms"
-            )
-        admin = ""
-        if self.drains or self.undrains:
-            admin = f"; {self.drains} drains, {self.undrains} undrains"
-        if self.reoptimizes:
-            admin += (
-                f"; {self.reoptimizes} reoptimizes "
-                f"({self.reopt_moves} moves)"
-            )
         traffic = ""
         if self.traffic_packets:
             traffic = (
@@ -121,10 +128,8 @@ class PhaseReport:
                 f"delivered @ {self.traffic_pps:,.0f} pps"
             )
         return (
-            f"[{self.name}] {int(s['events'])} events: "
-            f"{int(s['admitted'])} admitted, {int(s['modified'])} modified, "
-            f"{int(s['evicted'])} evicted, {int(s['rejected'])} rejected; "
-            f"{latency}{admin}{traffic}; "
+            f"[{self.name}] {self.churn.num_events} events: "
+            f"{self.churn.outcomes()}{traffic}; "
             f"invariant {'OK' if self.ok else self.invariant_problems}"
         )
 
@@ -148,7 +153,7 @@ class CampaignReport:
 
     @property
     def overall(self) -> ChurnReport:
-        """All phases' lifecycle results merged into one report."""
+        """All phases' replay reports merged into one."""
         return ChurnReport.merged(phase.churn for phase in self.phases)
 
     def summary(self) -> dict:
@@ -158,10 +163,6 @@ class CampaignReport:
         out["events_per_sec"] = (
             merged.num_events / self.wall_seconds if self.wall_seconds > 0 else 0.0
         )
-        out["drains"] = float(sum(p.drains for p in self.phases))
-        out["undrains"] = float(sum(p.undrains for p in self.phases))
-        out["reoptimizes"] = float(sum(p.reoptimizes for p in self.phases))
-        out["reopt_moves"] = float(sum(p.reopt_moves for p in self.phases))
         out["invariant_ok"] = self.ok
         out["phases"] = [
             {"name": p.name, **p.summary()} for p in self.phases
@@ -200,41 +201,13 @@ class ScenarioRunner:
         #: compiled kernels end to end.
         self.traffic_packets = traffic_packets
 
-    def _run_traffic(self, phase: PhaseReport) -> None:
-        """Inject ``traffic_packets`` packets per live tenant through each
-        tenant's home shard pipeline (one batch per shard, so compiled
-        kernels see real multi-tenant batches), in deterministic order."""
-        if self.traffic_packets <= 0 or not self.fabric.with_dataplane:
-            return
-        from repro.traffic.flows import FlowGenerator
-
-        by_switch: dict[str, list[int]] = {}
-        for tenant_id in sorted(self.fabric.tenants):
-            record = self.fabric.tenants[tenant_id]
-            by_switch.setdefault(record.segments[0].switch, []).append(tenant_id)
-        sent = delivered = 0
-        start = time.perf_counter()
-        for switch in sorted(by_switch):
-            shard = self.fabric.shards[switch]
-            assert shard.pipeline is not None
-            batch = []
-            for tenant_id in by_switch[switch]:
-                gen = FlowGenerator(tenant_id)
-                flows = gen.flows(4, tenant_id=tenant_id)
-                batch.extend(
-                    gen.packets(flows, self.traffic_packets, size_bytes=64)
-                )
-            results = shard.pipeline.process_batch(batch)
-            sent += len(results)
-            delivered += sum(r.delivered for r in results)
-        elapsed = time.perf_counter() - start
-        phase.traffic_packets = sent
-        phase.traffic_delivered = delivered
-        phase.traffic_pps = sent / elapsed if elapsed > 0 else 0.0
-        self.fabric.metrics.inc("scenario.traffic_packets", sent)
-
     def _close_phase(self, phase: PhaseReport) -> None:
-        self._run_traffic(phase)
+        sent, delivered, elapsed = probe_traffic(self.fabric, self.traffic_packets)
+        if sent:
+            phase.traffic_packets = sent
+            phase.traffic_delivered = delivered
+            phase.traffic_pps = sent / elapsed if elapsed > 0 else 0.0
+            self.fabric.metrics.inc("scenario.traffic_packets", sent)
         phase.invariant_problems = self.fabric.check_invariant()
         if phase.invariant_problems:
             self.fabric.metrics.inc("scenario.invariant_violations")
@@ -255,37 +228,19 @@ class ScenarioRunner:
         current: PhaseReport | None = None
         start_wall = time.perf_counter()
         for event in campaign.events:
-            if event.kind == "phase":
+            if event.kind is EventKind.PHASE:
                 if current is not None:
                     self._close_phase(current)
                 start, end = bounds.get(event.phase, (event.time_s, event.time_s))
                 current = PhaseReport(name=event.phase, start_s=start, end_s=end)
                 report.phases.append(current)
                 self.fabric.metrics.inc("scenario.phases")
-                continue
-            if current is None:
+            elif current is None:
                 raise ScenarioError(
                     f"event at t={event.time_s} precedes the first phase marker"
                 )
-            if event.kind == "drain":
-                assert event.switch is not None
-                self.fabric.drain(event.switch)
-                current.drains += 1
-                self.fabric.metrics.inc("scenario.drains")
-            elif event.kind == "undrain":
-                assert event.switch is not None
-                self.fabric.undrain(event.switch)
-                current.undrains += 1
-                self.fabric.metrics.inc("scenario.undrains")
-            elif event.kind == "reoptimize":
-                reopt = self.fabric.reoptimize(mode="greedy")
-                current.reoptimizes += 1
-                if reopt.migration is not None:
-                    current.reopt_moves += reopt.migration.executed
-                self.fabric.metrics.inc("scenario.reoptimizes")
             else:
-                result = self.engine.apply(event.to_churn_event())
-                current.churn.results.append((event, result))
+                self.engine.apply(event, current.churn)
         if current is not None:
             self._close_phase(current)
         report.wall_seconds = time.perf_counter() - start_wall
@@ -314,14 +269,14 @@ def run_campaign(
     report.
 
     ``fastpath=True`` attaches a compiled fast-path engine to every shard
-    pipeline (implies the data plane); ``traffic_packets`` injects that
-    many packets per live tenant at each phase boundary, which is what
-    makes campaign phases exercise the compiled kernels end to end.
+    pipeline, and ``traffic_packets`` injects that many packets per live
+    tenant at each phase boundary; both imply the data plane.  Together
+    they make campaign phases exercise the compiled kernels end to end.
     """
     campaign = compile_scenario(spec, seed)
     fabric = build_fabric(
         spec,
-        with_dataplane=with_dataplane or fastpath,
+        with_dataplane=with_dataplane or fastpath or traffic_packets > 0,
         partitioner=partitioner,
         fastpath=fastpath,
     )

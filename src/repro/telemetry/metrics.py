@@ -12,7 +12,7 @@ operation through it instead of hand-rolled ``perf_counter`` pairs.
 of name-sorted sub-dicts built from JSON-native types only, so serialized
 snapshots are deterministic and diff cleanly — the shape the churn
 benchmarks serialize to ``BENCH_controller.json`` / ``BENCH_fabric.json``,
-the ``sfp controller`` / ``sfp fabric`` CLIs print, and
+the ``sfp fabric`` CLI prints, and
 :func:`repro.telemetry.export.render_prometheus` renders in Prometheus text
 format.
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.controller import AdmissionPolicy, SfcController
-from repro.controller.controller import merge_churn, rule_churn_by_stage
 from repro.core.greedy import greedy_place
-from repro.core.spec import SFC, ProblemInstance, SwitchSpec
+from repro.core.spec import ProblemInstance, SwitchSpec
 from repro.core.state import PipelineState
 from repro.core.verify import check_placement
 from repro.traffic.workload import WorkloadConfig, make_sfcs
@@ -88,12 +87,16 @@ def test_evict_then_admit_never_moves_survivors(controller):
     assert_state_matches_recompute(controller)
 
 
-def test_rule_churn_by_stage_folds_virtual_onto_physical_stages():
-    sfc = SFC(name="x", nf_types=(1, 2, 1), rules=(10, 20, 30), bandwidth_gbps=1.0)
-    # Virtual stages (1, 2, 4) on a 3-stage switch fold position 2 back to
-    # physical stage 0, pooling its rules with position 0's.
-    assert rule_churn_by_stage(sfc, (1, 2, 4), 3) == {0: 40, 1: 20}
-    assert merge_churn({0: 5}, {0: 40, 2: 1}) == {0: 45, 2: 1}
+def test_rule_churn_of_a_folded_chain_is_its_total_rules(controller):
+    # A 4-NF chain on the 3-stage switch recirculates: its last NF folds
+    # back onto physical stage 0, and every rule still counts once.
+    sfc = chain(1, nf_types=(1, 2, 3, 1), rules=(10, 20, 30, 40))
+    admitted = controller.admit(sfc)
+    assert admitted.ok and max(admitted.stages) > 3
+    assert admitted.rules_added == sfc.total_rules == 100
+    assert controller.evict(1).rules_deleted == 100
+    counters = controller.metrics_snapshot()["counters"]
+    assert counters["rules_inserted"] == counters["rules_deleted"] == 100
 
 
 def test_modify_swaps_chain(controller):

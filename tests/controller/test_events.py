@@ -1,5 +1,9 @@
-"""Churn-stream tests: synthesis determinism and shape, JSONL round-trip,
-replay reporting, and the metrics layer."""
+"""Churn-stream tests: synthesis determinism and shape, the byte pins of
+the saved stream, JSONL round-trip, replay reporting, and the metrics
+layer."""
+
+import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.controller.events import (
 )
 from repro.controller.controller import SfcController
 from repro.errors import PlacementError, WorkloadError
+from repro.experiments.config import PAPER_WORKLOAD
 from repro.telemetry.metrics import MetricsRegistry
 from repro.traffic.workload import WorkloadConfig
 
@@ -61,6 +66,50 @@ def test_synthesis_event_shape(config):
         assert first[e.tenant_id] <= e.time_s
         if e.tenant_id in last:
             assert e.time_s <= last[e.tenant_id]
+
+
+#: Stream configs whose saved bytes are pinned: the defaults, the `sfp
+#: fabric --quick` stream, and the `intent_place` benchmark's stream
+#: (`benchmarks/e2e/wl_place.py`, 60 s of it).
+PINNED_CONFIGS = {
+    "default": ChurnConfig(),
+    "paper": ChurnConfig(
+        duration_s=5.0, arrival_rate_per_s=8.0, mean_lifetime_s=5.0,
+        modify_fraction=0.2, workload=replace(PAPER_WORKLOAD, num_sfcs=0),
+    ),
+    "intent_place": ChurnConfig(
+        duration_s=60.0, arrival_rate_per_s=28.0, mean_lifetime_s=6.0,
+        modify_fraction=0.25,
+        workload=WorkloadConfig(
+            num_sfcs=0, num_types=6, avg_chain_length=4, chain_length_spread=2,
+            rules_min=1, rules_max=4, mean_bandwidth_gbps=1.0,
+            max_bandwidth_gbps=4.0,
+        ),
+    ),
+}
+
+#: blake2b-128 of each `save_events` file, recorded when the stream had its
+#: own record type and draw; any change to either moves these.
+STREAM_PINS = {
+    ("default", 1): "177967c69dea8d247895b381be32071e",
+    ("default", 7): "0c3aa37f60b7681ad8d0c10f29251229",
+    ("default", 42): "84997c4c3a141069078a48626efeac27",
+    ("paper", 1): "1ea59b3d90594ae5eaeb09077c120926",
+    ("paper", 7): "dcc7cdd0944c533a6096600a268dd51f",
+    ("paper", 42): "daf2e49b113b4e0271b76bd9a7160be6",
+    ("intent_place", 1): "7056f9e66fd5a604d6e17a7c3d476f81",
+    ("intent_place", 7): "7257e20f43b32e4b06b07de5c5b7e538",
+    ("intent_place", 42): "9469b22cd29fc03d2d558228e0318bf0",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(STREAM_PINS))
+def test_saved_stream_bytes_are_pinned(tmp_path, name, seed):
+    config = PINNED_CONFIGS[name]
+    path = tmp_path / "churn.jsonl"
+    save_events(path, synthesize_churn(config, rng=seed), seed=seed, config=config)
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+    assert digest == STREAM_PINS[(name, seed)]
 
 
 def test_jsonl_roundtrip(config, tmp_path):

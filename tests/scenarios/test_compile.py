@@ -1,15 +1,14 @@
 """Compiler semantics: total event ordering, phase attribution, fault and
-burst scheduling, churn-event conversion, and trace save/load with digest
+burst scheduling, event records, and trace save/load with digest
 verification."""
 
 import json
 
 import pytest
 
+from repro.controller.events import ChurnEvent, EventKind
 from repro.errors import ScenarioError
 from repro.scenarios.compile import (
-    EVENT_KINDS,
-    ScenarioEvent,
     compile_scenario,
     load_campaign,
     save_campaign,
@@ -24,9 +23,9 @@ def campaign(tiny_spec):
 
 class TestStreamShape:
     def test_events_are_totally_ordered(self, campaign):
-        rank = {kind: i for i, kind in enumerate(EVENT_KINDS)}
+        rank = list(EventKind)
         keys = [
-            (e.time_s, rank[e.kind], e.tenant_id, e.switch or "")
+            (e.time_s, rank.index(e.kind), e.tenant_id, e.switch or "")
             for e in campaign.events
         ]
         assert keys == sorted(keys)
@@ -105,23 +104,14 @@ class TestFaultsAndBursts:
 
 
 class TestEvents:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown event kind"):
-            ScenarioEvent(time_s=0.0, seq=0, kind="explode", phase="p")
-
-    def test_lifecycle_conversion(self, campaign):
-        for event in campaign.events:
-            if event.lifecycle:
-                churn = event.to_churn_event()
-                assert churn.tenant_id == event.tenant_id
-                assert churn.kind.value == event.kind
-            else:
-                with pytest.raises(ScenarioError, match="no churn equivalent"):
-                    event.to_churn_event()
+    def test_unknown_kind_rejected(self, campaign):
+        record = dict(campaign.events[0].to_dict(), kind="explode")
+        with pytest.raises(ValueError, match="not a valid EventKind"):
+            ChurnEvent.from_dict(record)
 
     def test_event_dict_round_trip(self, campaign):
         for event in campaign.events:
-            assert ScenarioEvent.from_dict(event.to_dict()) == event
+            assert ChurnEvent.from_dict(event.to_dict()) == event
 
 
 class TestTraceFiles:

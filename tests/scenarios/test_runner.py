@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios.compile import CompiledCampaign, ScenarioEvent, compile_scenario
+from repro.controller.events import ChurnEvent, EventKind
+from repro.scenarios.compile import CompiledCampaign, compile_scenario
 from repro.scenarios.runner import ScenarioRunner, build_fabric, run_campaign
 
 
@@ -23,12 +24,12 @@ class TestRun:
 
     def test_drains_are_dispatched_to_the_fabric(self, tiny_spec):
         fabric, report = run_campaign(tiny_spec)
-        fault = report.phases[1]
+        fault = report.phases[1].churn
         assert fault.drains == 1
         assert fault.undrains == 1
+        assert report.overall.drains == 1
         counters = fabric.metrics_snapshot()["counters"]
-        assert counters["scenario.drains"] == 1
-        assert counters["scenario.undrains"] == 1
+        assert counters["drains"] == 1
         assert counters["scenario.phases"] == 3
         # sw1 was undrained again, so nothing stays drained at the end.
         assert sorted(fabric.active_switches) == fabric.topology.switch_names
@@ -96,8 +97,8 @@ class TestDescribe:
 class TestMarkerlessEvent:
     def test_marker_only_campaign_yields_empty_phases(self, tiny_spec):
         markers = tuple(
-            ScenarioEvent(
-                time_s=start, seq=i, kind="phase", phase=name
+            ChurnEvent(
+                time_s=start, seq=i, kind=EventKind.PHASE, phase=name
             )
             for i, (name, start, _end) in enumerate(tiny_spec.phase_bounds())
         )

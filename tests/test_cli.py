@@ -44,13 +44,15 @@ def test_place_appro(capsys):
     assert "feasibility: OK" in capsys.readouterr().out
 
 
-def test_controller_replays_churn(capsys):
-    assert main(["controller", "--quick", "--seed", "11"]) == 0
+def test_one_switch_fabric_replays_churn(capsys):
+    assert main(["fabric", "--quick", "--seed", "11", "--switches", "1"]) == 0
     out = capsys.readouterr().out
+    assert "fabric: 1 switches (hash), 0 links" in out
     assert "events/s" in out
     assert "p99" in out
     assert "live tenants:" in out
-    assert "counter" in out and "gauge" in out
+    assert "(0 stitched across switches)" in out
+    assert "fabric invariant: OK" in out
 
 
 def test_fabric_replays_churn_and_drains(capsys):
@@ -121,8 +123,8 @@ def test_trace_prints_span_tree_and_postcard(capsys, tmp_path):
 
 def test_metrics_renders_prometheus_text(capsys):
     code = main([
-        "metrics", "--quick", "--rate", "3", "--seed", "2",
-        "--sample-every", "8", "--probes", "16",
+        "fabric", "--quick", "--switches", "1", "--rate", "3", "--seed", "2",
+        "--prometheus", "-",
     ])
     out = capsys.readouterr().out
     assert code == 0
@@ -130,13 +132,18 @@ def test_metrics_renders_prometheus_text(capsys):
     assert "# TYPE sfp_telemetry_packets_seen gauge" in out
     assert 'sfp_op_latency_s_admit_bucket{le="+Inf"}' in out
     assert "sfp_op_latency_s_admit_count" in out
+    seen = next(
+        line for line in out.splitlines()
+        if line.startswith("sfp_telemetry_packets_seen ")
+    )
+    assert float(seen.split()[1]) > 0
 
 
 def test_metrics_writes_file(capsys, tmp_path):
     out_file = tmp_path / "metrics.prom"
     code = main([
-        "metrics", "--quick", "--rate", "2", "--seed", "3",
-        "-o", str(out_file),
+        "fabric", "--quick", "--switches", "1", "--rate", "2", "--seed", "3",
+        "--prometheus", str(out_file),
     ])
     out = capsys.readouterr().out
     assert code == 0
@@ -144,14 +151,29 @@ def test_metrics_writes_file(capsys, tmp_path):
     assert "sfp_admitted_total" in out_file.read_text()
 
 
+def _journal_a_controller(wal_dir) -> None:
+    """A standalone controller's durability directory: the input of the
+    controller branch of `sfp recover` / `sfp checkpoint`."""
+    from dataclasses import replace
+
+    from repro.controller import ChurnConfig, ChurnEngine, SfcController, synthesize_churn
+    from repro.durability import ControllerDurability
+    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
+    from repro.traffic.workload import make_instance
+
+    workload = replace(PAPER_WORKLOAD, num_sfcs=0)
+    controller = SfcController.for_instance(
+        make_instance(workload, switch=PAPER_SWITCH, max_recirculations=2, rng=7)
+    )
+    durability = ControllerDurability(wal_dir).attach(controller)
+    config = ChurnConfig(duration_s=5.0, arrival_rate_per_s=8.0, workload=workload)
+    ChurnEngine(controller).replay(synthesize_churn(config, rng=7))
+    durability.close()
+
+
 def test_controller_journals_then_recovers(capsys, tmp_path):
     wal_dir = tmp_path / "durability"
-    code = main([
-        "controller", "--quick", "--seed", "7", "--wal-dir", str(wal_dir),
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert f"journaling to {wal_dir}" in out
+    _journal_a_controller(wal_dir)
     assert (wal_dir / "wal.jsonl").exists()
 
     code = main(["recover", str(wal_dir)])
@@ -165,10 +187,7 @@ def test_controller_journals_then_recovers(capsys, tmp_path):
 
 def test_checkpoint_compacts_the_wal(capsys, tmp_path):
     wal_dir = tmp_path / "durability"
-    assert main([
-        "controller", "--quick", "--seed", "7", "--wal-dir", str(wal_dir),
-    ]) == 0
-    capsys.readouterr()
+    _journal_a_controller(wal_dir)
 
     code = main(["checkpoint", str(wal_dir)])
     out = capsys.readouterr().out
@@ -200,6 +219,84 @@ def test_fabric_journals_then_recovers(capsys, tmp_path):
     assert "fabric invariant: OK" in out
 
 
+def test_one_switch_fabric_journals_a_fabric_directory(capsys, tmp_path):
+    wal_dir = tmp_path / "durability"
+    assert main([
+        "fabric", "--quick", "--seed", "7", "--switches", "1",
+        "--wal-dir", str(wal_dir),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["checkpoint", str(wal_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "checkpointed fabric at lsn" in out
+    assert "wal: 0 records past lsn" in out
+
+
+@pytest.mark.parametrize(
+    "campaign,admin",
+    [("defrag-cadence", "4 reoptimizes"), ("correlated-failure", "2 drains, 2 undrains")],
+)
+def test_fabric_replays_a_compiled_campaign(capsys, tmp_path, campaign, admin):
+    trace = tmp_path / "campaign.jsonl"
+    assert main(["scenario", "compile", campaign, "--smoke", "-o", str(trace)]) == 0
+    capsys.readouterr()
+    code = main(["fabric", "--trace", str(trace), "--no-dataplane"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert admin in out
+    assert "fabric invariant: OK" in out
+
+
+def _bad_line(record: dict, defect: str) -> str:
+    if defect == "not-json":
+        return '{"time_s": 0.5, "seq": '
+    if defect == "not-an-object":
+        return "[1, 2, 3]"
+    if defect == "unknown-kind":
+        record["kind"] = "explode"
+    elif defect == "missing-seq":
+        del record["seq"]
+    else:  # wrong-type
+        record["tenant_id"] = [7]
+    return json.dumps(record)
+
+
+DEFECTS = {
+    "not-json": "not JSON",
+    "not-an-object": "expected a JSON object",
+    "unknown-kind": "'explode' is not a valid EventKind",
+    "missing-seq": "missing field 'seq'",
+    "wrong-type": "int()",
+}
+
+
+@pytest.mark.parametrize("reader", ["load_events", "load_campaign", "sfp-fabric"])
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_malformed_trace_line_is_a_typed_error(capsys, tmp_path, reader, defect):
+    from repro.errors import WorkloadError
+    from repro.scenarios import compile_scenario, load_campaign, save_campaign
+    from repro.controller import load_events
+
+    path = tmp_path / "trace.jsonl"
+    save_campaign(path, compile_scenario(make_tiny_spec()))
+    lines = path.read_text().splitlines()
+    lines[3] = _bad_line(json.loads(lines[3]), defect)
+    path.write_text("\n".join(lines) + "\n")
+    where = f"{path}, line 4: "
+    if reader == "sfp-fabric":
+        assert main(["fabric", "--trace", str(path), "--no-dataplane"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"sfp: error: {where}")
+        assert DEFECTS[defect] in captured.err
+        assert captured.err.count("\n") == 1
+    else:
+        loader = load_events if reader == "load_events" else load_campaign
+        with pytest.raises(WorkloadError) as excinfo:
+            loader(path)
+        assert str(excinfo.value).startswith(where)
+        assert DEFECTS[defect] in str(excinfo.value)
+
+
 def test_recover_rejects_a_directory_without_a_manifest(capsys, tmp_path):
     assert main(["recover", str(tmp_path / "nowhere")]) == 2
     err = capsys.readouterr().err
@@ -224,6 +321,13 @@ def test_scenario_run_smoke_audits_every_phase(capsys):
     assert "[warmup]" in out and "[steady]" in out and "[cooldown]" in out
     assert "invariant OK" in out
     assert "live tenants:" in out
+
+
+def test_scenario_run_traffic_implies_the_dataplane(capsys):
+    assert main(["scenario", "run", "steady-state", "--smoke", "--traffic", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "delivered @" in out
+    assert "invariant OK" in out
 
 
 def test_scenario_run_needs_a_name_or_spec(capsys):
