@@ -60,10 +60,7 @@ def churn_config(duration_s: float) -> ChurnConfig:
 
 def check_invariant(controller: SfcController) -> bool:
     """True iff incremental accounting equals a from-scratch recompute."""
-    reference = PipelineState.from_placement(
-        controller.placement,
-        reserve_physical_block=controller.reserve_physical_block,
-    )
+    reference = PipelineState.from_placement(controller.placement)
     return (
         np.array_equal(controller.state.entries, reference.entries)
         and np.array_equal(controller.state.nf_blocks, reference.nf_blocks)

@@ -74,10 +74,7 @@ def main() -> None:
           f"hitless={result.hitless}, rules +{result.rules_added}/-{result.rules_deleted}")
 
     # The churn invariant: incremental accounting == from-scratch recompute.
-    reference = PipelineState.from_placement(
-        controller.placement,
-        reserve_physical_block=controller.reserve_physical_block,
-    )
+    reference = PipelineState.from_placement(controller.placement)
     ok = (
         np.array_equal(controller.state.entries, reference.entries)
         and np.array_equal(controller.state.nf_blocks, reference.nf_blocks)

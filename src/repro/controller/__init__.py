@@ -16,7 +16,6 @@ The counters/gauges the benchmarks export live in
 
 from repro.controller.admission import (
     AdmissionDecision,
-    AdmissionPolicy,
     check_admission,
 )
 from repro.controller.controller import (
@@ -52,7 +51,6 @@ from repro.telemetry.metrics import (
 
 __all__ = [
     "AdmissionDecision",
-    "AdmissionPolicy",
     "ChurnConfig",
     "ChurnEngine",
     "ChurnEvent",

@@ -18,38 +18,11 @@ from dataclasses import dataclass
 from repro.core.spec import SFC
 from repro.core.state import PipelineState
 
-#: Reason codes an :class:`AdmissionDecision` (or the controller itself) can
-#: carry; the metrics layer mirrors them as ``rejected.<reason>`` counters.
-REASONS = (
-    "duplicate-tenant",
-    "capacity-tenants",
-    "chain-too-long",
-    "unknown-nf-type",
-    "memory-exhausted",
-    "backplane-exhausted",
-    "no-feasible-placement",
-    "dataplane-rejected",
-)
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Knobs for the admission screen.
-
-    ``max_tenants`` caps concurrently admitted tenants (``None`` = unlimited);
-    the boolean flags allow switching individual checks off for experiments
-    that want the solver to see every candidate (e.g. the fig. 11 replay,
-    which reproduces the original greedy admission exactly).
-    """
-
-    max_tenants: int | None = None
-    check_memory: bool = True
-    check_backplane: bool = True
-
 
 @dataclass(frozen=True)
 class AdmissionDecision:
-    """Outcome of the admission screen: admitted or a coded rejection."""
+    """Outcome of the admission screen: admitted or a coded rejection
+    (``reason`` is mirrored as a ``rejected.<reason>`` counter)."""
 
     admitted: bool
     reason: str | None = None
@@ -62,30 +35,17 @@ class AdmissionDecision:
 ADMIT = AdmissionDecision(admitted=True)
 
 
-def check_admission(
-    sfc: SFC,
-    state: PipelineState,
-    policy: AdmissionPolicy | None = None,
-    live_tenants: int = 0,
-) -> AdmissionDecision:
+def check_admission(sfc: SFC, state: PipelineState) -> AdmissionDecision:
     """Screen one SFC request against the live resource state.
 
-    Checks, in order: tenant-count cap, chain-order feasibility (J <= K),
-    catalog membership of every NF type, backplane budget (Eq. 12 with the
-    chain's minimum pass count), and residual stage memory (total rules vs.
-    free blocks plus the slack in already part-filled blocks of the chain's
-    own types).  Returns the first failure, or an admitted decision.
+    Checks, in order: chain-order feasibility (J <= K), catalog membership
+    of every NF type, backplane budget (Eq. 12 with the chain's minimum
+    pass count), and residual stage memory (total rules vs. free blocks
+    plus the slack in already part-filled blocks of the chain's own types).
+    Returns the first failure, or an admitted decision.
     """
-    policy = policy or AdmissionPolicy()
     instance = state.instance
     switch = state.switch
-
-    if policy.max_tenants is not None and live_tenants >= policy.max_tenants:
-        return AdmissionDecision(
-            admitted=False,
-            reason="capacity-tenants",
-            detail=f"{live_tenants} live tenants >= cap {policy.max_tenants}",
-        )
 
     K = instance.virtual_stages
     if sfc.length > K:
@@ -103,43 +63,40 @@ def check_admission(
             detail=f"type ids {bad} outside catalog [1, {instance.num_types}]",
         )
 
-    if policy.check_backplane:
-        # A chain of J NFs needs at least ceil(J / S) passes, each carrying
-        # the tenant's full bandwidth across the backplane (Eq. 12 LHS).
-        min_passes = -(-sfc.length // switch.stages)
-        if not state.backplane_fits(min_passes * sfc.bw_bps):
-            residual = switch.capacity_gbps - state.backplane_gbps
-            return AdmissionDecision(
-                admitted=False,
-                reason="backplane-exhausted",
-                detail=(
-                    f"needs >= {min_passes * sfc.bandwidth_gbps:.1f} Gbps "
-                    f"backplane ({min_passes} passes x "
-                    f"{sfc.bandwidth_gbps:.1f} Gbps), "
-                    f"residual {residual:.1f} Gbps"
-                ),
-            )
+    # A chain of J NFs needs at least ceil(J / S) passes, each carrying the
+    # tenant's full bandwidth across the backplane (Eq. 12 LHS).
+    min_passes = -(-sfc.length // switch.stages)
+    if not state.backplane_fits(min_passes * sfc.bw_bps):
+        residual = switch.capacity_gbps - state.backplane_gbps
+        return AdmissionDecision(
+            admitted=False,
+            reason="backplane-exhausted",
+            detail=(
+                f"needs >= {min_passes * sfc.bandwidth_gbps:.1f} Gbps "
+                f"backplane ({min_passes} passes x "
+                f"{sfc.bandwidth_gbps:.1f} Gbps), "
+                f"residual {residual:.1f} Gbps"
+            ),
+        )
 
-    if policy.check_memory:
-        # Optimistic capacity: whole free blocks everywhere, plus the slack
-        # left in part-filled blocks already charged to this chain's own NF
-        # types (consolidated accounting lets same-type rules share blocks).
-        epb = switch.entries_per_block
-        capacity = sum(state.free_blocks(s) for s in range(switch.stages)) * epb
-        if state.consolidate:
-            for i in set(t - 1 for t in sfc.nf_types):
-                for s in range(switch.stages):
-                    used = int(state.entries[i, s])
-                    if used > 0 and used % epb:
-                        capacity += epb - used % epb
-        if sfc.total_rules > capacity:
-            return AdmissionDecision(
-                admitted=False,
-                reason="memory-exhausted",
-                detail=(
-                    f"chain needs {sfc.total_rules} rule entries, at most "
-                    f"{capacity} available across all stages"
-                ),
-            )
+    # Optimistic capacity: whole free blocks everywhere, plus the slack left
+    # in part-filled blocks already charged to this chain's own NF types
+    # (consolidated accounting lets same-type rules share blocks).
+    epb = switch.entries_per_block
+    capacity = sum(state.free_blocks(s) for s in range(switch.stages)) * epb
+    for i in set(t - 1 for t in sfc.nf_types):
+        for s in range(switch.stages):
+            used = int(state.entries[i, s])
+            if used > 0 and used % epb:
+                capacity += epb - used % epb
+    if sfc.total_rules > capacity:
+        return AdmissionDecision(
+            admitted=False,
+            reason="memory-exhausted",
+            detail=(
+                f"chain needs {sfc.total_rules} rule entries, at most "
+                f"{capacity} available across all stages"
+            ),
+        )
 
     return ADMIT

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable
 
-from repro.controller.admission import AdmissionPolicy, check_admission
+from repro.controller.admission import check_admission
 from repro.controller.install import TransactionalInstaller
 from repro.core.greedy import _ensure_all_types, greedy_place, sfc_metric, try_place_chain
 from repro.core.placement import NFAssignment, Placement
@@ -106,9 +106,6 @@ class SfcController:
         self,
         instance: ProblemInstance,
         with_dataplane: bool = True,
-        policy: AdmissionPolicy | None = None,
-        consolidate: bool = True,
-        reserve_physical_block: bool = True,
         reconfigure_threshold: float | None = None,
         rule_factory: RuleFactory | None = None,
         name: str = "switch",
@@ -121,7 +118,9 @@ class SfcController:
         ``with_dataplane=False`` the controller runs control-plane only —
         the mode the fig. 11 experiment replays at scale.  ``name`` labels
         this controller's switch — the fabric orchestrator runs one
-        controller per fabric switch and keys reports by it.
+        controller per fabric switch and keys reports by it.  Accounting is
+        SFP's serving model: consolidated blocks (Eq. 11/24), and an
+        installed physical NF reserves one (§IV).
 
         ``tracer``/``recorder`` are the optional telemetry hooks: with a
         tracer attached every lifecycle op opens a ``controller.<op>`` span
@@ -130,16 +129,9 @@ class SfcController:
         recent state transitions in its ring."""
         self.base = instance
         self.name = name
-        self.policy = policy or AdmissionPolicy()
-        self.consolidate = consolidate
-        self.reserve_physical_block = reserve_physical_block
         self.reconfigure_threshold = reconfigure_threshold
         self.rule_factory = rule_factory or default_rule_factory
-        self.state = PipelineState(
-            instance,
-            consolidate=consolidate,
-            reserve_physical_block=reserve_physical_block,
-        )
+        self.state = PipelineState(instance)
         self.tenants: dict[int, TenantRecord] = {}
         #: Eq. 1/14's objective Σ ``bw_bps × J``, kept by :meth:`_book`.
         self._objective_bps = 0
@@ -209,7 +201,6 @@ class SfcController:
             instance=self.population_instance,
             physical=self.state.physical.copy(),
             assignments=assignments,
-            consolidate=self.consolidate,
             algorithm="controller",
         )
 
@@ -225,7 +216,7 @@ class SfcController:
         segment/switch candidates before committing any shard."""
         if sfc.tenant_id in self.tenants:
             return False
-        if not check_admission(sfc, self.state, self.policy, len(self.tenants)):
+        if not check_admission(sfc, self.state):
             return False
         snap = self.state.snapshot()
         stages = try_place_chain(self.state, sfc, self.base.virtual_stages)
@@ -391,9 +382,8 @@ class SfcController:
         rejection (``no_fit`` is its detail when placement fails)."""
         tenant_id = sfc.tenant_id
         op = "admit" if old is None else "modify"
-        others = len(self.tenants) - (old is not None)
         with maybe_span(self.tracer, "controller.admission", tenant=tenant_id) as sp:
-            decision = check_admission(sfc, self.state, self.policy, others)
+            decision = check_admission(sfc, self.state)
             sp.set(ok=bool(decision))
         if not decision:
             self.state.restore(snap)
@@ -617,12 +607,7 @@ class SfcController:
         if self.reconfigure_threshold is None or not self.tenants:
             return False
         population = self.population_instance
-        reference = greedy_place(
-            population,
-            consolidate=self.consolidate,
-            reserve_physical_block=self.reserve_physical_block,
-            require_all_types=False,
-        )
+        reference = greedy_place(population, require_all_types=False)
         if len(reference.assignments) < len(self.tenants):
             return False  # never drop a live tenant to chase efficiency
         current = self.state.backplane_gbps
@@ -656,9 +641,7 @@ class SfcController:
             self._sweep_stale_tables(reference.physical)
 
         self.tenants = survivors  # same chains, new stages: objective unchanged
-        self.state = PipelineState.from_placement(
-            reference, reserve_physical_block=self.reserve_physical_block
-        )
+        self.state = PipelineState.from_placement(reference)
         self.metrics.inc("reconfigurations")
         self.metrics.inc("rules_inserted", churn)
         self.metrics.inc("rules_deleted", churn)

@@ -330,14 +330,6 @@ def _switch_spec_dict(spec) -> dict:
     return spec.to_dict()
 
 
-def _policy_dict(policy) -> dict:
-    return {
-        "max_tenants": policy.max_tenants,
-        "check_memory": policy.check_memory,
-        "check_backplane": policy.check_backplane,
-    }
-
-
 def controller_manifest(controller: "SfcController") -> dict:
     """Everything needed to reconstruct an equivalent empty controller."""
     return {
@@ -347,12 +339,9 @@ def controller_manifest(controller: "SfcController") -> dict:
         "switch": _switch_spec_dict(controller.base.switch),
         "num_types": controller.base.num_types,
         "max_recirculations": controller.base.max_recirculations,
-        "consolidate": controller.consolidate,
-        "reserve_physical_block": controller.reserve_physical_block,
         "reconfigure_threshold": controller.reconfigure_threshold,
         "with_dataplane": controller.with_dataplane,
         "fastpath": controller.fastpath is not None,
-        "policy": _policy_dict(controller.policy),
     }
 
 
@@ -380,9 +369,6 @@ def fabric_manifest(fabric: "FabricOrchestrator") -> dict:
             {"a": link.a, "b": link.b, "capacity_gbps": link.capacity_gbps}
             for link in (fabric.topology.links[k] for k in sorted(fabric.topology.links))
         ],
-        "policy": _policy_dict(shard.policy),
-        "consolidate": shard.consolidate,
-        "reserve_physical_block": shard.reserve_physical_block,
     }
 
 

@@ -4,8 +4,8 @@ Recovery rebuilds a controller (or a whole fabric) from its durability
 directory alone:
 
 1. **Manifest** — reconstruct an equivalent *empty* controller/fabric from
-   the immutable recovery manifest (switch spec, catalog size, policy,
-   topology, partitioner).
+   the immutable recovery manifest (switch spec, catalog size, topology,
+   partitioner).
 2. **Checkpoint** — load the newest CRC-valid checkpoint and restore it
    through the direct-install path (:meth:`SfcController.restore_tenant`),
    landing exactly at the checkpoint's recorded state digest.
@@ -29,12 +29,12 @@ the fault-injection suite sweeps across every crash site.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.controller.admission import AdmissionPolicy
 from repro.controller.controller import SfcController
 from repro.core.spec import SFC, ProblemInstance, SwitchSpec
 from repro.durability.checkpoint import (
@@ -251,6 +251,29 @@ def apply_fabric_record(
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
+#: Keys manifests written before the accounting and admission settings were
+#: fixed still carry, each with the one value anything ever wrote.
+_OLD_MANIFEST_KEYS = {
+    "policy": {"check_backplane": True, "check_memory": True, "max_tenants": None},
+    "consolidate": True,
+    "reserve_physical_block": True,
+}
+
+
+def _refuse_old_settings(manifest: dict) -> None:
+    """Load an older manifest's fixed keys only at the values served now:
+    any other value describes a fabric this code cannot rebuild."""
+    for key, serving in _OLD_MANIFEST_KEYS.items():
+        if key not in manifest:
+            continue
+        value = json.dumps(manifest[key], sort_keys=True)
+        if value != json.dumps(serving, sort_keys=True):
+            raise DurabilityError(
+                f"manifest key {key!r} is {value}; only "
+                f"{json.dumps(serving, sort_keys=True)} can be rebuilt"
+            )
+
+
 def fabric_from_manifest(
     manifest: dict,
     with_dataplane: bool | None = None,
@@ -262,6 +285,7 @@ def fabric_from_manifest(
         raise DurabilityError(
             f"expected a fabric manifest, got kind={manifest.get('kind')!r}"
         )
+    _refuse_old_settings(manifest)
     topology = FabricTopology(
         nodes=[
             SwitchNode(
@@ -283,9 +307,6 @@ def fabric_from_manifest(
         with_dataplane=(
             manifest["with_dataplane"] if with_dataplane is None else with_dataplane
         ),
-        policy=AdmissionPolicy(**manifest["policy"]),
-        consolidate=manifest["consolidate"],
-        reserve_physical_block=manifest["reserve_physical_block"],
         recorder=recorder,
         fastpath=manifest.get("fastpath", False),
     )
@@ -314,6 +335,7 @@ def _checkpoint_fallback_note(store: CheckpointStore, base_lsn: int) -> str | No
 def _controller_from_manifest(
     manifest: dict, with_dataplane: bool | None
 ) -> SfcController:
+    _refuse_old_settings(manifest)
     instance = ProblemInstance(
         switch=SwitchSpec(**manifest["switch"]),
         sfcs=(),
@@ -325,9 +347,6 @@ def _controller_from_manifest(
         with_dataplane=(
             manifest["with_dataplane"] if with_dataplane is None else with_dataplane
         ),
-        policy=AdmissionPolicy(**manifest["policy"]),
-        consolidate=manifest["consolidate"],
-        reserve_physical_block=manifest["reserve_physical_block"],
         reconfigure_threshold=manifest["reconfigure_threshold"],
         name=manifest["name"],
         recorder=FlightRecorder(),

@@ -66,7 +66,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.controller.admission import AdmissionPolicy
 from repro.controller.controller import OpResult, RuleFactory, SfcController
 from repro.core.spec import SFC, ProblemInstance
 from repro.core.state import LinkState, PipelineState
@@ -194,9 +193,6 @@ class FabricOrchestrator:
         num_types: int,
         partitioner: Partitioner | None = None,
         with_dataplane: bool = True,
-        policy: AdmissionPolicy | None = None,
-        consolidate: bool = True,
-        reserve_physical_block: bool = True,
         rule_factory: RuleFactory | None = None,
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
@@ -226,9 +222,6 @@ class FabricOrchestrator:
             self.shards[name] = SfcController(
                 instance,
                 with_dataplane=with_dataplane,
-                policy=policy,
-                consolidate=consolidate,
-                reserve_physical_block=reserve_physical_block,
                 rule_factory=rule_factory,
                 name=name,
                 tracer=tracer,
@@ -990,10 +983,7 @@ class FabricOrchestrator:
         problems: list[str] = []
         for name in self.topology.switch_names:
             shard = self.shards[name]
-            reference = PipelineState.from_placement(
-                shard.placement,
-                reserve_physical_block=shard.reserve_physical_block,
-            )
+            reference = PipelineState.from_placement(shard.placement)
             for s in range(shard.base.switch.stages):
                 if shard.state.blocks_at_stage(s) != reference.blocks_at_stage(s):
                     problems.append(f"{name}: stage {s} block total drifted")

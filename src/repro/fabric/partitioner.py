@@ -113,9 +113,7 @@ class ModuloPartitioner:
     ``active[tenant_id % N]`` and spillover walks the remaining active
     switches in ring order.  The order is a pure O(N) function of
     ``(tenant_id, active switch set)`` with no hashing and no per-switch
-    load reads — the strategy the million-tenant scale harness
-    (:mod:`repro.scenarios.scale`) mirrors exactly, so fabric-vs-scale
-    differential tests can compare placement decisions one to one."""
+    load reads, so where a tenant is tried first is plain arithmetic."""
 
     def order(self, sfc: SFC, fabric: "FabricOrchestrator") -> list[str]:
         """Active switches starting at ``tenant_id % N``, ring order."""

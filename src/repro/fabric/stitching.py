@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.spec import SFC
 from repro.errors import PlacementError
-from repro.fabric.topology import LinkKey
+from repro.fabric.topology import LinkKey, link_key
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.fabric.orchestrator import FabricOrchestrator
@@ -92,25 +92,29 @@ def plan_stitch(
     Split points are tried fold-boundaries-first; for each cut, head hosts
     follow the partitioner's preference ``order`` and tail hosts must be
     *adjacent* to the head with enough residual link capacity for the
-    tenant's bandwidth.  All probes are non-mutating (``can_host``), so a
-    failed search leaves no trace on any shard.
+    tenant's bandwidth.  Those tails are worked out once per call, and a
+    head with none is never probed.  All probes are non-mutating
+    (``can_host``), so a failed search leaves no trace on any shard.
     """
     if sfc.length < 2 or len(order) < 2:
         return None
+    rank = {name: i for i, name in enumerate(order)}
+    tails: dict[str, list[str]] = {}
+    for (a, b), link in fabric.links.items():
+        if a in rank and b in rank and link.fits(sfc.bw_bps):
+            tails.setdefault(a, []).append(b)
+            tails.setdefault(b, []).append(a)
+    if not tails:
+        return None
+    for linked in tails.values():
+        linked.sort(key=rank.__getitem__)
     stages = min(fabric.topology.nodes[name].spec.stages for name in order)
     for at in split_points(sfc.length, stages):
         head, tail = split_chain(sfc, at)
         for head_switch in order:
-            if not fabric.shards[head_switch].can_host(head):
+            if head_switch not in tails or not fabric.shards[head_switch].can_host(head):
                 continue
-            for tail_switch in order:
-                if tail_switch == head_switch:
-                    continue
-                link = fabric.topology.link_between(head_switch, tail_switch)
-                if link is None:
-                    continue
-                if not fabric.links[link.key].fits(sfc.bw_bps):
-                    continue
+            for tail_switch in tails[head_switch]:
                 if fabric.shards[tail_switch].can_host(tail):
                     return StitchPlan(
                         split=at,
@@ -118,6 +122,6 @@ def plan_stitch(
                         tail_switch=tail_switch,
                         head=head,
                         tail=tail,
-                        link=link.key,
+                        link=link_key(head_switch, tail_switch),
                     )
     return None

@@ -98,11 +98,6 @@ class FabricTopology:
         """All switch names, sorted (the canonical fabric iteration order)."""
         return sorted(self.nodes)
 
-    def link_between(self, a: str, b: str) -> FabricLink | None:
-        """The link joining ``a`` and ``b``, or ``None`` if they are not
-        adjacent."""
-        return self.links.get(link_key(a, b))
-
     def neighbors(self, name: str) -> list[str]:
         """Switches adjacent to ``name``, sorted."""
         if name not in self.nodes:

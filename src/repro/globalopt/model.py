@@ -8,11 +8,10 @@ backplane Gbps), per-link residual bandwidth, and one
 bandwidth, current placement).
 
 The model is deliberately *advisory*: block demand mirrors the shard's
-accounting variant — ``ceil(total_rules / entries_per_block)`` per segment
-under consolidation (same-type rules share blocks, so a segment's marginal
-cost is near its pooled-rule charge), the per-NF ``ceil(rules /
-entries_per_block)`` sum without it — and backplane demand is
-``ceil(L / S) * bw`` (the fold-minimal pass count).  Baselines are exact —
+consolidated accounting — ``ceil(total_rules / entries_per_block)`` per
+segment (same-type rules share blocks, so a segment's marginal cost is near
+its pooled-rule charge) — and backplane demand is ``ceil(L / S) * bw`` (the
+fold-minimal pass count).  Baselines are exact —
 :meth:`Usage.from_current` starts from the shards' *actual* occupancy —
 but the per-tenant estimates do not capture cross-tenant sharing or the
 physical-block reserve, and they do not need to: the migration executor
@@ -64,9 +63,6 @@ class SwitchModel:
     entries_per_block: int
     capacity_gbps: float
     drained: bool = False
-    #: Whether the shard consolidates same-type rules into shared blocks
-    #: (selects the matching demand estimate in ``blocks_needed``).
-    consolidated: bool = True
     #: *Actual* occupancy at snapshot time, straight from the shard's
     #: pipeline accounting.  ``Usage.from_current`` starts from these so
     #: headroom reflects cross-tenant block sharing the per-tenant
@@ -217,9 +213,7 @@ class FabricModel:
         rules = tuple(rules)
         if not rules:
             return 0
-        if sw.consolidated:
-            return max(1, math.ceil(sum(rules) / sw.entries_per_block))
-        return sum(math.ceil(r / sw.entries_per_block) for r in rules)
+        return max(1, math.ceil(sum(rules) / sw.entries_per_block))
 
     def passes_needed(self, length: int, switch: str) -> int:
         """Pipeline passes a ``length``-NF segment needs on ``switch``."""
@@ -456,7 +450,6 @@ def snapshot_fabric(fabric: "FabricOrchestrator") -> FabricModel:
             entries_per_block=spec.entries_per_block,
             capacity_gbps=spec.capacity_gbps,
             drained=name in fabric.drained,
-            consolidated=shard.consolidate,
             used_blocks=sum(
                 shard.state.blocks_at_stage(s) for s in range(spec.stages)
             ),

@@ -1,4 +1,4 @@
-"""Declarative scenario campaigns + the million-tenant scale harness.
+"""Declarative scenario campaigns.
 
 This package turns hand-written campaign specs into deterministic seeded
 event streams that drive the real multi-switch fabric:
@@ -22,10 +22,9 @@ event streams that drive the real multi-switch fabric:
 ``repro.scenarios.library``
     Production-shaped campaign library (diurnal, flash crowd, correlated
     failures at peak, rolling upgrade, noisy neighbor, burst modifies).
-``repro.scenarios.scale``
-    Capacity-planning scale mode: a slim columnar fabric model that
-    replicates the greedy placement walk exactly but holds per-tenant
-    state in a few numpy rows, reaching 10^5-10^6 tenants.
+
+Capacity planning has no model of its own: ``benchmarks/bench_scale.py``
+fills link-less ``FabricOrchestrator`` fleets of growing size.
 """
 
 from repro.scenarios.compile import (
@@ -53,19 +52,16 @@ from repro.scenarios.runner import (
     build_fabric,
     run_campaign,
 )
-from repro.scenarios.scale import FillReport, ScaleFabric, run_fill
 
 __all__ = [
     "CAMPAIGNS",
     "CampaignReport",
     "CompiledCampaign",
     "FaultAction",
-    "FillReport",
     "LoadCurve",
     "ModifyBurst",
     "PhaseReport",
     "PhaseSpec",
-    "ScaleFabric",
     "ScenarioRunner",
     "ScenarioSpec",
     "TopologySpec",
@@ -76,7 +72,6 @@ __all__ = [
     "load_campaign",
     "load_spec",
     "run_campaign",
-    "run_fill",
     "save_campaign",
     "save_spec",
     "trace_digest",

@@ -56,10 +56,7 @@ def test_churn_invariant_bit_identical_accounting(churn_events):
     assert summary["evicted"] >= 50
     assert len(controller.tenants) >= 1  # stream horizon leaves survivors
 
-    reference = PipelineState.from_placement(
-        controller.placement,
-        reserve_physical_block=controller.reserve_physical_block,
-    )
+    reference = PipelineState.from_placement(controller.placement)
     # Exact integer accounting, array for array ...
     assert np.array_equal(controller.state.entries, reference.entries)
     assert np.array_equal(controller.state.nf_blocks, reference.nf_blocks)

@@ -5,7 +5,7 @@ drift-bounded reconfiguration."""
 import numpy as np
 import pytest
 
-from repro.controller import AdmissionPolicy, SfcController
+from repro.controller import SfcController
 from repro.core.greedy import greedy_place
 from repro.core.spec import ProblemInstance, SwitchSpec
 from repro.core.state import PipelineState
@@ -17,10 +17,7 @@ from tests.controller.conftest import chain
 
 def assert_state_matches_recompute(controller: SfcController) -> None:
     """The controller's invariant: incremental state == from-scratch state."""
-    reference = PipelineState.from_placement(
-        controller.placement,
-        reserve_physical_block=controller.reserve_physical_block,
-    )
+    reference = PipelineState.from_placement(controller.placement)
     assert np.array_equal(controller.state.entries, reference.entries)
     assert np.array_equal(controller.state.nf_blocks, reference.nf_blocks)
     assert np.array_equal(controller.state.physical, reference.physical)
@@ -119,13 +116,6 @@ def test_modify_failure_keeps_old_chain(controller):
     assert np.array_equal(controller.state.entries, before.entries)
     assert controller.state.backplane_bps == before.backplane_bps
     assert_state_matches_recompute(controller)
-
-
-def test_admission_policy_is_enforced(tiny_instance):
-    controller = SfcController(tiny_instance, policy=AdmissionPolicy(max_tenants=1))
-    assert controller.admit(chain(1)).ok
-    rejected = controller.admit(chain(2))
-    assert rejected.reason == "capacity-tenants"
 
 
 def test_dataplane_rejection_rolls_back_control_plane(tiny_switch):

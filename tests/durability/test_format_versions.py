@@ -24,6 +24,7 @@ from repro.durability import (
 from repro.durability.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
+    fabric_manifest,
     read_manifest,
     restore_fabric,
 )
@@ -156,3 +157,35 @@ def test_a_v2_checkpoint_that_diverges_is_still_rejected(v1_dir):
     fresh = fabric_from_manifest(read_manifest(v1_dir))
     with pytest.raises(DurabilityError, match="diverged"):
         restore_fabric(fresh, store.load_latest())
+
+
+SERVING_POLICY = {"check_backplane": True, "check_memory": True, "max_tenants": None}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (None, None),
+        ("consolidate", False),
+        ("reserve_physical_block", False),
+        ("policy", {**SERVING_POLICY, "max_tenants": 8}),
+        ("policy", {**SERVING_POLICY, "check_memory": False}),
+        ("policy", {**SERVING_POLICY, "check_backplane": False}),
+    ],
+)
+def test_old_manifest_keys_load_only_at_the_serving_values(key, value):
+    """Manifests no longer write ``policy``, ``consolidate`` or
+    ``reserve_physical_block``; an older one that holds them still loads at
+    the serving values (the v1 fixture) and is refused, naming the key, at
+    any other."""
+    manifest = read_manifest(V1_FABRIC)
+    if key is None:
+        assert manifest["policy"] == SERVING_POLICY
+        fabric = fabric_from_manifest(manifest)
+        fresh = fabric_manifest(fabric)
+        assert not {"policy", "consolidate", "reserve_physical_block"} & set(fresh)
+        assert fabric_from_manifest(fresh).digest() == fabric.digest()
+        return
+    manifest[key] = value
+    with pytest.raises(DurabilityError, match=f"manifest key '{key}'"):
+        fabric_from_manifest(manifest)

@@ -3,11 +3,13 @@ modify re-homing, and drain/failover."""
 
 import pytest
 
+from repro.controller import SfcController
 from repro.errors import PlacementError
 from repro.fabric import (
     FabricOrchestrator,
     FabricTopology,
     LeastBackplanePartitioner,
+    SwitchNode,
 )
 
 from .conftest import chain
@@ -105,6 +107,27 @@ def test_stitched_admit_commits_both_segments(short_fabric):
     assert evicted.ok and evicted.stitched
     assert all(l.load_gbps == 0.0 for l in short_fabric.links.values())
     assert short_fabric.check_invariant() == []
+
+
+def test_a_link_less_fleet_refuses_without_stitch_probes(short_spec, monkeypatch):
+    # No link means no tail for any head, so a chain no single switch can
+    # host is refused without one trial placement.
+    nodes = [
+        SwitchNode(f"sw{i}", spec=short_spec, max_recirculations=1)
+        for i in range(3)
+    ]
+    fabric = FabricOrchestrator(
+        FabricTopology(nodes), num_types=6, with_dataplane=False
+    )
+    probes = []
+    can_host = SfcController.can_host
+    monkeypatch.setattr(
+        SfcController, "can_host",
+        lambda shard, sfc: probes.append(sfc.name) or can_host(shard, sfc),
+    )
+    result = fabric.admit(chain(7, **LONG))
+    assert not result.ok and result.reason == "chain-too-long"
+    assert probes == []
 
 
 def test_modify_in_place_is_hitless(fabric):

@@ -47,8 +47,8 @@ def test_lookups():
         [FabricLink("a", "b", 100.0), FabricLink("b", "c", 200.0)],
     )
     assert topo.switch_names == ["a", "b", "c"]
-    assert topo.link_between("b", "a").capacity_gbps == 100.0
-    assert topo.link_between("a", "c") is None
+    assert topo.links[link_key("b", "a")].capacity_gbps == 100.0
+    assert link_key("a", "c") not in topo.links
     assert topo.neighbors("b") == ["a", "c"]
     assert topo.neighbors("a") == ["b"]
     with pytest.raises(PlacementError):

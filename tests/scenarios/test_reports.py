@@ -1,5 +1,5 @@
-"""The None-not-NaN reporting convention: phases, campaigns and fills
-with zero successful admits must report explicit ``None`` percentiles,
+"""The None-not-NaN reporting convention: phases and campaigns with zero
+successful admits must report explicit ``None`` percentiles,
 serialize to JSON, and describe themselves without crashing."""
 
 import json
@@ -14,7 +14,6 @@ from repro.scenarios.dsl import (
     TopologySpec,
 )
 from repro.scenarios.runner import run_campaign
-from repro.scenarios.scale import FillReport
 from tests.scenarios.conftest import TINY_SWITCH, make_tiny_spec
 
 
@@ -91,22 +90,3 @@ class TestMergedChurnReports:
         )
         assert merged.summary()["admitted"] >= 1.0
 
-
-class TestFillReportConvention:
-    def test_empty_fill_reports_none_percentiles(self):
-        report = FillReport(switches=4, offered=0)
-        assert report.admission_rate == 0.0
-        assert report.spillover_rate == 0.0
-        assert report.latency_percentile(50) is None
-        summary = report.summary()
-        assert summary["admit_p50_us"] is None
-        assert summary["admit_p99_us"] is None
-        json.dumps(summary)
-
-    def test_populated_fill_reports_real_percentiles(self):
-        report = FillReport(
-            switches=2, offered=4, admitted=2,
-            latencies_s=np.array([1e-5, 3e-5]),
-        )
-        assert report.latency_percentile(50) is not None
-        assert report.summary()["admit_p99_us"] > 0.0

@@ -67,13 +67,6 @@ def test_serving_imports_load_no_scipy_and_the_solver_still_solves():
     assert done.stdout.strip() == "ok"
 
 
-#: Modules allowed to be unreached, each with the reason it stays.
-UNREACHED_ALLOWED = {
-    "repro.scenarios.scale": "kept for `bench_scale.py` until ROADMAP 1(b)'s "
-    "fleet-size workload replaces it; 3(b)",
-}
-
-
 def _repro_modules() -> dict[str, Path]:
     modules = {}
     for path in (SRC / "repro").rglob("*.py"):
@@ -129,10 +122,8 @@ def test_every_module_is_reached_from_something_that_runs():
         parts = module.split(".")
         reached.update(".".join(parts[:i]) for i in range(1, len(parts)))
 
-    unreached = set(modules) - reached
-    stray = sorted(unreached - set(UNREACHED_ALLOWED))
-    assert not stray, (
-        f"modules nothing runs: {', '.join(stray)}; delete them, or reach them "
-        "from a CLI command, an experiment, an example or the e2e benchmark"
+    unreached = sorted(set(modules) - reached)
+    assert not unreached, (
+        f"modules nothing runs: {', '.join(unreached)}; delete them, or reach "
+        "them from a CLI command, an experiment, an example or the e2e benchmark"
     )
-    assert set(UNREACHED_ALLOWED) <= unreached, "allowlist entry is now reached"
