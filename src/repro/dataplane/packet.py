@@ -30,9 +30,10 @@ MATCHABLE_FIELDS = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """A parsed packet traversing the pipeline (mutable: actions rewrite it)."""
+    """A parsed packet traversing the pipeline (mutable: actions rewrite it;
+    slotted: one is built per frame)."""
 
     tenant_id: int = 0
     src_ip: int = 0
@@ -80,9 +81,9 @@ class Packet:
         return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketResult:
-    """Outcome of pushing one packet through the pipeline."""
+    """Outcome of pushing one packet through the pipeline (slotted)."""
 
     packet: Packet
     #: Pipeline passes consumed (1 = no recirculation).

@@ -138,8 +138,7 @@ class SwitchPipeline:
                 break
             # End-of-pipeline recirculation: REC consumed, pass counter bumped.
             packet.pass_id += 1
-        result = PacketResult(packet=packet, passes=passes)
-        result.latency_ns = self.latency_model.latency_ns(passes=passes)
+        result = PacketResult(packet, passes, [], self.latency_model.latency_ns(passes=passes))
         if card is not None:
             card.finish(
                 passes=passes, latency_ns=result.latency_ns,

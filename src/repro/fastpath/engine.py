@@ -207,16 +207,9 @@ class FastPathEngine:
             group = [packets[i] for i in fast]
             passes = self.kernel.run(stacks, group, pipeline)
             self.stats["compiled_packets"] += len(fast)
-            latency_model = pipeline.latency_model
-            latency_by_passes: dict[int, float] = {}
+            latency_ns = {p: pipeline.latency_model.latency_ns(passes=p) for p in set(passes)}
             for i, packet, p in zip(fast, group, passes):
-                latency = latency_by_passes.get(p)
-                if latency is None:
-                    latency = latency_model.latency_ns(passes=p)
-                    latency_by_passes[p] = latency
-                result = PacketResult(packet=packet, passes=p)
-                result.latency_ns = latency
-                results[i] = result
+                results[i] = PacketResult(packet, p, [], latency_ns[p])
         if interp:
             interp.sort()
             self.stats["interpreted_packets"] += len(interp)
