@@ -265,9 +265,6 @@ class FabricOrchestrator:
         #: Fencing token of the lease reign this fabric serves under
         #: (0 = HA not in play; see :mod:`repro.ha.lease`).
         self.epoch = 0
-        #: Lifecycle-op count at the last global re-optimization pass —
-        #: :meth:`maybe_reoptimize` gates its cadence on the drift since.
-        self._last_reopt_ops = 0
 
     # ------------------------------------------------------------------
     # Views
@@ -883,35 +880,11 @@ class FabricOrchestrator:
         """Run one fleet-wide re-optimization pass: snapshot the fabric,
         re-solve the tenant->switch assignment, and hitlessly migrate the
         wins.  Thin wrapper over :func:`repro.globalopt.reoptimize_fabric`
-        (kwargs pass through); returns its :class:`~repro.globalopt.
-        ReoptReport`."""
+        (``mode``, ``min_benefit``, ``max_moves`` and ``execute`` pass
+        through); returns its :class:`~repro.globalopt.ReoptReport`."""
         from repro.globalopt import reoptimize_fabric
 
         return reoptimize_fabric(self, **kwargs)
-
-    def maybe_reoptimize(
-        self,
-        min_stitched: int = 2,
-        min_interval_ops: int = 200,
-        **kwargs,
-    ):
-        """Drift-gated cadence: run :meth:`reoptimize` only when the fleet
-        looks fragmented (at least ``min_stitched`` stitched tenants) and
-        enough lifecycle churn (``min_interval_ops`` admits/evicts/
-        modifies) has passed since the last pass.  Returns the report, or
-        ``None`` when the gate holds."""
-        counters = self.metrics.snapshot()["counters"]
-        ops = (
-            int(counters.get("admitted", 0))
-            + int(counters.get("evicted", 0))
-            + int(counters.get("modified", 0))
-        )
-        if ops - self._last_reopt_ops < min_interval_ops:
-            return None
-        if self._stitched < min_stitched:
-            self._last_reopt_ops = ops
-            return None
-        return self.reoptimize(**kwargs)
 
     # ------------------------------------------------------------------
     # Routing views (how the concurrent front end picks a worker)

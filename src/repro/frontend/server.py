@@ -24,8 +24,9 @@ Status codes carry the backpressure semantics: **200** for every decided
 fabric op (including rejections — the body's ``ok``/``reason`` tell the
 tenant why), **429** with a ``Retry-After`` header when the intent queue
 refuses the submission (per-tenant FIFO or global bound full), **503**
-once the server is draining for shutdown, **400** for malformed JSON or a
-malformed ``Content-Length``, **413** for a body over
+once the server is draining for shutdown, **400** for malformed JSON, a
+reoptimize body of the wrong type or range, or a malformed
+``Content-Length``, **413** for a body over
 :data:`MAX_BODY_BYTES` (both length errors close the connection, the body
 unread) and **404** for unknown routes.  Under HA, writes on a standby — or on a
 primary whose lease fence tripped — return **503** with the primary's URL
@@ -46,7 +47,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.spec import SFC
-from repro.errors import FencedError, FrontendError, QueueFullError, ReproError
+from repro.errors import (
+    FencedError,
+    FrontendError,
+    QueueFullError,
+    ReproError,
+    SolverError,
+)
 from repro.fabric.orchestrator import FabricOrchestrator
 from repro.frontend.client import result_to_dict
 from repro.frontend.queue import Intent, IntentQueue
@@ -268,27 +275,36 @@ class _Handler(BaseHTTPRequestHandler):
         if self._refused_as_standby():
             return
         mode = body.get("mode", "auto")
-        if mode not in ("auto", "ilp", "greedy"):
+        if mode not in ("auto", "ilp", "greedy"):  # refuses any non-string
             raise FrontendError(f"bad reoptimize mode {mode!r}")
-        try:
-            min_benefit = float(body.get("min_benefit", 0.5))
-            max_moves = (
-                int(body["max_moves"]) if "max_moves" in body else None
+        execute = body.get("execute", True)
+        if not isinstance(execute, bool):
+            raise FrontendError(
+                f"bad reoptimize body: execute must be a JSON bool, "
+                f"got {execute!r}"
             )
-        except (TypeError, ValueError) as exc:
-            raise FrontendError(f"bad reoptimize body: {exc}") from None
+        min_benefit = body.get("min_benefit", 0.5)
+        if isinstance(min_benefit, bool) or not isinstance(
+            min_benefit, (int, float)
+        ):
+            raise FrontendError(
+                f"bad reoptimize body: min_benefit must be a JSON number, "
+                f"got {min_benefit!r}"
+            )
         try:
             if frontend.pool.fence is not None:
                 frontend.pool.fence()
             report = frontend.fabric.reoptimize(
                 mode=mode,
-                min_benefit=min_benefit,
-                max_moves=max_moves,
-                execute=bool(body.get("execute", True)),
+                min_benefit=float(min_benefit),
+                max_moves=body.get("max_moves"),
+                execute=execute,
             )
         except FencedError as exc:
             self._send_not_primary(str(exc))
             return
+        except SolverError as exc:  # the pass's range checks
+            raise FrontendError(f"bad reoptimize body: {exc}") from None
         self._send(200, {"ok": report.ok, **report.summary()})
 
     def _put(self, parts: list[str], body: dict) -> None:

@@ -7,25 +7,25 @@ compounds.  This package closes the loop — :func:`reoptimize_fabric`
 freezes the fleet into a compact model (:mod:`~repro.globalopt.model`),
 re-solves the tenant->switch assignment fleet-wide
 (:mod:`~repro.globalopt.solver`: ILP over the :mod:`repro.lp` seam for
-small fleets, deterministic greedy repack at scale, with the
-Allybokus-style partial-order/anti-affinity constraint families and
-Sallam-style multi-hop stitch routing), orders the delta into a
-headroom-proved migration plan (:mod:`~repro.globalopt.plan`), and
-executes it hitlessly (:mod:`~repro.globalopt.migrate`: make-before-break,
-per-step bit-identity audit, ``reopt_step`` WAL journaling with
-crash-consistent recovery).
+small fleets, deterministic greedy repack at scale, with Sallam-style
+multi-hop stitch routing), orders the delta into a headroom-proved
+migration plan (:mod:`~repro.globalopt.plan`), and executes it hitlessly
+(:mod:`~repro.globalopt.migrate`: make-before-break, per-step bit-identity
+audit, ``reopt_step`` WAL journaling with crash-consistent recovery).
 
-Use it through :meth:`FabricOrchestrator.reoptimize` (or the drift-gated
-:meth:`maybe_reoptimize` cadence), ``POST /v1/reoptimize`` on the
-frontend, or ``sfp reoptimize``.
+Use it through :meth:`FabricOrchestrator.reoptimize`, ``POST
+/v1/reoptimize`` on the frontend, or ``sfp reoptimize``.  A pass takes
+four inputs: ``mode``, ``min_benefit``, ``max_moves`` and ``execute``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.errors import SolverError
 from repro.globalopt.migrate import (
     MigrationReport,
     StepResult,
@@ -34,7 +34,6 @@ from repro.globalopt.migrate import (
     execute_step,
 )
 from repro.globalopt.model import (
-    ConstraintSet,
     FabricModel,
     TenantFootprint,
     TenantPlan,
@@ -80,7 +79,8 @@ class ReoptReport:
 
     def summary(self) -> dict:
         """JSON-native form (the frontend's response payload), merged with
-        the migration report's counters when one ran."""
+        the migration report's counters when one ran (its own wall time as
+        ``migration_wall_s``: ``wall_s`` is the whole pass)."""
         out = {
             "mode": self.mode,
             "solve_s": self.solve_s,
@@ -97,7 +97,9 @@ class ReoptReport:
             "wall_s": self.wall_s,
         }
         if self.migration is not None:
-            out.update(self.migration.summary())
+            migration = self.migration.summary()
+            out["migration_wall_s"] = migration.pop("wall_s")
+            out.update(migration)
         return out
 
     def describe(self) -> str:
@@ -121,56 +123,55 @@ def _stitch_stats(fabric: "FabricOrchestrator") -> tuple[int, int]:
 
 def reoptimize_fabric(
     fabric: "FabricOrchestrator",
-    constraints: ConstraintSet | None = None,
     mode: str = "auto",
     min_benefit: float = 0.5,
     max_moves: int | None = None,
-    time_limit: float = 2.0,
     execute: bool = True,
-    probe: bool | None = None,
-    audit: bool = True,
 ) -> ReoptReport:
     """Run one full re-optimization pass against a live fabric.
 
-    ``execute=False`` is the dry run: solve and plan, touch nothing.
-    ``probe`` defaults to the fabric's data-plane mode; ``audit`` checks
-    the fabric bit-identity invariant after every migration step.
+    ``execute=False`` is the dry run: solve and plan, touch nothing.  An
+    executed pass probes every migrated tenant when the fabric has a
+    dataplane and checks the fabric bit-identity invariant after every
+    step and after the pass.  A non-finite ``min_benefit`` or a
+    ``max_moves`` that is not ``None`` or an int >= 0 raises
+    :class:`~repro.errors.SolverError` before anything is read.
     """
+    if not math.isfinite(min_benefit):
+        raise SolverError(
+            f"min_benefit must be a finite number, got {min_benefit!r}"
+        )
+    if max_moves is not None and (
+        isinstance(max_moves, bool)
+        or not isinstance(max_moves, int)
+        or max_moves < 0
+    ):
+        raise SolverError(
+            f"max_moves must be None or an int >= 0, got {max_moves!r}"
+        )
     t0 = time.perf_counter()
     metrics = fabric.metrics
     with fabric._fabric_locked():
         model = snapshot_fabric(fabric)
     stitched_before, links_before = _stitch_stats(fabric)
     with metrics.timer("globalopt.solve_s"):
-        solution = solve_global(
-            model, constraints, mode=mode, time_limit=time_limit
-        )
+        solution = solve_global(model, mode=mode)
     plan = build_plan(
-        model,
-        solution,
-        constraints,
-        min_benefit=min_benefit,
-        max_moves=max_moves,
+        model, solution, min_benefit=min_benefit, max_moves=max_moves
     )
     metrics.inc("globalopt.runs")
     metrics.inc("globalopt.moves_planned", plan.moves_planned)
     metrics.inc("globalopt.moves_skipped", plan.moves_skipped)
     migration = None
     if execute and plan.steps:
-        migration = execute_plan(fabric, plan, probe=probe, audit=audit)
+        migration = execute_plan(fabric, plan)
     stitched_after, links_after = (
         _stitch_stats(fabric) if execute else (stitched_before, links_before)
     )
     problems: tuple[str, ...] = ()
-    if audit and execute:
+    if execute:
         with fabric._fabric_locked():
             problems = tuple(fabric.check_invariant())
-    ops = fabric.metrics.snapshot()["counters"]
-    fabric._last_reopt_ops = (
-        int(ops.get("admitted", 0))
-        + int(ops.get("evicted", 0))
-        + int(ops.get("modified", 0))
-    )
     report = ReoptReport(
         mode=solution.mode,
         solve_s=solution.solve_s,
@@ -201,7 +202,6 @@ def reoptimize_fabric(
 
 
 __all__ = [
-    "ConstraintSet",
     "FabricModel",
     "GlobalSolution",
     "MigrationPlan",

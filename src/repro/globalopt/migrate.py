@@ -107,17 +107,15 @@ def execute_step(
     fabric: "FabricOrchestrator",
     target: TenantPlan,
     expect_sfc_digest: str | None = None,
-    probe: bool | None = None,
-    audit: bool = True,
-    journal: bool = True,
+    replay: bool = False,
 ) -> StepResult:
     """Migrate one tenant to ``target`` (see the module docstring).  Safe
-    to call standalone; recovery replays journaled steps through exactly
-    this path with ``probe=False, audit=False, journal=False``."""
+    to call standalone.  A live step probes the new path when the fabric
+    has a dataplane, audits the invariant and journals a ``reopt_step``;
+    recovery replays journaled steps through exactly this path with
+    ``replay=True``, which does none of the three."""
     t0 = time.perf_counter()
     tenant_id = target.tenant_id
-    if probe is None:
-        probe = fabric.with_dataplane
     with fabric._fabric_locked():
         record = fabric.tenants.get(tenant_id)
         if record is None:
@@ -229,20 +227,18 @@ def execute_step(
             ),
         )
 
-        probed = False
-        if probe:
-            probed = True
-            if not fabric.probe_tenant(tenant_id):
-                # New path does not forward: restore the directory, then
-                # unwind the shard mutations — the old placement was never
-                # torn down, so the tenant never lost service.
-                fabric._book(tenant_id, record)
-                rollback()
-                fabric.metrics.inc("globalopt.moves_failed")
-                return StepResult(
-                    tenant_id, "failed", "probe-failed", probed=True,
-                    latency_s=time.perf_counter() - t0,
-                )
+        probed = fabric.with_dataplane and not replay
+        if probed and not fabric.probe_tenant(tenant_id):
+            # New path does not forward: restore the directory, then
+            # unwind the shard mutations — the old placement was never
+            # torn down, so the tenant never lost service.
+            fabric._book(tenant_id, record)
+            rollback()
+            fabric.metrics.inc("globalopt.moves_failed")
+            return StepResult(
+                tenant_id, "failed", "probe-failed", probed=True,
+                latency_s=time.perf_counter() - t0,
+            )
 
         new_switches = {seg.switch for seg in new_segments}
         for seg in old_segments:
@@ -250,8 +246,8 @@ def execute_step(
                 fabric.shards[seg.switch].evict(tenant_id)
         fabric._refresh_gauges()
 
-        problems: tuple[str, ...] = ()
-        if audit:
+        stages = tuple(tuple(seg.stages) for seg in new_segments)
+        if not replay:
             problems = tuple(fabric.check_invariant())
             if problems:
                 fabric.metrics.inc("globalopt.moves_failed")
@@ -261,9 +257,6 @@ def execute_step(
                     invariant_problems=problems,
                     latency_s=time.perf_counter() - t0,
                 )
-
-        stages = tuple(tuple(seg.stages) for seg in new_segments)
-        if journal:
             fabric._commit_durable(
                 "reopt_step",
                 {
@@ -292,10 +285,7 @@ def execute_step(
 
 
 def execute_plan(
-    fabric: "FabricOrchestrator",
-    plan: MigrationPlan,
-    probe: bool | None = None,
-    audit: bool = True,
+    fabric: "FabricOrchestrator", plan: MigrationPlan
 ) -> MigrationReport:
     """Execute the plan step by step.  Every step is its own transaction
     (built up, probed, rolled back on refusal), so a failed step leaves
@@ -308,11 +298,7 @@ def execute_plan(
     steps = list(plan.steps)
     for idx, step in enumerate(steps):
         result = execute_step(
-            fabric,
-            step.target,
-            expect_sfc_digest=step.sfc_digest or None,
-            probe=probe,
-            audit=audit,
+            fabric, step.target, expect_sfc_digest=step.sfc_digest or None
         )
         report.results.append(result)
         if result.action == "executed":
@@ -347,9 +333,7 @@ def apply_recorded_step(fabric: "FabricOrchestrator", record) -> list[str]:
         split=int(data.get("split", 0)),
         links=tuple(tuple(k) for k in data.get("links", ())),
     )
-    result = execute_step(
-        fabric, target, probe=False, audit=False, journal=False
-    )
+    result = execute_step(fabric, target, replay=True)
     problems: list[str] = []
     if result.action != "executed":
         problems.append(

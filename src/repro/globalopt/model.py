@@ -19,15 +19,6 @@ re-validates every step against the *real* shards with transactional
 rollback, so a mis-estimate can only cost a skipped or rolled-back move,
 never a broken fabric.
 
-:class:`ConstraintSet` carries the fleet-level constraint families from the
-related work (Allybokus et al., arXiv:1705.10554): tenant pinning,
-switch avoidance, tenant anti-affinity, cross-tenant NF-type anti-affinity,
-and intra-chain NF separation (a partial-order family: the chain's total
-order is preserved by construction — segments are contiguous and the head
-precedes the tail — so separation pairs reduce to "the cut must fall
-between these NF types", which :meth:`ConstraintSet.allowed_splits`
-computes).
-
 :func:`route` is the SFC-constrained shortest-path router (Sallam et al.,
 arXiv:1801.05795): stitched segments may live on *non-adjacent* switches,
 with every link of the connecting path charged the tenant's bandwidth —
@@ -40,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.state import stable_digest
 from repro.fabric.topology import LinkKey, link_key
@@ -109,87 +100,6 @@ class TenantPlan:
 
 
 @dataclass(frozen=True)
-class ConstraintSet:
-    """Fleet-level placement constraint families (all default-empty, so a
-    plain re-optimization is unconstrained)."""
-
-    #: ``(tenant_id, switch)`` — the tenant's placement must include switch.
-    pins: tuple[tuple[int, str], ...] = ()
-    #: ``(tenant_id, switch)`` — the tenant must avoid this switch.
-    forbids: tuple[tuple[int, str], ...] = ()
-    #: Tenant pairs that may never share a switch (isolation).
-    separate_tenants: tuple[tuple[int, int], ...] = ()
-    #: NF-type pairs never co-located on one switch *across* tenants.
-    nf_anti_affinity: tuple[tuple[int, int], ...] = ()
-    #: Intra-chain NF-type separation ``(a, b)``: a tenant whose chain
-    #: contains both must be stitched with every ``a`` in the head and
-    #: every ``b`` in the tail (the partial-order / anti-affinity family).
-    split_between: tuple[tuple[int, int], ...] = ()
-
-    def pinned(self, tenant_id: int) -> str | None:
-        """The switch ``tenant_id`` is pinned to, or ``None``."""
-        for tid, switch in self.pins:
-            if tid == tenant_id:
-                return switch
-        return None
-
-    def forbidden(self, tenant_id: int) -> frozenset[str]:
-        """The switches ``tenant_id`` may never occupy."""
-        return frozenset(s for tid, s in self.forbids if tid == tenant_id)
-
-    def must_split(self, foot: TenantFootprint) -> bool:
-        """Whether an intra-chain separation pair forces a stitch."""
-        present = set(foot.nf_types)
-        return any(
-            a in present and b in present for a, b in self.split_between
-        )
-
-    def allowed_splits(self, foot: TenantFootprint) -> list[int] | None:
-        """Split indices compatible with every intra-chain separation pair
-        (``None`` = any split; ``[]`` = no feasible split exists, i.e. the
-        chain itself violates the partial order)."""
-        if not self.must_split(foot):
-            return None
-        lo, hi = 1, foot.length - 1
-        for a, b in self.split_between:
-            pos_a = [i for i, t in enumerate(foot.nf_types) if t == a]
-            pos_b = [i for i, t in enumerate(foot.nf_types) if t == b]
-            if not pos_a or not pos_b:
-                continue
-            if max(pos_a) >= min(pos_b):
-                # Some ``a`` sits at or after a ``b``: no contiguous cut can
-                # separate them in chain order.
-                return []
-            lo = max(lo, max(pos_a) + 1)
-            hi = min(hi, min(pos_b))
-        return [j for j in range(1, foot.length) if lo <= j <= hi]
-
-    def switch_ok(
-        self,
-        foot: TenantFootprint,
-        nf_here: Iterable[int],
-        occupants: Mapping[int, frozenset[int]],
-    ) -> bool:
-        """Whether ``foot`` may put NF types ``nf_here`` on a switch whose
-        current occupants (tenant -> NF-type set) are ``occupants``."""
-        separated = {
-            b for a, b in self.separate_tenants if a == foot.tenant_id
-        } | {a for a, b in self.separate_tenants if b == foot.tenant_id}
-        if separated & set(occupants):
-            return False
-        mine = set(nf_here)
-        for other_id, other_types in occupants.items():
-            if other_id == foot.tenant_id:
-                continue
-            for a, b in self.nf_anti_affinity:
-                if (a in mine and b in other_types) or (
-                    b in mine and a in other_types
-                ):
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
 class FabricModel:
     """The frozen fleet snapshot the solver and planner work on."""
 
@@ -229,28 +139,22 @@ class FabricModel:
 
     def plan_demands(
         self, plan: TenantPlan
-    ) -> list[tuple[str, tuple[int, ...], tuple[int, ...], int]]:
-        """Per-switch demand of a plan: ``(switch, nf_types, rules, length)``
-        for each segment (one entry for single-home plans)."""
+    ) -> list[tuple[str, tuple[int, ...], int]]:
+        """Per-switch demand of a plan: ``(switch, rules, length)`` for each
+        segment (one entry for single-home plans)."""
         foot = self.tenants[plan.tenant_id]
         if not plan.stitched:
-            return [(plan.switches[0], foot.nf_types, foot.rules, foot.length)]
+            return [(plan.switches[0], foot.rules, foot.length)]
         at = plan.split
         return [
-            (plan.switches[0], foot.nf_types[:at], foot.rules[:at], at),
-            (
-                plan.switches[1],
-                foot.nf_types[at:],
-                foot.rules[at:],
-                foot.length - at,
-            ),
+            (plan.switches[0], foot.rules[:at], at),
+            (plan.switches[1], foot.rules[at:], foot.length - at),
         ]
 
 
 class Usage:
     """Mutable fleet accounting over a :class:`FabricModel`: per-switch
-    blocks/backplane in use, per-link load, and per-switch occupant NF-type
-    sets (what the cross-tenant constraint families check against).
+    blocks/backplane in use and per-link load.
 
     :meth:`from_current` seeds blocks/backplane/links from the snapshot's
     *actual* shard occupancy (cross-tenant block sharing included), then
@@ -270,24 +174,17 @@ class Usage:
         self.link_load: dict[LinkKey, float] = {
             key: 0.0 for key in model.link_capacity
         }
-        self.occupants: dict[str, dict[int, frozenset[int]]] = {
-            name: {} for name in model.switches
-        }
 
     @classmethod
     def from_current(cls, model: FabricModel) -> "Usage":
         """Accounting of the fleet as currently placed: actual occupancy
-        from the snapshot, occupant maps from the current plans."""
+        from the snapshot."""
         usage = cls(model)
         for name, sw in model.switches.items():
             usage.blocks[name] = sw.used_blocks
             usage.backplane[name] = sw.used_backplane_gbps
         for key in usage.link_load:
             usage.link_load[key] = model.link_load.get(key, 0.0)
-        for tenant_id in sorted(model.current):
-            plan = model.current[tenant_id]
-            for switch, nf_types, _rules, _length in model.plan_demands(plan):
-                usage.occupants[switch][tenant_id] = frozenset(nf_types)
         return usage
 
     def clone(self) -> "Usage":
@@ -297,33 +194,28 @@ class Usage:
         other.blocks = dict(self.blocks)
         other.backplane = dict(self.backplane)
         other.link_load = dict(self.link_load)
-        other.occupants = {
-            name: dict(occ) for name, occ in self.occupants.items()
-        }
         return other
 
     # -- mutation ----------------------------------------------------
     def charge(self, plan: TenantPlan) -> None:
         """Account ``plan``'s blocks/backplane/link demand as occupied."""
         foot = self.model.tenants[plan.tenant_id]
-        for switch, nf_types, rules, length in self.model.plan_demands(plan):
+        for switch, rules, length in self.model.plan_demands(plan):
             self.blocks[switch] += self.model.blocks_needed(rules, switch)
             self.backplane[switch] += self.model.backplane_needed(
                 length, foot.bandwidth_gbps, switch
             )
-            self.occupants[switch][plan.tenant_id] = frozenset(nf_types)
         for key in plan.links:
             self.link_load[key] += foot.bandwidth_gbps
 
     def release(self, plan: TenantPlan) -> None:
         """Return ``plan``'s blocks/backplane/link demand to the pool."""
         foot = self.model.tenants[plan.tenant_id]
-        for switch, nf_types, rules, length in self.model.plan_demands(plan):
+        for switch, rules, length in self.model.plan_demands(plan):
             self.blocks[switch] -= self.model.blocks_needed(rules, switch)
             self.backplane[switch] -= self.model.backplane_needed(
                 length, foot.bandwidth_gbps, switch
             )
-            self.occupants[switch].pop(plan.tenant_id, None)
         for key in plan.links:
             self.link_load[key] -= foot.bandwidth_gbps
 
@@ -332,14 +224,11 @@ class Usage:
         self,
         foot: TenantFootprint,
         switch: str,
-        nf_types: tuple[int, ...],
         rules: tuple[int, ...],
         length: int,
-        constraints: ConstraintSet,
     ) -> bool:
         """Whether one chain segment fits ``switch`` right now: drain
-        state, virtual stages, SRAM blocks, backplane headroom, and the
-        constraint families against the current occupants."""
+        state, virtual stages, SRAM blocks and backplane headroom."""
         sw = self.model.switches[switch]
         if sw.drained:
             return False
@@ -353,27 +242,13 @@ class Usage:
         demand = self.model.backplane_needed(
             length, foot.bandwidth_gbps, switch
         )
-        if self.backplane[switch] + demand > sw.capacity_gbps + EPS:
-            return False
-        return constraints.switch_ok(foot, nf_types, self.occupants[switch])
+        return self.backplane[switch] + demand <= sw.capacity_gbps + EPS
 
     def link_fits(self, key: LinkKey, bw: float) -> bool:
         """Whether ``bw`` more Gbps fits on link ``key``."""
         return (
             self.link_load[key] + bw
             <= self.model.link_capacity[key] + EPS
-        )
-
-    def plan_fits(self, plan: TenantPlan, constraints: ConstraintSet) -> bool:
-        """Whether every segment and link of ``plan`` fits right now."""
-        foot = self.model.tenants[plan.tenant_id]
-        for switch, nf_types, rules, length in self.model.plan_demands(plan):
-            if not self.segment_fits(
-                foot, switch, nf_types, rules, length, constraints
-            ):
-                return False
-        return all(
-            self.link_fits(key, foot.bandwidth_gbps) for key in plan.links
         )
 
     def utilization(self, switch: str) -> float:
@@ -487,7 +362,6 @@ def snapshot_fabric(fabric: "FabricOrchestrator") -> FabricModel:
 
 
 __all__ = [
-    "ConstraintSet",
     "FabricModel",
     "SwitchModel",
     "TenantFootprint",

@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.globalopt.model import (
-    ConstraintSet,
-    FabricModel,
-    TenantPlan,
-    Usage,
-)
+from repro.globalopt.model import FabricModel, TenantPlan, Usage
 from repro.globalopt.solver import GlobalSolution
 
 #: Benefit weight per segment removed (2 -> 1 segments = one unstitch).
@@ -100,10 +95,10 @@ def _step_cost(
     on a switch that does not already hold that exact segment."""
     cur = {
         (switch, tuple(rules))
-        for switch, _nf, rules, _len in model.plan_demands(step_current)
+        for switch, rules, _len in model.plan_demands(step_current)
     }
     moved = 0
-    for switch, _nf, rules, _len in model.plan_demands(target):
+    for switch, rules, _len in model.plan_demands(target):
         if (switch, tuple(rules)) not in cur:
             moved += sum(rules)
     return float(moved)
@@ -136,10 +131,7 @@ def _step_benefit(
 
 
 def _transient_fits(
-    usage: Usage,
-    model: FabricModel,
-    step: MigrationStep,
-    constraints: ConstraintSet,
+    usage: Usage, model: FabricModel, step: MigrationStep
 ) -> bool:
     """Whether the make-before-break transient fits: new segments on
     switches the tenant does not currently occupy must fit *on top of* the
@@ -148,19 +140,17 @@ def _transient_fits(
     foot = model.tenants[step.tenant_id]
     old_on = {
         switch: (rules, length)
-        for switch, _nf, rules, length in model.plan_demands(step.current)
+        for switch, rules, length in model.plan_demands(step.current)
     }
     trial = usage.clone()
-    for switch, nf_types, rules, length in model.plan_demands(step.target):
+    for switch, rules, length in model.plan_demands(step.target):
         if switch in old_on:
             old_rules, old_len = old_on[switch]
             trial.blocks[switch] -= model.blocks_needed(old_rules, switch)
             trial.backplane[switch] -= model.backplane_needed(
                 old_len, foot.bandwidth_gbps, switch
             )
-        if not trial.segment_fits(
-            foot, switch, nf_types, rules, length, constraints
-        ):
+        if not trial.segment_fits(foot, switch, rules, length):
             return False
         trial.blocks[switch] += model.blocks_needed(rules, switch)
         trial.backplane[switch] += model.backplane_needed(
@@ -177,13 +167,11 @@ def _transient_fits(
 def build_plan(
     model: FabricModel,
     solution: GlobalSolution,
-    constraints: ConstraintSet | None = None,
     min_benefit: float = 0.5,
     max_moves: int | None = None,
 ) -> MigrationPlan:
     """Order the solution's deltas into an executable migration plan (see
     the module docstring for the two gates)."""
-    constraints = constraints or ConstraintSet()
     usage = Usage.from_current(model)
     candidates: list[MigrationStep] = []
     skipped: list[tuple[MigrationStep, str]] = []
@@ -215,7 +203,7 @@ def build_plan(
             break
         placed = None
         for idx, step in enumerate(pending):
-            if _transient_fits(usage, model, step, constraints):
+            if _transient_fits(usage, model, step):
                 placed = idx
                 break
         if placed is None:

@@ -8,13 +8,12 @@ avoidable cross-switch stitches?
 
 * **ILP** (:func:`solve_ilp`): binary ``x[t, s]`` over the existing
   :mod:`repro.lp` seam — one variable per (single-homeable tenant,
-  feasible switch), per-switch SRAM-block and backplane knapsack rows,
-  pin/forbid fixings, and pairwise anti-affinity cuts.  The objective
-  charges 1 per *moved* tenant plus a tiny balance term, so the optimum is
-  "unstitch everything single-homeable, moving as few tenants as
-  possible".  Tenants the ILP cannot see (chains longer than any switch's
-  virtual stages, or forced to split by an intra-chain separation pair)
-  are stitched afterwards against the ILP's residual capacity.
+  feasible switch) and per-switch SRAM-block and backplane knapsack rows.
+  The objective charges 1 per *moved* tenant plus a tiny balance term, so
+  the optimum is "unstitch everything single-homeable, moving as few
+  tenants as possible".  Tenants the ILP cannot see (chains longer than
+  any switch's virtual stages) are stitched afterwards against the ILP's
+  residual capacity.
 * **Greedy repack** (:func:`solve_greedy`): incremental defragmentation
   against *live* usage — settled single-home tenants stay put, and each
   stitched tenant (heaviest first) has its current charges released and
@@ -45,7 +44,6 @@ from repro.fabric.stitching import split_points
 #: Division guard for zero-capacity switches in the balance term.
 EPS_CAP = 1e-9
 from repro.globalopt.model import (
-    ConstraintSet,
     FabricModel,
     TenantFootprint,
     TenantPlan,
@@ -53,10 +51,13 @@ from repro.globalopt.model import (
     route,
 )
 
-#: Above these sizes the ILP's pairwise cuts and knapsack rows stop being
-#: worth the solve time; ``mode="auto"`` switches to the greedy repack.
+#: Above these sizes the ILP's knapsack rows stop being worth the solve
+#: time; ``mode="auto"`` switches to the greedy repack.
 ILP_MAX_TENANTS = 48
 ILP_MAX_SWITCHES = 10
+#: Wall-clock limit of one ILP solve (s); on expiry the best incumbent is
+#: used, or the greedy repack when there is none.
+ILP_TIME_LIMIT_S = 2.0
 
 
 @dataclass
@@ -80,25 +81,16 @@ def _footprint_weight(foot: TenantFootprint) -> tuple:
 
 
 def _single_candidates(
-    model: FabricModel,
-    usage: Usage,
-    foot: TenantFootprint,
-    constraints: ConstraintSet,
+    model: FabricModel, usage: Usage, foot: TenantFootprint
 ) -> list[str]:
     """Feasible single-home switches, stay-home first then best-fit."""
-    pin = constraints.pinned(foot.tenant_id)
-    avoid = constraints.forbidden(foot.tenant_id)
     current = model.current.get(foot.tenant_id)
     home = set(current.switches) if current is not None else set()
-    names = [pin] if pin is not None else model.active
-    feasible = []
-    for name in names:
-        if name in avoid or name not in model.switches:
-            continue
-        if usage.segment_fits(
-            foot, name, foot.nf_types, foot.rules, foot.length, constraints
-        ):
-            feasible.append(name)
+    feasible = [
+        name
+        for name in model.active
+        if usage.segment_fits(foot, name, foot.rules, foot.length)
+    ]
 
     def order_key(name: str) -> tuple:
         stay = 0 if name in home else 1
@@ -113,45 +105,29 @@ def _single_candidates(
 
 
 def _stitch_candidates(
-    model: FabricModel,
-    usage: Usage,
-    foot: TenantFootprint,
-    constraints: ConstraintSet,
+    model: FabricModel, usage: Usage, foot: TenantFootprint
 ) -> TenantPlan | None:
     """First feasible two-segment placement: fold-boundary splits first,
     head/tail switches in stay-home-then-sorted order, connected by the
     multi-hop router."""
     if foot.length < 2:
         return None
-    pin = constraints.pinned(foot.tenant_id)
-    avoid = constraints.forbidden(foot.tenant_id)
     current = model.current.get(foot.tenant_id)
     prefer = list(current.switches) if current is not None else []
-    names = [n for n in model.active if n not in avoid]
-    names.sort(key=lambda n: (n not in prefer, n))
-    allowed = constraints.allowed_splits(foot)
+    names = sorted(model.active, key=lambda n: (n not in prefer, n))
     min_stages = min(
         (model.switches[n].stages for n in names), default=1
     )
-    splits = split_points(foot.length, max(1, min_stages))
-    if allowed is not None:
-        splits = [j for j in splits if j in set(allowed)]
-    for at in splits:
-        head_nf, tail_nf = foot.nf_types[:at], foot.nf_types[at:]
+    for at in split_points(foot.length, max(1, min_stages)):
         head_rules, tail_rules = foot.rules[:at], foot.rules[at:]
         for head in names:
-            if not usage.segment_fits(
-                foot, head, head_nf, head_rules, at, constraints
-            ):
+            if not usage.segment_fits(foot, head, head_rules, at):
                 continue
             for tail in names:
                 if tail == head:
                     continue
-                if pin is not None and pin not in (head, tail):
-                    continue
                 if not usage.segment_fits(
-                    foot, tail, tail_nf, tail_rules, foot.length - at,
-                    constraints,
+                    foot, tail, tail_rules, foot.length - at
                 ):
                     continue
                 path = route(model, usage, head, tail, foot.bandwidth_gbps)
@@ -166,13 +142,10 @@ def _stitch_candidates(
     return None
 
 
-def solve_greedy(
-    model: FabricModel, constraints: ConstraintSet | None = None
-) -> GlobalSolution:
+def solve_greedy(model: FabricModel) -> GlobalSolution:
     """Deterministic incremental defragmentation (see the module
     docstring)."""
     t0 = time.perf_counter()
-    constraints = constraints or ConstraintSet()
     usage = Usage.from_current(model)
     plans: dict[int, TenantPlan] = dict(model.current)
     kept: list[int] = []
@@ -185,16 +158,11 @@ def solve_greedy(
         if current is not None:
             usage.release(current)
         plan: TenantPlan | None = None
-        if not constraints.must_split(foot):
-            singles = _single_candidates(model, usage, foot, constraints)
-            if singles:
-                plan = TenantPlan(
-                    tenant_id=foot.tenant_id, switches=(singles[0],)
-                )
-        if plan is None and (
-            current is None or constraints.must_split(foot)
-        ):
-            plan = _stitch_candidates(model, usage, foot, constraints)
+        singles = _single_candidates(model, usage, foot)
+        if singles:
+            plan = TenantPlan(tenant_id=foot.tenant_id, switches=(singles[0],))
+        elif current is None:
+            plan = _stitch_candidates(model, usage, foot)
         if plan is None:
             if current is None:  # pragma: no cover - snapshot always places
                 notes.append(f"tenant {foot.tenant_id}: no placement found")
@@ -207,7 +175,7 @@ def solve_greedy(
             )
         usage.charge(plan)
         plans[foot.tenant_id] = plan
-    _balance_pass(model, usage, plans, constraints, notes)
+    _balance_pass(model, usage, plans, notes)
     return GlobalSolution(
         plans=plans,
         mode="greedy",
@@ -225,7 +193,6 @@ def _balance_pass(
     model: FabricModel,
     usage: Usage,
     plans: dict[int, TenantPlan],
-    constraints: ConstraintSet,
     notes: list[str],
 ) -> None:
     """Shift single-home tenants from the hottest switch to the coldest
@@ -248,14 +215,7 @@ def _balance_pass(
         if usage.utilization(hot) - usage.utilization(cold) < BALANCE_GAP:
             break
         residents = sorted(
-            (
-                tid
-                for tid, plan in plans.items()
-                if plan.switches == (hot,)
-                and constraints.pinned(tid) is None
-                and cold not in constraints.forbidden(tid)
-                and not constraints.must_split(model.tenants[tid])
-            ),
+            (tid for tid, plan in plans.items() if plan.switches == (hot,)),
             key=lambda tid: (-model.tenants[tid].bandwidth_gbps, tid),
         )
         best = None
@@ -264,11 +224,7 @@ def _balance_pass(
             foot = model.tenants[tid]
             old = plans[tid]
             usage.release(old)
-            fits = usage.segment_fits(
-                foot, cold, foot.nf_types, foot.rules, foot.length,
-                constraints,
-            )
-            if fits:
+            if usage.segment_fits(foot, cold, foot.rules, foot.length):
                 trial = TenantPlan(tenant_id=tid, switches=(cold,))
                 usage.charge(trial)
                 if spread() < before - 1e-12:
@@ -284,26 +240,19 @@ def _balance_pass(
         notes.append(f"balance: {moved} tenant(s) shifted off hot switches")
 
 
-def solve_ilp(
-    model: FabricModel,
-    constraints: ConstraintSet | None = None,
-    time_limit: float = 2.0,
-) -> GlobalSolution | None:
+def solve_ilp(model: FabricModel) -> GlobalSolution | None:
     """Exact single-home assignment via :mod:`repro.lp`; ``None`` when the
     instance is infeasible or the solver gives up (caller falls back to
     the greedy repack)."""
     from repro.lp import Model, Objective, lin_sum, solve
 
     t0 = time.perf_counter()
-    constraints = constraints or ConstraintSet()
     active = model.active
     eligible: list[TenantFootprint] = []
     leftovers: list[TenantFootprint] = []
     for tenant_id in sorted(model.tenants):
         foot = model.tenants[tenant_id]
-        if constraints.must_split(foot):
-            leftovers.append(foot)
-        elif any(model.fits_stages(foot.length, s) for s in active):
+        if any(model.fits_stages(foot.length, s) for s in active):
             eligible.append(foot)
         else:
             leftovers.append(foot)
@@ -311,12 +260,8 @@ def solve_ilp(
     m = Model("globalopt-repack")
     x: dict[tuple[int, str], object] = {}
     for foot in eligible:
-        pin = constraints.pinned(foot.tenant_id)
-        avoid = constraints.forbidden(foot.tenant_id)
         feasible = []
         for name in active:
-            if name in avoid or (pin is not None and name != pin):
-                continue
             sw = model.switches[name]
             if not model.fits_stages(foot.length, name):
                 continue
@@ -373,37 +318,6 @@ def solve_ilp(
                 <= sw.capacity_gbps,
                 name=f"backplane_{name}",
             )
-    # Pairwise anti-affinity cuts (tenant separation + NF-type pairs).
-    ids = {f.tenant_id: f for f in assigned}
-    cut = 0
-    for a, b in constraints.separate_tenants:
-        if a in ids and b in ids:
-            for name in active:
-                if (a, name) in x and (b, name) in x:
-                    m.add_constr(
-                        x[(a, name)] + x[(b, name)] <= 1.0,
-                        name=f"sep_{a}_{b}_{name}",
-                    )
-                    cut += 1
-    for ta in assigned:
-        for tb in assigned:
-            if tb.tenant_id <= ta.tenant_id:
-                continue
-            clash = any(
-                (a in ta.nf_types and b in tb.nf_types)
-                or (b in ta.nf_types and a in tb.nf_types)
-                for a, b in constraints.nf_anti_affinity
-            )
-            if not clash:
-                continue
-            for name in active:
-                if (ta.tenant_id, name) in x and (tb.tenant_id, name) in x:
-                    m.add_constr(
-                        x[(ta.tenant_id, name)] + x[(tb.tenant_id, name)]
-                        <= 1.0,
-                        name=f"nfaff_{ta.tenant_id}_{tb.tenant_id}_{name}",
-                    )
-                    cut += 1
     # Objective: 1 per moved tenant, plus a tiny balance nudge so ties
     # prefer the lighter-loaded switch deterministically.
     terms = []
@@ -424,7 +338,7 @@ def solve_ilp(
             )
             terms.append((move_cost + balance) * x[(foot.tenant_id, name)])
     m.set_objective(lin_sum(terms), sense=Objective.MINIMIZE)
-    solution = solve(m, time_limit=time_limit)
+    solution = solve(m, time_limit=ILP_TIME_LIMIT_S)
     if not solution.is_feasible:
         return None
     plans: dict[int, TenantPlan] = {}
@@ -444,11 +358,11 @@ def solve_ilp(
         usage.charge(plan)
     # Stitch the leftovers against the ILP's residual capacity.
     kept: list[int] = []
-    notes: list[str] = [f"ilp: {len(assigned)} assigned, {cut} cuts"]
+    notes: list[str] = [f"ilp: {len(assigned)} assigned, 0 cuts"]
     for foot in sorted(leftovers, key=_footprint_weight):
-        plan = _stitch_candidates(model, usage, foot, constraints)
-        if plan is None and not constraints.must_split(foot):
-            singles = _single_candidates(model, usage, foot, constraints)
+        plan = _stitch_candidates(model, usage, foot)
+        if plan is None:
+            singles = _single_candidates(model, usage, foot)
             if singles:
                 plan = TenantPlan(
                     tenant_id=foot.tenant_id, switches=(singles[0],)
@@ -472,12 +386,7 @@ def solve_ilp(
     )
 
 
-def solve_global(
-    model: FabricModel,
-    constraints: ConstraintSet | None = None,
-    mode: str = "auto",
-    time_limit: float = 2.0,
-) -> GlobalSolution:
+def solve_global(model: FabricModel, mode: str = "auto") -> GlobalSolution:
     """Re-solve the fleet.  ``mode`` is ``"auto"`` (ILP when the instance
     is small enough, greedy otherwise), ``"ilp"`` (forced, greedy only on
     infeasibility) or ``"greedy"``."""
@@ -489,10 +398,10 @@ def solve_global(
         and len(model.switches) <= ILP_MAX_SWITCHES
     )
     if want_ilp and model.tenants:
-        solution = solve_ilp(model, constraints, time_limit=time_limit)
+        solution = solve_ilp(model)
         if solution is not None:
             return solution
-    solution = solve_greedy(model, constraints)
+    solution = solve_greedy(model)
     if want_ilp:
         solution.notes = solution.notes + (
             "ilp infeasible or empty; greedy fallback",
@@ -503,6 +412,7 @@ def solve_global(
 __all__ = [
     "ILP_MAX_SWITCHES",
     "ILP_MAX_TENANTS",
+    "ILP_TIME_LIMIT_S",
     "GlobalSolution",
     "solve_global",
     "solve_greedy",

@@ -1,9 +1,7 @@
-"""Snapshot fidelity, constraint families, usage accounting, and the
-multi-hop router."""
+"""Snapshot fidelity, usage accounting, and the multi-hop router."""
 
 from repro.fabric.topology import link_key
 from repro.globalopt.model import (
-    ConstraintSet,
     FabricModel,
     SwitchModel,
     TenantFootprint,
@@ -93,12 +91,6 @@ class TestUsage:
             assert usage.backplane[name] == sw.used_backplane_gbps
         for key, load in model.link_load.items():
             assert usage.link_load[key] == load
-        occupants = {
-            name: set(occ) for name, occ in usage.occupants.items()
-        }
-        for tenant_id, plan in model.current.items():
-            for switch in plan.switches:
-                assert tenant_id in occupants[switch]
 
     def test_charge_release_round_trips(self, fragmented):
         fabric, stitched = fragmented
@@ -115,51 +107,6 @@ class TestUsage:
         assert usage.blocks == before[0]
         assert usage.backplane == before[1]
         assert usage.link_load == before[2]
-
-
-class TestConstraintFamilies:
-    def _foot(self, nf_types=(1, 2, 3), rules=None):
-        rules = rules or (1,) * len(nf_types)
-        return TenantFootprint(
-            tenant_id=9, nf_types=tuple(nf_types), rules=tuple(rules),
-            bandwidth_gbps=1.0,
-        )
-
-    def test_pins_and_forbids(self):
-        cs = ConstraintSet(pins=((1, "sw0"),), forbids=((1, "sw2"), (2, "sw3")))
-        assert cs.pinned(1) == "sw0"
-        assert cs.pinned(2) is None
-        assert cs.forbidden(1) == {"sw2"}
-        assert cs.forbidden(3) == frozenset()
-
-    def test_intra_chain_separation_constrains_the_cut(self):
-        cs = ConstraintSet(split_between=((1, 3),))
-        foot = self._foot((1, 2, 3, 4))
-        assert cs.must_split(foot)
-        assert cs.allowed_splits(foot) == [1, 2]
-        # A type pair the chain does not contain forces nothing.
-        assert not cs.must_split(self._foot((2, 4)))
-        assert ConstraintSet().allowed_splits(foot) is None
-
-    def test_unsatisfiable_partial_order_yields_no_split(self):
-        cs = ConstraintSet(split_between=((2, 3),))
-        foot = self._foot((1, 2, 3, 2))  # a "2" sits after the "3"
-        assert cs.allowed_splits(foot) == []
-
-    def test_tenant_separation_blocks_cohabitation(self):
-        cs = ConstraintSet(separate_tenants=((9, 5),))
-        foot = self._foot()
-        occupants = {5: frozenset({4})}
-        assert not cs.switch_ok(foot, foot.nf_types, occupants)
-        assert cs.switch_ok(foot, foot.nf_types, {6: frozenset({4})})
-
-    def test_nf_anti_affinity_is_cross_tenant(self):
-        cs = ConstraintSet(nf_anti_affinity=((1, 4),))
-        foot = self._foot((1, 2))
-        assert not cs.switch_ok(foot, (1, 2), {5: frozenset({4})})
-        assert cs.switch_ok(foot, (1, 2), {5: frozenset({3})})
-        # The tenant's own occupancy entry never conflicts with itself.
-        assert cs.switch_ok(foot, (1, 2), {9: frozenset({4})})
 
 
 class TestRoute:
@@ -225,7 +172,4 @@ def test_plan_demands_splits_the_chain_at_the_cut():
     )
     plan = TenantPlan(tenant_id=7, switches=("sw0", "sw1"), split=3)
     demands = model.plan_demands(plan)
-    assert demands == [
-        ("sw0", (1, 2, 3), (4, 4, 4), 3),
-        ("sw1", (4, 5), (4, 4), 2),
-    ]
+    assert demands == [("sw0", (4, 4, 4), 3), ("sw1", (4, 4), 2)]

@@ -1,12 +1,7 @@
 """Planner gates: cost/benefit filtering, move caps, benefit-ordered
 headroom-proved emission, and step classification."""
 
-from repro.globalopt.model import (
-    ConstraintSet,
-    TenantPlan,
-    Usage,
-    snapshot_fabric,
-)
+from repro.globalopt.model import TenantPlan, Usage, snapshot_fabric
 from repro.globalopt.plan import MigrationStep, build_plan
 from repro.globalopt.solver import GlobalSolution, solve_greedy
 
@@ -73,7 +68,6 @@ class TestGates:
 class TestOrdering:
     def test_emission_is_benefit_sorted_and_transient_proved(self, fragmented):
         _fabric, _stitched, model, solution = _solved(fragmented)
-        constraints = ConstraintSet()
         plan = build_plan(model, solution)
         benefits = [step.benefit for step in plan.steps]
         assert benefits == sorted(benefits, reverse=True)
@@ -81,7 +75,15 @@ class TestOrdering:
         # every intermediate state fits (the planner's own invariant).
         usage = Usage.from_current(model)
         for step in plan.steps:
-            assert usage.plan_fits(step.target, constraints) or any(
+            foot = model.tenants[step.tenant_id]
+            fits = all(
+                usage.segment_fits(foot, switch, rules, length)
+                for switch, rules, length in model.plan_demands(step.target)
+            ) and all(
+                usage.link_fits(key, foot.bandwidth_gbps)
+                for key in step.target.links
+            )
+            assert fits or any(
                 s in step.current.switches for s in step.target.switches
             )
             usage.release(step.current)

@@ -1,14 +1,17 @@
-"""End-to-end re-optimization through the orchestrator, the drift-gated
-cadence, the telemetry counters on the Prometheus page, and the frontend's
-``POST /v1/reoptimize`` endpoint."""
+"""End-to-end re-optimization through the orchestrator, the telemetry
+counters on the Prometheus page, the frontend's ``POST /v1/reoptimize``
+endpoint, and the typed refusal of bad pass inputs at every seam."""
+
+import json
+import urllib.error
+import urllib.request
 
 import pytest
 
-from repro.errors import FrontendError
+from repro.cli import main
+from repro.errors import FrontendError, SolverError
 from repro.frontend import FrontendServer, HttpFrontendClient
 from repro.telemetry.export import render_prometheus
-
-from .conftest import chain, fragment, make_fabric
 
 
 class TestOrchestrator:
@@ -26,6 +29,15 @@ class TestOrchestrator:
         assert summary["stitch_reduction"] == report.stitch_reduction
         assert "reoptimize[greedy]" in report.describe()
 
+    def test_summary_reports_the_pass_wall_time(self, fragmented):
+        fabric, _stitched = fragmented
+        report = fabric.reoptimize(mode="greedy")
+        assert report.migration is not None
+        summary = report.summary()
+        assert summary["wall_s"] == report.wall_s >= report.solve_s
+        assert summary["migration_wall_s"] == report.migration.wall_s
+        assert report.wall_s >= report.migration.wall_s
+
     def test_dry_run_touches_nothing(self, fragmented):
         fabric, stitched = fragmented
         before = fabric.digest()
@@ -35,23 +47,6 @@ class TestOrchestrator:
         assert report.moves_planned > 0
         assert report.stitched_after == report.stitched_before
         assert fabric.digest() == before
-
-    def test_maybe_reoptimize_gates_on_churn_and_fragmentation(self):
-        fabric = make_fabric()
-        fragment(fabric)
-        # Plenty stitched, but not enough lifecycle churn yet.
-        assert fabric.maybe_reoptimize(min_interval_ops=10_000) is None
-        # Churn passed and the fleet is fragmented: the pass runs.
-        report = fabric.maybe_reoptimize(min_interval_ops=0, mode="greedy")
-        assert report is not None and report.ok
-        # Defragmented now: the stitched gate holds (and resets the clock).
-        assert fabric.maybe_reoptimize(min_interval_ops=0) is None
-
-    def test_maybe_reoptimize_gates_on_stitched_count(self):
-        fabric = make_fabric()
-        for t in range(1, 5):
-            assert fabric.admit(chain(t)).ok
-        assert fabric.maybe_reoptimize(min_interval_ops=0) is None
 
 
 class TestTelemetry:
@@ -112,3 +107,79 @@ class TestFrontend:
         client, _stitched = served
         with pytest.raises(FrontendError, match="-> 400"):
             client.reoptimize(mode="tabu-search")
+
+
+BAD_PASS_INPUTS = [
+    ({"min_benefit": float("nan")}, "min_benefit must be a finite number, got nan"),
+    ({"min_benefit": float("inf")}, "min_benefit must be a finite number, got inf"),
+    ({"max_moves": True}, "max_moves must be None or an int >= 0, got True"),
+    ({"max_moves": 2.7}, "max_moves must be None or an int >= 0, got 2.7"),
+    ({"max_moves": -1}, "max_moves must be None or an int >= 0, got -1"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "options, message", BAD_PASS_INPUTS, ids=[m for _, m in BAD_PASS_INPUTS]
+    )
+    def test_pass_refuses_out_of_range_inputs(self, fragmented, options, message):
+        fabric, _stitched = fragmented
+        before = fabric.digest()
+        with pytest.raises(SolverError) as err:
+            fabric.reoptimize(mode="greedy", **options)
+        assert str(err.value) == message
+        assert fabric.digest() == before
+        assert fabric.metrics.snapshot()["counters"].get("globalopt.runs", 0) == 0
+
+    def test_cli_refuses_a_nan_min_benefit(self, capsys):
+        code = main([
+            "reoptimize", "--quick", "--no-dataplane", "--min-benefit", "nan",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "sfp: error: min_benefit must be a finite number, got nan\n"
+        )
+
+
+#: Raw bodies (``NaN`` is what ``json.loads`` accepts) and the 400's error.
+BAD_BODIES = [
+    (
+        '{"execute": "false"}',
+        "bad reoptimize body: execute must be a JSON bool, got 'false'",
+    ),
+    (
+        '{"min_benefit": NaN}',
+        "bad reoptimize body: min_benefit must be a finite number, got nan",
+    ),
+    (
+        '{"max_moves": true}',
+        "bad reoptimize body: max_moves must be None or an int >= 0, got True",
+    ),
+    (
+        '{"max_moves": 2.7}',
+        "bad reoptimize body: max_moves must be None or an int >= 0, got 2.7",
+    ),
+    (
+        '{"max_moves": -1}',
+        "bad reoptimize body: max_moves must be None or an int >= 0, got -1",
+    ),
+    ('{"mode": ["greedy"]}', "bad reoptimize mode ['greedy']"),
+]
+
+
+@pytest.mark.parametrize("raw, error", BAD_BODIES, ids=[raw for raw, _ in BAD_BODIES])
+def test_bad_reoptimize_body_is_a_typed_400(fragmented, raw, error):
+    fabric, _stitched = fragmented
+    before = fabric.digest()
+    server = FrontendServer(fabric, port=0).start()
+    try:
+        request = urllib.request.Request(
+            f"{server.url}/v1/reoptimize", data=raw.encode(), method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read()) == {"error": error}
+    finally:
+        server.close(timeout=10.0)
+    assert fabric.digest() == before

@@ -1,9 +1,9 @@
 """Solver behaviour: determinism, mode dispatch, defragmentation against
-live usage, constraint compliance, and the balance pass."""
+live usage, and the balance pass."""
 
 import pytest
 
-from repro.globalopt.model import ConstraintSet, snapshot_fabric
+from repro.globalopt.model import snapshot_fabric
 from repro.globalopt.solver import solve_global, solve_greedy, solve_ilp
 
 from .conftest import chain, make_fabric
@@ -63,28 +63,6 @@ class TestGreedy:
         b = solve_greedy(model)
         assert a.plans == b.plans
         assert a.kept == b.kept
-
-    def test_pin_forces_the_target(self, fragmented):
-        fabric, stitched = fragmented
-        model = snapshot_fabric(fabric)
-        tenant_id = stitched[0]
-        cs = ConstraintSet(pins=((tenant_id, "sw2"),))
-        solution = solve_greedy(model, cs)
-        plan = solution.plans[tenant_id]
-        assert "sw2" in plan.switches
-
-    def test_forbid_excludes_the_switch(self, fragmented):
-        fabric, stitched = fragmented
-        model = snapshot_fabric(fabric)
-        tenant_id = stitched[0]
-        forbidden = set(model.current[tenant_id].switches)
-        cs = ConstraintSet(
-            forbids=tuple((tenant_id, s) for s in sorted(forbidden))
-        )
-        solution = solve_greedy(model, cs)
-        plan = solution.plans[tenant_id]
-        if plan != model.current[tenant_id]:  # kept counts as no move
-            assert not set(plan.switches) & forbidden
 
     def test_full_fleet_keeps_stitched_tenants(self):
         """With zero headroom anywhere the stitched tenants stay stitched
@@ -150,17 +128,6 @@ class TestIlp:
         assert solution.ilp_status is not None
         for tenant_id in stitched:
             assert not solution.plans[tenant_id].stitched
-
-    def test_ilp_respects_tenant_separation(self, fragmented):
-        fabric, stitched = fragmented
-        model = snapshot_fabric(fabric)
-        a, b = stitched[0], stitched[1]
-        solution = solve_ilp(model, ConstraintSet(separate_tenants=((a, b),)))
-        assert solution is not None
-        shared = set(solution.plans[a].switches) & set(
-            solution.plans[b].switches
-        )
-        assert not shared
 
     def test_every_tenant_remains_placed(self, fragmented):
         fabric, _ = fragmented
