@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.state import stable_digest
 from repro.errors import PlacementError
 from repro.units import to_bps
 from repro.fabric import (
@@ -53,6 +54,33 @@ def test_hash_is_sticky_under_drain(fabric):
         else:
             # Displaced tenants fall to their previous second choice.
             assert new[0] == old[1]
+
+
+#: blake2b of every ring walk in :func:`ring_orders`, recorded from the ring
+#: (a constant, never recomputed by the test).
+ORDER_DIGEST = "33f7888e2a671f4dde37cc6908c72a76"
+
+
+def ring_orders() -> str:
+    """Digest of ``order()`` for tenants 0..511 on fleets of 1/4/16/64
+    switches with none, one or two of the highest-numbered drained."""
+    rows = []
+    for switches in (1, 4, 16, 64):
+        fabric = FabricOrchestrator(
+            FabricTopology.full_mesh(switches), num_types=3, with_dataplane=False
+        )
+        part = ConsistentHashPartitioner()
+        for drained in (0, 1, 2):
+            fabric.drained = set(fabric.topology.switch_names[::-1][:drained])
+            for tenant in range(512):
+                rows.append(
+                    [switches, drained, tenant, part.order(chain(tenant), fabric)]
+                )
+    return stable_digest(rows)
+
+
+def test_hash_order_is_pinned():
+    assert ring_orders() == ORDER_DIGEST
 
 
 def test_least_backplane_prefers_idle_switches(fabric):
