@@ -56,7 +56,7 @@ from repro.durability import (
     FaultInjector,
     crash_sites,
 )
-from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
+from repro.fabric import FabricOrchestrator, FabricTopology
 from repro.ha import HaCluster
 from repro.rng import DEFAULT_SEED
 from repro.traffic.workload import WorkloadConfig
@@ -85,7 +85,6 @@ def make_fabric() -> FabricOrchestrator:
     return FabricOrchestrator(
         topology,
         num_types=WORKLOAD.num_types,
-        partitioner=make_partitioner("hash"),
         with_dataplane=False,
     )
 

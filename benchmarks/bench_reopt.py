@@ -3,7 +3,7 @@
 
 Long tenant churn fragments a fabric: chains stitched across two switches
 when the fleet was momentarily full stay stitched forever, and spillover
-compounds as the partitioner's first choice keeps refusing.  This
+compounds as the hash ring's first choice keeps refusing.  This
 benchmark measures what one fleet-wide re-optimization pass buys, judged
 two ways:
 
@@ -15,14 +15,13 @@ two ways:
   Probe spillover rate (the fraction not served at its first-choice
   switch) is the judged number: the fragmented fleet rejects what the
   defragmented fleet admits.
-* a **churn A/B comparison** on the ``bench_fabric_churn.py`` workload:
-  the same seeded stream replays over two identical fabrics, one under a
-  periodic re-optimization cadence from the 60% mark, one left alone, and
-  the continuation phase's spillover rate and final stitch counts are
-  compared — for both the hash and the load-aware (least-backplane)
-  partitioners.  Sustained churn keeps re-fragmenting, so the robust
-  signal here is the stitch count the cadence holds near zero; organic
-  spillover moves with admission-mix noise.
+* a **churn A/B comparison**: the same seeded stream replays over two
+  identical fabrics, one under a periodic re-optimization cadence from the
+  60% mark, one left alone, and the continuation phase's spillover rate
+  and final stitch counts are compared.  Sustained churn keeps
+  re-fragmenting, so the robust signal here is the stitch count the
+  cadence holds near zero; organic spillover moves with admission-mix
+  noise.
 
 Results land in ``BENCH_reopt.json``.  Run directly (no pytest needed):
 
@@ -49,22 +48,18 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
 
 from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
 from repro.core.spec import SFC, SwitchSpec
-from repro.fabric import (
-    FabricOrchestrator,
-    FabricTopology,
-    make_partitioner,
-)
+from repro.fabric import FabricOrchestrator, FabricTopology
 from repro.rng import DEFAULT_SEED
 from repro.traffic.workload import WorkloadConfig
 
-#: The fabric-churn benchmark's workload (same chain mix, same knobs).
+#: Short chains of small rule sets, about 1 Gbps each.
 WORKLOAD = WorkloadConfig(
     num_sfcs=0, num_types=6, avg_chain_length=3, chain_length_spread=2,
     rules_min=1, rules_max=4, mean_bandwidth_gbps=1.0, max_bandwidth_gbps=4.0,
 )
 
-#: Deliberately tight per-shard switch (shared with bench_fabric_churn):
-#: 4 stages x 8 blocks, 40 Gbps backplane.
+#: Deliberately tight per-shard switch: 4 stages x 8 blocks, 40 Gbps
+#: backplane.
 SHARD_SPEC = SwitchSpec(
     stages=4, blocks_per_stage=8, block_bits=6400, rule_bits=64,
     capacity_gbps=40.0,
@@ -73,7 +68,7 @@ SHARD_SPEC = SwitchSpec(
 NUM_SWITCHES = 4
 
 
-def make_fabric(partitioner: str, with_dataplane: bool) -> FabricOrchestrator:
+def make_fabric(with_dataplane: bool) -> FabricOrchestrator:
     topology = FabricTopology.full_mesh(
         NUM_SWITCHES, spec=SHARD_SPEC, link_capacity_gbps=100.0,
         max_recirculations=1,
@@ -81,13 +76,12 @@ def make_fabric(partitioner: str, with_dataplane: bool) -> FabricOrchestrator:
     return FabricOrchestrator(
         topology,
         num_types=WORKLOAD.num_types,
-        partitioner=make_partitioner(partitioner),
         with_dataplane=with_dataplane,
     )
 
 
 def churn_config(duration_s: float) -> ChurnConfig:
-    """The fabric-churn mix, tuned so the fleet runs near — not past —
+    """The churn mix, tuned so the fleet runs near — not past —
     capacity: rejections then come from fragmentation (stranded stitched
     placements, uneven shards) rather than hard saturation, which is the
     regime a re-optimizer can actually repair."""
@@ -103,17 +97,16 @@ def churn_config(duration_s: float) -> ChurnConfig:
 # ----------------------------------------------------------------------
 # Deterministic fragmentation fixture
 # ----------------------------------------------------------------------
-def fragment_fixture(partitioner: str, with_dataplane: bool):
+def fragment_fixture(with_dataplane: bool):
     """Build a fragmented fleet the same way long churn does, but
-    deterministically and under *any* partitioner.  Backplane is the
-    binding resource: 4.6 Gbps fillers saturate every switch to 36.8 of
-    40 Gbps regardless of routing (spillover fills whatever the
-    partitioner prefers first), so a recirculating 5-NF chain — 2 passes,
-    4 Gbps single-homed, 2 Gbps per half — cannot fit whole anywhere and
-    must stitch.  Evicting one filler per switch then opens single-home
+    deterministically.  Backplane is the binding resource: 4.6 Gbps
+    fillers saturate every switch to 36.8 of 40 Gbps regardless of routing
+    (spillover fills whatever the ring prefers first), so a recirculating
+    5-NF chain — 2 passes, 4 Gbps single-homed, 2 Gbps per half — cannot
+    fit whole anywhere and must stitch.  Evicting one filler per switch then opens single-home
     room fleet-wide: the stitched chains are stranded, exactly the state
     a global pass repairs."""
-    fabric = make_fabric(partitioner, with_dataplane)
+    fabric = make_fabric(with_dataplane)
     tid = 0
     fillers = []
     while True:
@@ -125,14 +118,11 @@ def fragment_fixture(partitioner: str, with_dataplane: bool):
             break
         fillers.append(tid)
         tid += 1
-    stitched_longs = 0
     for _ in range(NUM_SWITCHES):
-        result = fabric.admit(SFC(
+        fabric.admit(SFC(
             name=f"long-{tid}", nf_types=(1, 2, 3, 4, 5),
             rules=(4, 4, 4, 4, 4), bandwidth_gbps=2.0, tenant_id=tid,
         ))
-        if result.ok and len(result.switches) > 1:
-            stitched_longs += 1
         tid += 1
     evicted_on: set[str] = set()
     for filler in fillers:
@@ -140,7 +130,7 @@ def fragment_fixture(partitioner: str, with_dataplane: bool):
         if home not in evicted_on:
             evicted_on.add(home)
             fabric.evict(filler)
-    return fabric, stitched_longs
+    return fabric
 
 
 #: One-pass probes sized so the fragmented fleet (5.8 Gbps residual per
@@ -181,11 +171,11 @@ def probe_batch(fabric: FabricOrchestrator) -> dict:
     return outcomes
 
 
-def run_fixture(partitioner: str, with_dataplane: bool, mode: str) -> dict:
+def run_fixture(with_dataplane: bool, mode: str) -> dict:
     """Build the fragmented fleet twice (the build is deterministic),
     re-optimize one copy, then judge both with the same probe batch."""
-    control, stitched_longs = fragment_fixture(partitioner, with_dataplane)
-    treated, _ = fragment_fixture(partitioner, with_dataplane)
+    control = fragment_fixture(with_dataplane)
+    treated = fragment_fixture(with_dataplane)
     report = treated.reoptimize(mode=mode)
     migration = report.migration.summary() if report.migration else {}
     probes_ok = report.migration is None or all(
@@ -195,7 +185,6 @@ def run_fixture(partitioner: str, with_dataplane: bool, mode: str) -> dict:
     probe_control = probe_batch(control)
     probe_treated = probe_batch(treated)
     return {
-        "partitioner": partitioner,
         "mode": report.mode,
         "tenants": report.tenants,
         "stitched_before": report.stitched_before,
@@ -217,7 +206,6 @@ def run_fixture(partitioner: str, with_dataplane: bool, mode: str) -> dict:
             and treated.check_invariant() == []
             and control.check_invariant() == []
         ),
-        "_stitched_longs": stitched_longs,
     }
 
 
@@ -229,9 +217,7 @@ def spillover_counters(fabric: FabricOrchestrator) -> tuple[int, int]:
     return int(counters.get("spillovers", 0)), int(counters.get("admitted", 0))
 
 
-def run_churn_pair(
-    partitioner: str, duration_s: float, with_dataplane: bool, mode: str
-) -> dict:
+def run_churn_pair(duration_s: float, with_dataplane: bool, mode: str) -> dict:
     """Replay one seeded stream over two identical fabrics; one gets a
     periodic re-optimization cadence from the 60% mark on (the drift-gated
     loop an operator would run), the other is left to fragment."""
@@ -239,8 +225,8 @@ def run_churn_pair(
     cut = int(len(events) * 0.6)
     phase_a, phase_b = events[:cut], events[cut:]
 
-    control = make_fabric(partitioner, with_dataplane)
-    treated = make_fabric(partitioner, with_dataplane)
+    control = make_fabric(with_dataplane)
+    treated = make_fabric(with_dataplane)
     ChurnEngine(control).replay(phase_a)
     ChurnEngine(treated).replay(phase_a)
 
@@ -271,7 +257,6 @@ def run_churn_pair(
     control_rate = phase_b_rate(control)
     treated_rate = phase_b_rate(treated)
     return {
-        "partitioner": partitioner,
         "events": len(events),
         "reopt": {
             "mode": first.mode,
@@ -293,21 +278,14 @@ def run_churn_pair(
 
 
 def run(duration_s: float, with_dataplane: bool, mode: str) -> dict:
-    fixtures = []
-    pairs = []
-    for partitioner in ("hash", "least-backplane"):
-        fixtures.append(run_fixture(partitioner, with_dataplane, mode))
-        pairs.append(
-            run_churn_pair(partitioner, duration_s, with_dataplane, mode)
-        )
     return {
         "benchmark": "global-reoptimization",
         "seed": DEFAULT_SEED,
         "python": sys.version.split()[0],
         "duration_s": duration_s,
         "with_dataplane": with_dataplane,
-        "fixtures": fixtures,
-        "churn_pairs": pairs,
+        "fixture": run_fixture(with_dataplane, mode),
+        "churn_pair": run_churn_pair(duration_s, with_dataplane, mode),
     }
 
 
@@ -340,57 +318,52 @@ def main(argv=None) -> int:
     duration = 10.0 if args.smoke else 30.0
     report = run(duration_s=duration, with_dataplane=True, mode=args.mode)
 
-    failed = False
-    for row in report["fixtures"]:
-        print(
-            f"fixture[{row['partitioner']}] ({row['mode']}): "
-            f"{row['tenants']} tenants, stitched {row['stitched_before']} -> "
-            f"{row['stitched_after']}, {row['moves_executed']} moves, "
-            f"probe spillover {row['probe_control']['spill_rate']:.2%} -> "
-            f"{row['probe_treated']['spill_rate']:.2%}, "
-            f"probes {'OK' if row['probes_ok'] else 'FAILED'}, "
-            f"invariant {'OK' if row['invariant_ok'] else 'VIOLATED'}"
-        )
-        if not (row["invariant_ok"] and row["probes_ok"]):
+    row = report["fixture"]
+    print(
+        f"fixture ({row['mode']}): "
+        f"{row['tenants']} tenants, stitched {row['stitched_before']} -> "
+        f"{row['stitched_after']}, {row['moves_executed']} moves, "
+        f"probe spillover {row['probe_control']['spill_rate']:.2%} -> "
+        f"{row['probe_treated']['spill_rate']:.2%}, "
+        f"probes {'OK' if row['probes_ok'] else 'FAILED'}, "
+        f"invariant {'OK' if row['invariant_ok'] else 'VIOLATED'}"
+    )
+    failed = not (row["invariant_ok"] and row["probes_ok"])
+    if args.smoke:
+        if row["stitched_before"] == 0:
+            print(
+                "FAIL: fixture never fragmented (0 stitched tenants before "
+                "the pass)", file=sys.stderr,
+            )
             failed = True
-        if args.smoke:
-            if row["stitched_before"] == 0:
-                print(
-                    f"FAIL: fixture[{row['partitioner']}] never fragmented "
-                    f"(0 stitched tenants before the pass)", file=sys.stderr,
-                )
-                failed = True
-            elif row["stitched_after"] >= row["stitched_before"]:
-                print(
-                    f"FAIL: fixture[{row['partitioner']}] stitch count did "
-                    f"not drop ({row['stitched_before']} -> "
-                    f"{row['stitched_after']})", file=sys.stderr,
-                )
-                failed = True
-            if row["spillover_reduction"] <= 0:
-                print(
-                    f"FAIL: fixture[{row['partitioner']}] probe spillover "
-                    f"rate did not drop "
-                    f"({row['probe_control']['spill_rate']:.2%} -> "
-                    f"{row['probe_treated']['spill_rate']:.2%})",
-                    file=sys.stderr,
-                )
-                failed = True
-    for row in report["churn_pairs"]:
-        print(
-            f"churn[{row['partitioner']}]: {row['events']} events, "
-            f"phase-B spillover {row['control_spillover_rate_b']:.2%} "
-            f"(control) vs {row['treated_spillover_rate_b']:.2%} "
-            f"(re-optimized), stitched at end "
-            f"{row['control_stitched_final']} vs "
-            f"{row['treated_stitched_final']}, "
-            f"invariant {'OK' if row['invariant_ok'] else 'VIOLATED'}"
-        )
-        if not (row["invariant_ok"] and row["reopt"]["ok"]):
+        elif row["stitched_after"] >= row["stitched_before"]:
+            print(
+                f"FAIL: fixture stitch count did not drop "
+                f"({row['stitched_before']} -> {row['stitched_after']})",
+                file=sys.stderr,
+            )
             failed = True
+        if row["spillover_reduction"] <= 0:
+            print(
+                f"FAIL: fixture probe spillover rate did not drop "
+                f"({row['probe_control']['spill_rate']:.2%} -> "
+                f"{row['probe_treated']['spill_rate']:.2%})",
+                file=sys.stderr,
+            )
+            failed = True
+    pair = report["churn_pair"]
+    print(
+        f"churn: {pair['events']} events, "
+        f"phase-B spillover {pair['control_spillover_rate_b']:.2%} "
+        f"(control) vs {pair['treated_spillover_rate_b']:.2%} "
+        f"(re-optimized), stitched at end "
+        f"{pair['control_stitched_final']} vs "
+        f"{pair['treated_stitched_final']}, "
+        f"invariant {'OK' if pair['invariant_ok'] else 'VIOLATED'}"
+    )
+    if not (pair["invariant_ok"] and pair["reopt"]["ok"]):
+        failed = True
 
-    for row in report["fixtures"]:
-        row.pop("_stitched_longs", None)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     print(f"wrote {os.path.abspath(args.out)}")

@@ -143,21 +143,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _paper_fabric(
     switches: int,
-    partitioner: str = "hash",
     link_capacity: float = 400.0,
     with_dataplane: bool = False,
 ):
     """The full-mesh fabric of paper switches ``fabric``, ``serve`` and
     ``ha`` run on."""
     from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
-    from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
+    from repro.fabric import FabricOrchestrator, FabricTopology
 
     return FabricOrchestrator(
         FabricTopology.full_mesh(
             switches, spec=PAPER_SWITCH, link_capacity_gbps=link_capacity
         ),
         num_types=PAPER_WORKLOAD.num_types,
-        partitioner=make_partitioner(partitioner),
         with_dataplane=with_dataplane,
     )
 
@@ -182,7 +180,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     from repro.controller import ChurnEngine, load_events, save_events
 
     fabric = _paper_fabric(
-        args.switches, args.partitioner, args.link_capacity, not args.no_dataplane
+        args.switches, args.link_capacity, not args.no_dataplane
     )
     if args.wal_dir:
         from repro.durability import FabricDurability
@@ -203,8 +201,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             save_events(args.save_trace, events, seed=args.seed, config=config)
             print(f"wrote churn trace: {args.save_trace}")
     report = ChurnEngine(fabric).replay(events)
-    print(f"fabric: {args.switches} switches ({args.partitioner}), "
-          f"{len(fabric.links)} links")
+    print(f"fabric: {args.switches} switches, {len(fabric.links)} links")
     print(report.describe())
     summary = fabric.summary()
     print(f"live tenants: {summary['tenants']} "
@@ -379,7 +376,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         with_dataplane=args.dataplane,
         wal_dir=args.wal_dir,
         fsync=args.fsync,
-        partitioner=args.partitioner,
         fastpath=args.fastpath,
         traffic_packets=args.traffic,
     )
@@ -411,22 +407,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.frontend import FrontendClient, FrontendServer, IntentQueue
 
     fabric = _paper_fabric(
-        args.switches, args.partitioner, args.link_capacity, not args.no_dataplane
+        args.switches, args.link_capacity, not args.no_dataplane
     )
     if args.wal_dir:
         from repro.durability import FabricDurability
 
-        if args.partitioner == "least-backplane":
-            # Occupancy-sensitive routing: the shard a worker picked at
-            # take time need not match what a serial WAL replay would
-            # pick, so recovery could diverge.  Pure partitioners only.
-            print(
-                "serve: --wal-dir needs a pure partitioner (hash or "
-                "modulo); least-backplane routing is occupancy-dependent "
-                "and would not replay deterministically",
-                file=sys.stderr,
-            )
-            return 2
         FabricDurability(args.wal_dir, fsync=args.fsync).attach(fabric)
         print(f"journaling to {args.wal_dir} (fsync={args.fsync})")
     server = FrontendServer(
@@ -436,8 +421,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue=IntentQueue(capacity=args.queue_capacity),
     )
     server.start()
-    print(f"serving {args.switches} switches ({args.partitioner}) "
-          f"on http://{server.address} — one worker per shard")
+    print(f"serving {args.switches} switches on http://{server.address} "
+          f"— one worker per shard")
     try:
         if args.demo_events:
             # Self-driving demo/CI mode: synthesize a short churn stream,
@@ -621,11 +606,7 @@ def _cmd_reoptimize(args: argparse.Namespace) -> int:
     from repro.controller import ChurnConfig, ChurnEngine, synthesize_churn
     from repro.core.spec import SwitchSpec
     from repro.experiments.config import PAPER_WORKLOAD
-    from repro.fabric import (
-        FabricOrchestrator,
-        FabricTopology,
-        make_partitioner,
-    )
+    from repro.fabric import FabricOrchestrator, FabricTopology
 
     spec = SwitchSpec(
         stages=4, blocks_per_stage=8, block_bits=6400, rule_bits=64,
@@ -636,10 +617,7 @@ def _cmd_reoptimize(args: argparse.Namespace) -> int:
         max_recirculations=1,
     )
     fabric = FabricOrchestrator(
-        topology,
-        num_types=6,
-        partitioner=make_partitioner(args.partitioner),
-        with_dataplane=not args.no_dataplane,
+        topology, num_types=6, with_dataplane=not args.no_dataplane
     )
     config = ChurnConfig(
         duration_s=(5.0 if args.quick else args.duration),
@@ -779,11 +757,6 @@ def main(argv: list[str] | None = None) -> int:
         "--switches", type=int, default=4, help="number of fabric switches"
     )
     p.add_argument(
-        "--partitioner",
-        choices=("hash", "least-backplane", "modulo"), default="hash",
-        help="tenant->switch routing strategy",
-    )
-    p.add_argument(
         "--link-capacity", type=float, default=400.0,
         help="inter-switch link capacity (Gbps)",
     )
@@ -894,11 +867,6 @@ def main(argv: list[str] | None = None) -> int:
              "compiled kernels end to end)",
     )
     p.add_argument(
-        "--partitioner",
-        choices=("hash", "least-backplane", "modulo"), default=None,
-        help="override the spec's tenant->switch routing strategy",
-    )
-    p.add_argument(
         "--wal-dir", default=None, metavar="DIR",
         help="journal every committed fabric op to a write-ahead log in "
              "DIR (recover later with `sfp recover DIR`)",
@@ -927,12 +895,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--switches", type=int, default=4,
         help="fabric switches = shard workers",
-    )
-    p.add_argument(
-        "--partitioner",
-        choices=("hash", "least-backplane", "modulo"), default="hash",
-        help="tenant->switch routing strategy (pure strategies keep "
-             "concurrent routing replayable)",
     )
     p.add_argument(
         "--link-capacity", type=float, default=400.0,
@@ -1054,11 +1016,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--duration", type=float, default=20.0,
         help="local demo: churn horizon used to fragment the fabric (s)",
-    )
-    p.add_argument(
-        "--partitioner",
-        choices=("hash", "least-backplane", "modulo"), default="hash",
-        help="local demo: tenant->switch routing strategy",
     )
     p.add_argument(
         "--no-dataplane", action="store_true",

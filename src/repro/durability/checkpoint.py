@@ -352,7 +352,6 @@ def fabric_manifest(fabric: "FabricOrchestrator") -> dict:
         "kind": "fabric",
         "version": CHECKPOINT_VERSION,
         "num_types": fabric.num_types,
-        "partitioner": _partitioner_name(fabric.partitioner),
         "with_dataplane": fabric.with_dataplane,
         "fastpath": shard.fastpath is not None,
         "nodes": [
@@ -370,19 +369,6 @@ def fabric_manifest(fabric: "FabricOrchestrator") -> dict:
             for link in (fabric.topology.links[k] for k in sorted(fabric.topology.links))
         ],
     }
-
-
-def _partitioner_name(partitioner) -> str:
-    from repro.fabric.partitioner import PARTITIONERS
-
-    for name, cls in PARTITIONERS.items():
-        if type(partitioner) is cls:
-            return name
-    raise DurabilityError(
-        f"partitioner {type(partitioner).__name__} is not in the registry; "
-        f"durable fabrics need a registered partitioner "
-        f"(choices: {sorted(PARTITIONERS)})"
-    )
 
 
 # ----------------------------------------------------------------------

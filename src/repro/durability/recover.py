@@ -4,8 +4,7 @@ Recovery rebuilds a controller (or a whole fabric) from its durability
 directory alone:
 
 1. **Manifest** — reconstruct an equivalent *empty* controller/fabric from
-   the immutable recovery manifest (switch spec, catalog size, topology,
-   partitioner).
+   the immutable recovery manifest (switch spec, catalog size, topology).
 2. **Checkpoint** — load the newest CRC-valid checkpoint and restore it
    through the direct-install path (:meth:`SfcController.restore_tenant`),
    landing exactly at the checkpoint's recorded state digest.
@@ -49,7 +48,6 @@ from repro.durability.checkpoint import (
 from repro.durability.wal import WAL_VERSION, WalRecord, scan_wal
 from repro.errors import DurabilityError
 from repro.fabric.orchestrator import FabricOrchestrator
-from repro.fabric.partitioner import make_partitioner
 from repro.fabric.topology import FabricLink, FabricTopology, SwitchNode
 from repro.telemetry.recorder import FlightRecorder
 
@@ -251,12 +249,13 @@ def apply_fabric_record(
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-#: Keys manifests written before the accounting and admission settings were
-#: fixed still carry, each with the one value anything ever wrote.
+#: Keys older manifests still carry, each with the one value served now:
+#: the accounting and admission settings, and the tenant→switch ring.
 _OLD_MANIFEST_KEYS = {
     "policy": {"check_backplane": True, "check_memory": True, "max_tenants": None},
     "consolidate": True,
     "reserve_physical_block": True,
+    "partitioner": "hash",
 }
 
 
@@ -286,30 +285,34 @@ def fabric_from_manifest(
             f"expected a fabric manifest, got kind={manifest.get('kind')!r}"
         )
     _refuse_old_settings(manifest)
-    topology = FabricTopology(
-        nodes=[
-            SwitchNode(
-                name=node["name"],
-                spec=SwitchSpec(**node["spec"]),
-                max_recirculations=node["max_recirculations"],
-            )
-            for node in manifest["nodes"]
-        ],
-        links=[
-            FabricLink(a=link["a"], b=link["b"], capacity_gbps=link["capacity_gbps"])
-            for link in manifest["links"]
-        ],
-    )
-    return FabricOrchestrator(
-        topology,
-        num_types=manifest["num_types"],
-        partitioner=make_partitioner(manifest["partitioner"]),
-        with_dataplane=(
-            manifest["with_dataplane"] if with_dataplane is None else with_dataplane
-        ),
-        recorder=recorder,
-        fastpath=manifest.get("fastpath", False),
-    )
+    try:
+        topology = FabricTopology(
+            nodes=[
+                SwitchNode(
+                    name=node["name"],
+                    spec=SwitchSpec(**node["spec"]),
+                    max_recirculations=node["max_recirculations"],
+                )
+                for node in manifest["nodes"]
+            ],
+            links=[
+                FabricLink(a=link["a"], b=link["b"], capacity_gbps=link["capacity_gbps"])
+                for link in manifest["links"]
+            ],
+        )
+        return FabricOrchestrator(
+            topology,
+            num_types=manifest["num_types"],
+            with_dataplane=(
+                manifest["with_dataplane"] if with_dataplane is None else with_dataplane
+            ),
+            recorder=recorder,
+            fastpath=manifest.get("fastpath", False),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DurabilityError(
+            f"malformed fabric manifest: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 #: Recovery's one note on a pre-integer-units directory: replayed like a

@@ -1,7 +1,7 @@
 """Multi-switch fabric orchestration: shard tenant SFCs across a cluster.
 
 One :class:`~repro.controller.controller.SfcController` per fabric switch,
-a pluggable tenant→switch partitioner with per-switch admission fallback,
+a consistent-hash tenant→switch ring with per-switch admission fallback,
 cross-switch chain stitching over capacity-annotated links, and
 drain/failover — all behind the single tenant-facing
 :class:`FabricOrchestrator` API.
@@ -17,9 +17,6 @@ from repro.fabric.orchestrator import (
 from repro.fabric.partitioner import (
     PARTITIONERS,
     ConsistentHashPartitioner,
-    LeastBackplanePartitioner,
-    ModuloPartitioner,
-    Partitioner,
     make_partitioner,
 )
 from repro.fabric.stitching import StitchPlan, plan_stitch, split_chain, split_points
@@ -40,10 +37,7 @@ __all__ = [
     "FabricOrchestrator",
     "FabricTenant",
     "FabricTopology",
-    "LeastBackplanePartitioner",
     "LinkKey",
-    "ModuloPartitioner",
-    "Partitioner",
     "Segment",
     "StitchPlan",
     "SwitchNode",

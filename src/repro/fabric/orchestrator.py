@@ -5,7 +5,7 @@ Every fabric switch runs its own full :class:`~repro.controller.controller.
 SfcController` — admission, placement, transactional data-plane installs —
 and the orchestrator owns only what is genuinely *cross*-switch:
 
-* **Routing.**  A pluggable partitioner (:mod:`repro.fabric.partitioner`)
+* **Routing.**  The consistent-hash ring (:mod:`repro.fabric.partitioner`)
   yields a preference order over active switches; the orchestrator walks it
   with per-switch admission as the fallback, recording spillover when a
   tenant lands off its preferred shard.
@@ -70,7 +70,7 @@ from repro.controller.controller import OpResult, RuleFactory, SfcController
 from repro.core.spec import SFC, ProblemInstance
 from repro.core.state import LinkState, PipelineState
 from repro.errors import PlacementError
-from repro.fabric.partitioner import ConsistentHashPartitioner, Partitioner
+from repro.fabric.partitioner import ConsistentHashPartitioner
 from repro.fabric.stitching import StitchPlan, plan_stitch
 from repro.fabric.topology import FabricTopology, LinkKey
 from repro.telemetry.metrics import MetricsRegistry, Timer
@@ -191,7 +191,7 @@ class FabricOrchestrator:
         self,
         topology: FabricTopology,
         num_types: int,
-        partitioner: Partitioner | None = None,
+        partitioner: ConsistentHashPartitioner | None = None,
         with_dataplane: bool = True,
         rule_factory: RuleFactory | None = None,
         tracer: Tracer | None = None,
@@ -544,7 +544,7 @@ class FabricOrchestrator:
         self, sfc: SFC, op: str, timer: Timer, scope: str | None = None
     ) -> FabricOpResult | None:
         """Route one chain: preferred shard first, spillover down the
-        partitioner order, cross-switch stitching as the last resort.
+        ring order, cross-switch stitching as the last resort.
         Scoped to one shard, try exactly that shard and return ``None``
         (escalate) if it is drained or refuses — everything past the first
         choice needs a second shard."""
@@ -890,10 +890,10 @@ class FabricOrchestrator:
     # Routing views (how the concurrent front end picks a worker)
     # ------------------------------------------------------------------
     def preferred_switch(self, sfc: SFC) -> str | None:
-        """The partitioner's first active choice for ``sfc`` — the shard
-        the front end routes an admit intent to (``None`` = all drained).
-        Only pure (state-independent) partitioners make concurrent routing
-        reproducible under replay; see :mod:`repro.fabric.partitioner`."""
+        """The ring's first active choice for ``sfc`` — the shard the
+        front end routes an admit intent to (``None`` = all drained).  The
+        ring is a pure function of the tenant id and the active switch set,
+        so concurrent routing replays; see :mod:`repro.fabric.partitioner`."""
         order = self.partitioner.order(sfc, self)
         return order[0] if order else None
 

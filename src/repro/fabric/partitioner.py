@@ -1,34 +1,34 @@
-"""Tenant → switch partitioning strategies.
+"""Tenant → switch routing: the consistent-hash ring.
 
-A partitioner does not *decide* where a tenant lands — it produces a
+The ring does not *decide* where a tenant lands — it produces a
 **preference order** over the fabric's active switches, and the orchestrator
 walks that order with per-switch admission as the fallback: if the
 preferred shard rejects (memory, backplane, chain length), the next-best
-shard is tried and the spillover is recorded.  Two strategies ship:
+shard is tried and the spillover is recorded.
 
-* :class:`ConsistentHashPartitioner` — a classic consistent-hash ring with
-  virtual nodes.  Placement is a pure function of ``(tenant_id, active
-  switch set)``: sticky under churn, minimally disturbed when a switch is
-  drained (only that switch's arc re-homes), and needs no load feedback.
-  Hashes are ``blake2b``-based so the order is stable across processes
-  (Python's builtin ``hash`` is seed-randomized).
-* :class:`LeastBackplanePartitioner` — load-aware: prefers the shard with
-  the lowest backplane *utilization fraction* (ties broken by name), which
-  levels recirculation load across heterogeneous switches at the price of
-  a non-sticky mapping.
+:class:`ConsistentHashPartitioner` is a classic consistent-hash ring with
+virtual nodes.  Placement is a pure function of ``(tenant_id, active switch
+set)``: sticky under churn, minimally disturbed when a switch is drained
+(only that switch's arc re-homes), and needs no load feedback — so a
+journalled op replays to the same shard, and the front end may route an
+intent outside any fabric lock.  Hashes are ``blake2b``-based so the order
+is stable across processes (Python's builtin ``hash`` is seed-randomized).
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from repro.core.spec import SFC
 from repro.errors import PlacementError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (orchestrator imports us)
     from repro.fabric.orchestrator import FabricOrchestrator
+
+#: Virtual nodes per switch on the ring.
+REPLICAS = 64
 
 
 def _stable_hash(key: str) -> int:
@@ -38,24 +38,13 @@ def _stable_hash(key: str) -> int:
     )
 
 
-class Partitioner(Protocol):
-    """Strategy interface: a preference order over active switches."""
-
-    def order(self, sfc: SFC, fabric: "FabricOrchestrator") -> list[str]:
-        """Active switch names, most-preferred first, for hosting ``sfc``."""
-        ...  # pragma: no cover
-
-
 class ConsistentHashPartitioner:
-    """Hash-ring preference order with ``replicas`` virtual nodes per
+    """Hash-ring preference order with :data:`REPLICAS` virtual nodes per
     switch.  Walking the ring clockwise from the tenant's hash yields every
     active switch exactly once — the full admission-fallback order, not
     just the owner."""
 
-    def __init__(self, replicas: int = 64) -> None:
-        if replicas < 1:
-            raise PlacementError(f"need >= 1 virtual node, got {replicas}")
-        self.replicas = replicas
+    def __init__(self) -> None:
         self._ring_for: tuple[str, ...] = ()
         self._ring: list[tuple[int, str]] = []
 
@@ -64,7 +53,7 @@ class ConsistentHashPartitioner:
             points = [
                 (_stable_hash(f"{name}#{r}"), name)
                 for name in names
-                for r in range(self.replicas)
+                for r in range(REPLICAS)
             ]
             points.sort()
             # Ring before key: concurrent routers (the front end calls
@@ -94,46 +83,13 @@ class ConsistentHashPartitioner:
         return out
 
 
-class LeastBackplanePartitioner:
-    """Load-aware preference order: lowest backplane utilization fraction
-    first (Eq. 12 load over capacity), names as the deterministic
-    tie-break."""
-
-    def order(self, sfc: SFC, fabric: "FabricOrchestrator") -> list[str]:
-        """Active switches sorted by ascending backplane utilization."""
-        def utilization(name: str) -> float:
-            shard = fabric.shards[name]
-            return shard.state.backplane_gbps / shard.base.switch.capacity_gbps
-
-        return sorted(fabric.active_switches, key=lambda n: (utilization(n), n))
+#: Name → class, kept for the end-to-end benchmark, which builds its fleets
+#: through :func:`make_partitioner`.
+PARTITIONERS = {"hash": ConsistentHashPartitioner}
 
 
-class ModuloPartitioner:
-    """Round-robin-by-id preference order: the tenant's home shard is
-    ``active[tenant_id % N]`` and spillover walks the remaining active
-    switches in ring order.  The order is a pure O(N) function of
-    ``(tenant_id, active switch set)`` with no hashing and no per-switch
-    load reads, so where a tenant is tried first is plain arithmetic."""
-
-    def order(self, sfc: SFC, fabric: "FabricOrchestrator") -> list[str]:
-        """Active switches starting at ``tenant_id % N``, ring order."""
-        names = fabric.active_switches
-        if not names:
-            return []
-        start = sfc.tenant_id % len(names)
-        return names[start:] + names[:start]
-
-
-#: Registry for the CLI / benchmarks (``--partitioner`` choices).
-PARTITIONERS = {
-    "hash": ConsistentHashPartitioner,
-    "least-backplane": LeastBackplanePartitioner,
-    "modulo": ModuloPartitioner,
-}
-
-
-def make_partitioner(name: str) -> Partitioner:
-    """Instantiate a registered strategy by name."""
+def make_partitioner(name: str) -> ConsistentHashPartitioner:
+    """The ring, by its one registered name."""
     try:
         return PARTITIONERS[name]()
     except KeyError:

@@ -1,6 +1,6 @@
 """Fabric-wide global re-optimization (snapshot -> solve -> plan -> migrate).
 
-The greedy online partitioners place each tenant once and never look back,
+The greedy online walk places each tenant once and never looks back,
 so long churn fragments the fleet: tenants stitched across two switches
 when the fabric was momentarily full stay stitched forever, and spillover
 compounds.  This package closes the loop — :func:`reoptimize_fabric`

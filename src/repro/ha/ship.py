@@ -45,6 +45,7 @@ import socket
 import struct
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Callable
 
@@ -202,8 +203,12 @@ class ReplicationListener:
                     if frame is None:
                         break
                     self.standby.feed(frame)
-            except DurabilityError:
-                pass  # bad stream: drop the connection, await the next
+            except Exception:  # noqa: BLE001 — one bad peer must not end the loop
+                # Drop the connection and await the next; keep the reason.
+                self.standby.metrics.inc("ha.connections_dropped")
+                self.standby.recorder.record_state(
+                    "ha-connection-dropped", error=traceback.format_exc()
+                )
             finally:
                 conn.close()
 
@@ -211,9 +216,12 @@ class ReplicationListener:
         """Stop accepting and join the accept-loop thread."""
         self._closing = True
         try:
-            self._server.close()
-        except OSError:  # pragma: no cover
+            # Shutdown wakes the thread blocked in accept(); close alone
+            # does not.
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
             pass
+        self._server.close()
         self._thread.join(timeout=5.0)
 
 

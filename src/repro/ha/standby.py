@@ -32,6 +32,7 @@ coordinator whose WAL continues the primary's LSN sequence.
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 from typing import Callable
@@ -46,6 +47,13 @@ from repro.durability.wal import _parse_line
 from repro.errors import DurabilityError
 from repro.telemetry.metrics import REPLICATION_LAG_BUCKETS, MetricsRegistry
 from repro.telemetry.recorder import FlightRecorder
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an epoch or LSN: a JSON integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DurabilityError(f"{what} must be an integer, got {value!r:.40}")
+    return value
 
 
 class StandbyReplica:
@@ -98,15 +106,15 @@ class StandbyReplica:
     def feed(self, frame: dict) -> bool:
         """Apply one frame.  Returns whether it was accepted (stale-epoch
         frames are dropped and counted, never applied).  Raises
-        :class:`DurabilityError` on a malformed frame — the transport drops
-        the connection and the next one resyncs."""
+        :class:`DurabilityError` on a malformed frame, leaving the replica
+        as it was — the transport drops the connection and the next one
+        resyncs."""
         kind = frame.get("kind")
-        epoch = int(frame.get("epoch", 0))
+        epoch = _integer(frame.get("epoch", 0), "frame epoch")
         if epoch < self.accepted_epoch:
             self.frames_rejected += 1
             self.metrics.inc("ha.frames_rejected_stale_epoch")
             return False
-        self.accepted_epoch = epoch
         if kind == "manifest":
             self._feed_manifest(frame)
         elif kind == "checkpoint":
@@ -118,7 +126,8 @@ class StandbyReplica:
         elif kind == "hello":
             pass  # harmless echo; hellos are transport handshake, not state
         else:
-            raise DurabilityError(f"unknown frame kind {kind!r}")
+            raise DurabilityError(f"unknown frame kind {kind!r:.40}")
+        self.accepted_epoch = epoch
         return True
 
     def _feed_manifest(self, frame: dict) -> None:
@@ -139,22 +148,28 @@ class StandbyReplica:
 
     def _feed_checkpoint(self, frame: dict) -> None:
         checkpoint = frame.get("checkpoint")
-        if not isinstance(checkpoint, dict) or "lsn" not in checkpoint:
+        if not isinstance(checkpoint, dict):
             raise DurabilityError("checkpoint frame without a checkpoint body")
+        lsn = _integer(checkpoint.get("lsn"), "checkpoint lsn")
         if self.manifest is None:
             raise DurabilityError("checkpoint frame before the manifest")
-        lsn = int(checkpoint["lsn"])
         if lsn <= self.applied_lsn:
             return  # we are already past it; the LSN gate covers the rest
-        # restore_fabric needs a *fresh* fabric: rebuild the empty shell
-        # and land directly on the checkpoint state.
-        self.fabric = fabric_from_manifest(
+        # restore_fabric needs a *fresh* fabric: rebuild the empty shell,
+        # land it on the checkpoint state, and only then swap it in.
+        fabric = fabric_from_manifest(
             self.manifest,
             with_dataplane=self.with_dataplane,
             recorder=self.recorder,
         )
-        self.fabric.role = "standby"
-        restore_fabric(self.fabric, checkpoint)
+        fabric.role = "standby"
+        try:
+            restore_fabric(fabric, checkpoint)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DurabilityError(
+                f"malformed checkpoint body: {type(exc).__name__}: {exc}"
+            ) from exc
+        self.fabric = fabric
         self._engine = RecoveryEngine(
             lambda record: apply_fabric_record(self.fabric, record),
             applied_lsn=lsn,
@@ -194,14 +209,23 @@ class StandbyReplica:
         self.metrics.inc("ha.records_applied")
 
     def _feed_heartbeat(self, frame: dict) -> None:
-        self.primary_lsn = max(self.primary_lsn, int(frame.get("last_lsn", 0)))
+        last_lsn = _integer(frame.get("last_lsn", 0), "heartbeat last_lsn")
+        sent_at = frame.get("sent_at")
+        if sent_at is not None and (
+            isinstance(sent_at, bool)
+            or not isinstance(sent_at, (int, float))
+            or not math.isfinite(sent_at)
+        ):
+            raise DurabilityError(
+                f"heartbeat sent_at must be a finite number, got {sent_at!r:.40}"
+            )
+        self.primary_lsn = max(self.primary_lsn, last_lsn)
         lag_records = max(0, self.primary_lsn - self.applied_lsn)
         self.metrics.gauge("ha.replication_lag_records").set(lag_records)
-        sent_at = frame.get("sent_at")
         if sent_at is not None:
             self.metrics.histogram(
                 "ha.heartbeat_delay_s", REPLICATION_LAG_BUCKETS
-            ).observe(max(0.0, self.clock() - float(sent_at)))
+            ).observe(max(0.0, self.clock() - sent_at))
 
     # ------------------------------------------------------------------
     def catch_up_from(self, directory: str | Path, epoch: int | None = None) -> int:

@@ -420,20 +420,19 @@ def _workload_from_dict(record: dict) -> WorkloadConfig:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A full campaign: name, seed, fabric topology, chain workload,
-    partitioner, and the ordered phases.  Fault schedules are validated
-    against the topology's switch names at construction time."""
+    """A full campaign: name, seed, fabric topology, chain workload and
+    the ordered phases.  Fault schedules are validated against the
+    topology's switch names at construction time."""
 
     name: str
     topology: TopologySpec = field(default_factory=TopologySpec)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     phases: tuple[PhaseSpec, ...] = ()
     seed: int = 0
-    partitioner: str = "hash"
     description: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("name", "partitioner", "description"):
+        for name in ("name", "description"):
             _check_text(f"scenario {name}", getattr(self, name))
         if not self.name:
             raise ScenarioError("scenarios need a non-empty name")
@@ -505,7 +504,6 @@ class ScenarioSpec:
             "name": self.name,
             "description": self.description,
             "seed": self.seed,
-            "partitioner": self.partitioner,
             "topology": self.topology.to_dict(),
             "workload": _workload_to_dict(self.workload),
             "phases": [p.to_dict() for p in self.phases],
@@ -515,13 +513,19 @@ class ScenarioSpec:
     def from_dict(cls, record: dict) -> "ScenarioSpec":
         """Inverse of :meth:`to_dict`.  Any malformed record — a missing
         key, a wrong container type, an invalid workload or switch — raises
-        :class:`ScenarioError`."""
+        :class:`ScenarioError`, and so does an older spec's ``partitioner``
+        naming anything but the ``"hash"`` ring every fabric routes by."""
         try:
+            partitioner = record.get("partitioner", "hash")
+            if partitioner != "hash":
+                raise ScenarioError(
+                    f"scenario key 'partitioner' is {partitioner!r}; only "
+                    f"'hash' is served"
+                )
             return cls(
                 name=record["name"],
                 description=record.get("description", ""),
                 seed=record.get("seed", 0),
-                partitioner=record.get("partitioner", "hash"),
                 topology=TopologySpec.from_dict(record["topology"]),
                 workload=_workload_from_dict(record["workload"]),
                 phases=tuple(PhaseSpec.from_dict(p) for p in record["phases"]),

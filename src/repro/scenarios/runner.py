@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from repro.controller.events import ChurnEngine, ChurnReport, EventKind
 from repro.errors import ScenarioError
 from repro.fabric.orchestrator import FabricOrchestrator
-from repro.fabric.partitioner import make_partitioner
 from repro.scenarios.compile import (
     CompiledCampaign,
     compile_scenario,
@@ -35,19 +34,16 @@ from repro.scenarios.dsl import ScenarioSpec
 def build_fabric(
     spec: ScenarioSpec,
     with_dataplane: bool = False,
-    partitioner: str | None = None,
     **kwargs,
 ) -> FabricOrchestrator:
     """The fabric a campaign describes: topology built from the spec,
-    catalog sized to the spec's workload, partitioner from the spec (or
-    the ``partitioner`` override).  Control-plane only by default —
+    catalog sized to the spec's workload.  Control-plane only by default —
     campaigns measure placement behaviour, and the behavioural data plane
     costs ~10x wall time; pass ``with_dataplane=True`` to mirror installs.
     Extra keyword arguments go to :class:`FabricOrchestrator`."""
     return FabricOrchestrator(
         spec.topology.build(),
         num_types=spec.workload.num_types,
-        partitioner=make_partitioner(partitioner or spec.partitioner),
         with_dataplane=with_dataplane,
         **kwargs,
     )
@@ -260,7 +256,6 @@ def run_campaign(
     with_dataplane: bool = False,
     wal_dir: str | None = None,
     fsync: str = "batch",
-    partitioner: str | None = None,
     fastpath: bool = False,
     traffic_packets: int = 0,
 ) -> tuple[FabricOrchestrator, CampaignReport]:
@@ -277,7 +272,6 @@ def run_campaign(
     fabric = build_fabric(
         spec,
         with_dataplane=with_dataplane or fastpath or traffic_packets > 0,
-        partitioner=partitioner,
         fastpath=fastpath,
     )
     durability = None

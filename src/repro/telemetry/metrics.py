@@ -11,8 +11,8 @@ operation through it instead of hand-rolled ``perf_counter`` pairs.
 :meth:`MetricsRegistry.snapshot` freezes everything into one plain ``dict``
 of name-sorted sub-dicts built from JSON-native types only, so serialized
 snapshots are deterministic and diff cleanly — the shape the churn
-benchmarks serialize to ``BENCH_controller.json`` / ``BENCH_fabric.json``,
-the ``sfp fabric`` CLI prints, and
+benchmark serializes to ``BENCH_controller.json``, the ``sfp fabric`` CLI
+prints, and
 :func:`repro.telemetry.export.render_prometheus` renders in Prometheus text
 format.
 

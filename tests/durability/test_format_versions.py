@@ -171,19 +171,24 @@ SERVING_POLICY = {"check_backplane": True, "check_memory": True, "max_tenants": 
         ("policy", {**SERVING_POLICY, "max_tenants": 8}),
         ("policy", {**SERVING_POLICY, "check_memory": False}),
         ("policy", {**SERVING_POLICY, "check_backplane": False}),
+        ("partitioner", "least-backplane"),
+        ("partitioner", "modulo"),
     ],
 )
 def test_old_manifest_keys_load_only_at_the_serving_values(key, value):
-    """Manifests no longer write ``policy``, ``consolidate`` or
-    ``reserve_physical_block``; an older one that holds them still loads at
-    the serving values (the v1 fixture) and is refused, naming the key, at
-    any other."""
+    """Manifests no longer write ``policy``, ``consolidate``,
+    ``reserve_physical_block`` or ``partitioner``; an older one that holds
+    them still loads at the serving values (the v1 fixture) and is refused,
+    naming the key, at any other."""
     manifest = read_manifest(V1_FABRIC)
     if key is None:
         assert manifest["policy"] == SERVING_POLICY
+        assert manifest["partitioner"] == "hash"
         fabric = fabric_from_manifest(manifest)
         fresh = fabric_manifest(fabric)
-        assert not {"policy", "consolidate", "reserve_physical_block"} & set(fresh)
+        assert not {
+            "policy", "consolidate", "reserve_physical_block", "partitioner"
+        } & set(fresh)
         assert fabric_from_manifest(fresh).digest() == fabric.digest()
         return
     manifest[key] = value

@@ -8,7 +8,6 @@ from repro.errors import PlacementError
 from repro.fabric import (
     FabricOrchestrator,
     FabricTopology,
-    LeastBackplanePartitioner,
     SwitchNode,
 )
 
@@ -187,11 +186,10 @@ def test_drain_rehomes_everything(fabric):
 
 def test_drain_evicts_what_cannot_rehome(tiny_spec):
     topo = FabricTopology.full_mesh(2, spec=tiny_spec)
-    fabric = FabricOrchestrator(
-        topo, num_types=3, partitioner=LeastBackplanePartitioner()
-    )
-    # Least-backplane balancing puts one 8 Gbps tenant on each switch; after
-    # a drain the survivor has no room for the second one.
+    fabric = FabricOrchestrator(topo, num_types=3)
+    # Two 8 Gbps tenants cannot share a 10 Gbps switch, so one lands on
+    # each (spilling if the ring homes both on one); after a drain the
+    # survivor has no room for the second one.
     assert fabric.admit(chain(0, bandwidth_gbps=8.0)).ok
     assert fabric.admit(chain(1, bandwidth_gbps=8.0)).ok
     victim = fabric.tenants[0].switches[0]

@@ -1,17 +1,15 @@
-"""Partitioner strategies: determinism, stickiness, and load-awareness."""
+"""The consistent-hash ring: determinism, spread, stickiness under drain,
+and its order pinned by recorded value."""
 
 import pytest
 
 from repro.core.state import stable_digest
 from repro.errors import PlacementError
-from repro.units import to_bps
 from repro.fabric import (
     PARTITIONERS,
     ConsistentHashPartitioner,
     FabricOrchestrator,
     FabricTopology,
-    LeastBackplanePartitioner,
-    ModuloPartitioner,
     make_partitioner,
 )
 
@@ -83,31 +81,9 @@ def test_hash_order_is_pinned():
     assert ring_orders() == ORDER_DIGEST
 
 
-def test_least_backplane_prefers_idle_switches(fabric):
-    part = LeastBackplanePartitioner()
-    assert part.order(chain(0), fabric) == ["sw0", "sw1", "sw2", "sw3"]
-    fabric.shards["sw0"].state.add_backplane(to_bps(5.0))
-    fabric.shards["sw1"].state.add_backplane(to_bps(1.0))
-    order = part.order(chain(0), fabric)
-    assert order == ["sw2", "sw3", "sw1", "sw0"]
-    assert "sw0" == order[-1]  # most loaded goes last
-
-
-def test_least_backplane_skips_drained(fabric):
-    fabric.drained.add("sw0")
-    assert LeastBackplanePartitioner().order(chain(0), fabric) == [
-        "sw1", "sw2", "sw3",
-    ]
-
-
 def test_registry_and_factory():
-    assert set(PARTITIONERS) == {"hash", "least-backplane", "modulo"}
+    assert set(PARTITIONERS) == {"hash"}
     assert isinstance(make_partitioner("hash"), ConsistentHashPartitioner)
-    assert isinstance(
-        make_partitioner("least-backplane"), LeastBackplanePartitioner
-    )
-    assert isinstance(make_partitioner("modulo"), ModuloPartitioner)
-    with pytest.raises(PlacementError):
-        make_partitioner("round-robin")
-    with pytest.raises(PlacementError):
-        ConsistentHashPartitioner(replicas=0)
+    for gone in ("least-backplane", "modulo"):
+        with pytest.raises(PlacementError, match=gone):
+            make_partitioner(gone)

@@ -143,9 +143,18 @@ def test_malformed_frames_raise(primary):
     with pytest.raises(DurabilityError, match="before the manifest"):
         standby.feed({"kind": "checkpoint", "epoch": 0,
                       "checkpoint": {"lsn": 1}})
+    with pytest.raises(DurabilityError, match="malformed fabric manifest"):
+        standby.feed({"kind": "manifest", "epoch": 2,
+                      "manifest": {"kind": "fabric"}})
+    assert standby.fabric is None and standby.accepted_epoch == 0
     standby.feed({
         "kind": "manifest", "epoch": 0, "manifest": read_manifest(directory)
     })
+    shadow = standby.fabric
+    with pytest.raises(DurabilityError, match="malformed checkpoint body"):
+        standby.feed({"kind": "checkpoint", "epoch": 0,
+                      "checkpoint": {"lsn": 5}})
+    assert standby.fabric is shadow and standby.applied_lsn == 0
     with pytest.raises(DurabilityError, match="CRC"):
         standby.feed({"kind": "record", "epoch": 0,
                       "line": '{"crc": 1, "rec": {}}'})

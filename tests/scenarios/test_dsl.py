@@ -176,6 +176,10 @@ class TestSerialization:
     def test_json_round_trip_is_identity(self, tiny_spec):
         assert ScenarioSpec.from_json(tiny_spec.to_json()) == tiny_spec
 
+    def test_an_older_spec_naming_the_hash_ring_still_loads(self, tiny_spec):
+        record = {**tiny_spec.to_dict(), "partitioner": "hash"}
+        assert ScenarioSpec.from_dict(record) == tiny_spec
+
     def test_garbage_json_raises_scenario_error(self):
         with pytest.raises(ScenarioError, match="unparseable"):
             ScenarioSpec.from_json("{not json")

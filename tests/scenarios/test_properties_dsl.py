@@ -95,7 +95,6 @@ def _scenarios(draw) -> ScenarioSpec:
         name=draw(st.sampled_from(("alpha", "beta", "gamma"))),
         description=draw(st.sampled_from(("", "generated campaign"))),
         seed=draw(st.integers(0, 2**31 - 1)),
-        partitioner=draw(st.sampled_from(("hash", "modulo"))),
         topology=TopologySpec(
             kind=draw(st.sampled_from(("full_mesh", "ring"))),
             num_switches=2,

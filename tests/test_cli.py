@@ -47,7 +47,7 @@ def test_place_appro(capsys):
 def test_one_switch_fabric_replays_churn(capsys):
     assert main(["fabric", "--quick", "--seed", "11", "--switches", "1"]) == 0
     out = capsys.readouterr().out
-    assert "fabric: 1 switches (hash), 0 links" in out
+    assert "fabric: 1 switches, 0 links" in out
     assert "events/s" in out
     assert "p99" in out
     assert "live tenants:" in out
@@ -61,38 +61,13 @@ def test_fabric_replays_churn_and_drains(capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "fabric: 4 switches (hash), 6 links" in out
+    assert "fabric: 4 switches, 6 links" in out
     assert "events/s" in out
     assert "live tenants:" in out
     assert "fabric invariant: OK" in out
     assert "drained sw" in out
     assert "re-homed chains forward end-to-end" in out
     assert "fabric invariant after drain: OK" in out
-
-
-def test_fabric_least_backplane_trace_roundtrip(capsys, tmp_path):
-    from repro.controller import ChurnConfig, save_events, synthesize_churn
-    from repro.traffic.workload import WorkloadConfig
-
-    trace = tmp_path / "churn.jsonl"
-    config = ChurnConfig(
-        duration_s=4.0,
-        arrival_rate_per_s=6.0,
-        mean_lifetime_s=2.0,
-        workload=WorkloadConfig(
-            num_sfcs=0, num_types=8, avg_chain_length=2,
-            chain_length_spread=1, rules_min=1, rules_max=5,
-        ),
-    )
-    save_events(trace, synthesize_churn(config, rng=5))
-    code = main([
-        "fabric", "--switches", "3", "--partitioner", "least-backplane",
-        "--trace", str(trace), "--no-dataplane",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "fabric: 3 switches (least-backplane), 3 links" in out
-    assert "fabric invariant: OK" in out
 
 
 def test_trace_prints_span_tree_and_postcard(capsys, tmp_path):
@@ -303,6 +278,26 @@ def test_recover_rejects_a_directory_without_a_manifest(capsys, tmp_path):
     assert err.startswith("sfp: error: no ") and " in " in err
 
 
+@pytest.mark.parametrize("name", ["least-backplane", "modulo"])
+def test_recover_refuses_a_manifest_naming_a_deleted_partitioner(
+    capsys, tmp_path, name
+):
+    wal_dir = tmp_path / "durability"
+    assert main([
+        "fabric", "--quick", "--switches", "2", "--no-dataplane",
+        "--wal-dir", str(wal_dir),
+    ]) == 0
+    capsys.readouterr()
+    manifest_path = wal_dir / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**manifest, "partitioner": name}))
+    assert main(["recover", str(wal_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sfp: error: manifest key 'partitioner'")
+    assert name in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_scenario_list_names_every_campaign(capsys):
     from repro.scenarios import campaign_names
 
@@ -341,14 +336,20 @@ def _nan_rate_spec() -> str:
     return json.dumps(record)
 
 
+def _partitioner_spec(name: str) -> str:
+    return json.dumps({**make_tiny_spec().to_dict(), "partitioner": name})
+
+
 @pytest.mark.parametrize(
     "text,reason",
     [
         ('{"name": "bad", "phases": [', "unparseable scenario JSON"),
         ('{"name": "bad"}', "missing key 'topology'"),
         (_nan_rate_spec(), "rate_per_s must be a finite number"),
+        (_partitioner_spec("least-backplane"), "scenario key 'partitioner'"),
+        (_partitioner_spec("modulo"), "scenario key 'partitioner'"),
     ],
-    ids=["broken-json", "missing-key", "nan-rate"],
+    ids=["broken-json", "missing-key", "nan-rate", "least-backplane", "modulo"],
 )
 def test_scenario_run_reports_a_bad_spec_in_one_line(capsys, tmp_path, text, reason):
     spec = tmp_path / "bad.json"
@@ -413,7 +414,7 @@ def test_serve_demo_mode_drives_the_front_end(capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "serving 3 switches (hash) on http://" in out
+    assert "serving 3 switches on http://" in out
     assert "one worker per shard" in out
     assert "demo: 25/25 intents accepted" in out
     assert "fabric invariant after drain: OK" in out
@@ -424,12 +425,10 @@ def test_serve_journals_and_recovers(capsys, tmp_path):
     code = main([
         "serve", "--port", "0", "--switches", "2", "--no-dataplane",
         "--wal-dir", str(wal_dir), "--demo-events", "20", "--seed", "3",
-        "--partitioner", "modulo",
     ])
     out = capsys.readouterr().out
     assert code == 0
     assert f"journaling to {wal_dir} (fsync=batch)" in out
-    assert "(modulo)" in out
     assert (wal_dir / "fabric.wal.jsonl").exists()
     # Graceful shutdown took a quiesce checkpoint; recovery lands on it.
     code = main(["recover", str(wal_dir), "--no-dataplane"])
@@ -440,15 +439,6 @@ def test_serve_journals_and_recovers(capsys, tmp_path):
     assert "fabric invariant: OK" in out
 
 
-def test_serve_refuses_journaling_with_impure_partitioner(capsys, tmp_path):
-    code = main([
-        "serve", "--port", "0", "--switches", "2", "--no-dataplane",
-        "--wal-dir", str(tmp_path / "wal"),
-        "--partitioner", "least-backplane", "--demo-events", "5",
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "pure partitioner" in captured.err
 def test_ha_demo_fails_over_with_zero_lost_acks(capsys, tmp_path):
     code = main([
         "ha", "demo", "--dir", str(tmp_path), "--events", "20",
