@@ -23,6 +23,8 @@ class Reservation:
     owner: str
     blocks: int = 1
     entries_used: int = 0
+    #: The blocks reserved at boot: refunds never shrink below them.
+    boot: int = 1
 
 
 @dataclass
@@ -62,7 +64,7 @@ class StageResources:
             raise ResourceExhaustedError(
                 f"stage has {self.blocks_free} free blocks, {owner!r} wants {blocks}"
             )
-        reservation = Reservation(owner=owner, blocks=blocks)
+        reservation = Reservation(owner=owner, blocks=blocks, boot=blocks)
         self.reservations[owner] = reservation
         return reservation
 
@@ -109,8 +111,8 @@ class StageResources:
 
     def refund_entries(self, owner: str, count: int) -> None:
         """Release ``count`` entries (tenant departure); shrinks the
-        reservation down to the blocks still needed (min 1: the physical NF
-        keeps its boot-time block)."""
+        reservation down to the blocks still needed, never below its boot
+        size (the physical NF keeps the blocks it reserved at boot)."""
         reservation = self.reservations.get(owner)
         if reservation is None:
             raise ResourceExhaustedError(f"no reservation for {owner!r}")
@@ -120,5 +122,5 @@ class StageResources:
             )
         reservation.entries_used -= count
         reservation.blocks = max(
-            1, math.ceil(reservation.entries_used / self.entries_per_block)
+            reservation.boot, math.ceil(reservation.entries_used / self.entries_per_block)
         )

@@ -24,7 +24,9 @@ onto the reference path wholesale.
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 from repro.dataplane.lookup_index import (  # re-exported: historical home
@@ -70,6 +72,29 @@ class TableEntry:
             if f.kind is MatchKind.LPM and spec is not None:
                 total += int(spec[1])
         return total
+
+
+#: Runs at least this long are validated field by field (a sweep has a
+#: fixed cost per key field that a short run does not win back).
+_SWEEP_RUN = 8
+
+
+def _specs_valid(kind: MatchKind, specs: list) -> bool:
+    """Would :func:`validate_spec` accept every one of ``specs`` (one
+    field's specs over a run of entries)?  Column-wise and without a
+    message: a caller that gets ``False`` validates spec by spec for it."""
+    specs = [s for s in specs if s is not None]
+    try:
+        if kind is MatchKind.EXACT:
+            deque(map(int, specs), maxlen=0)
+            return True
+        if set(map(len, specs)) - {2}:
+            return False
+        values = list(map(int, chain.from_iterable(specs)))
+    except (TypeError, ValueError):
+        return False
+    lengths = values[1::2]
+    return kind is not MatchKind.LPM or not lengths or 0 <= min(lengths) <= max(lengths) <= 32
 
 
 class MatchActionTable:
@@ -143,6 +168,23 @@ class MatchActionTable:
     @property
     def num_entries(self) -> int:
         return len(self._rows)
+
+    def _validate_run(self, entries: list[TableEntry]) -> None:
+        """Validate a run of entries field by field — one sweep over the
+        run's specs per key field instead of one :func:`validate_spec` call
+        per (entry, field).  A run shorter than :data:`_SWEEP_RUN`, or one
+        that fails the sweep, is validated entry by entry, so what is raised
+        is exactly the first bad entry's error, as if each had been inserted
+        alone."""
+        if len(entries) >= _SWEEP_RUN:
+            matches = [entry.match for entry in entries]
+            names = self._fields.keys()
+            if all(m.keys() <= names for m in matches) and all(
+                _specs_valid(f.kind, [m.get(f.name) for m in matches]) for f in self.key
+            ):
+                return
+        for entry in entries:
+            self._validate(entry)
 
     def _validate(self, entry: TableEntry) -> None:
         for fname, spec in entry.match.items():
@@ -229,13 +271,13 @@ class MatchActionTable:
             )
         return self._append(entry)
 
-    def insert_many(self, entries: Sequence[TableEntry]) -> None:
-        """Install several rules in order, atomically: validation and the
-        capacity check run up front, so a bad batch leaves the table (and
-        its lookup indexes) untouched."""
+    def insert_many(self, entries: Sequence[TableEntry]) -> list[tuple]:
+        """Install several rules in order, atomically: validation (field by
+        field over the whole run) and the capacity check run up front, so a
+        bad batch leaves the table (and its lookup indexes) untouched.
+        Returns the :meth:`undo` records, one per entry."""
         entries = list(entries)
-        for entry in entries:
-            self._validate(entry)
+        self._validate_run(entries)
         if (
             self.max_entries is not None
             and len(self._rows) + len(entries) > self.max_entries
@@ -243,8 +285,7 @@ class MatchActionTable:
             raise DataPlaneError(
                 f"table {self.name!r} full ({self.max_entries} entries)"
             )
-        for entry in entries:
-            self._append(entry)
+        return [self._append(entry) for entry in entries]
 
     def delete(self, entry: TableEntry) -> tuple:
         """Remove a previously installed rule (P4Runtime DELETE); returns

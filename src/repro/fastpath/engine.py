@@ -19,19 +19,29 @@ batches here.  Per batch the engine:
 Two caches, one invalidation rule.  ``_plans`` holds each tenant's verdict
 (:class:`~repro.fastpath.compiler.CompiledChain`, positive or negative);
 ``_blocks`` holds, per table, the rule blocks those verdicts published,
-keyed by the tenant ID the lanes will carry — it is what the stacks are
-concatenated from.  A verdict is current iff the generations of the table
-partitions it read are unchanged (checked on every lookup, so writes that
-bypass ``RuntimeAPI`` — the SFC virtualizer writes tables directly — can
-never run stale blocks); a stale one is recompiled from the tenant's own
-partitions and republishes its blocks.  A write to tenant A therefore costs
-A one recompile and nobody else anything, negative verdicts included, and
-so does a rolled-back batch that touched A (``MatchActionTable.undo``
-restamps only the partitions the batch wrote).  ``RuntimeAPI`` additionally
-reports the partitions each committed batch wrote
+keyed by the tenant ID the lanes will carry.  A verdict is current iff the
+generations of the table partitions it read are unchanged.  Every partition
+mutation also bumps its table's ``generation``, so per batch the engine
+compares those (and ``max_passes``) with what they were when it last
+checked every cached verdict — O(tables) — and only when one moved does it
+check each verdict and drop the stale ones (so writes that bypass
+``RuntimeAPI`` — the SFC virtualizer writes tables directly — can never run
+stale blocks).  A stale tenant is recompiled from its own partitions and
+republishes its blocks.  A write to tenant A therefore costs A one
+recompile and nobody else anything, negative verdicts included, and so
+does a rolled-back batch that touched A (``MatchActionTable.undo``
+restamps only the partitions the batch wrote).  ``RuntimeAPI``
+additionally reports the partitions each committed batch wrote
 (:meth:`FastPathEngine.notify_write`) so the blocks and verdicts of the
 tenants it names are dropped eagerly: wire IDs are never reused, so this is
 what keeps dead blocks from accumulating.
+
+Publishing is in place: what changed in a table's blocks since its stack
+was published is applied at the next batch with
+:meth:`TableStack.publish <repro.fastpath.kernels.TableStack.publish>` —
+the rows of the blocks that changed appended, the keys of the tenants that
+went dropped, a new snapshot returned — so a write costs the rows it
+changes, not a rebuild from every resident tenant's blocks.
 """
 
 from __future__ import annotations
@@ -56,10 +66,17 @@ class FastPathEngine:
         #: The pipeline's tables in walk order, as of ``_structure_gen``.
         self._tables: list = []
         self._structure_gen = -1
-        #: Per table: tenant id -> ``{pass: Block}``, and the stack built
-        #: from it (``None`` = blocks changed since, rebuild before a run).
+        #: Per table: tenant id -> ``{pass: Block}``; the stack published
+        #: from it (``None`` = build from scratch before the next run); and
+        #: what changed since that stack was published (tenant id -> its
+        #: blocks, ``{}`` = gone), applied in place at the next batch.
         self._blocks: list[dict] = []
         self._stacks: list[TableStack | None] = []
+        self._pending: list[dict] = []
+        #: ``(max_passes, every table's generation)`` when every cached
+        #: verdict was last checked: while the pipeline shows the same,
+        #: they are all still current (``None`` = check them).
+        self._checked: tuple | None = None
         # Cache mutations (compile, notify, drop) happen under one lock so
         # shard worker threads can share the engine with concurrent writers.
         self._lock = threading.RLock()
@@ -91,31 +108,51 @@ class FastPathEngine:
         """The current (validated) verdict for ``tenant_id``, compiling on
         miss or staleness and publishing the blocks it compiled."""
         with self._lock:
-            if self._structure_gen != self.pipeline.structure_generation:
-                # Tables came or went: block keys are table positions.
-                self.invalidate_all()
-            plan = self._plans.get(tenant_id)
-            if plan is not None:
-                if plan.is_current(self.pipeline):
-                    self.stats["cache_hits"] += 1
-                    return plan
-                self.stats["invalidations"] += 1
-            plan = compile_chain(self.pipeline, tenant_id)
-            self.stats["compiles"] += 1
-            self._plans[tenant_id] = plan
-            if plan.structure_gen != self._structure_gen:
-                return plan  # tables moved mid-compile: stale, nothing to file
-            for (ti, tid), by_pass in plan.blocks.items():
-                if by_pass:
-                    self._blocks[ti][tid] = by_pass
-                    self._stacks[ti] = None
-                else:
-                    self._drop_blocks(ti, tid)
+            self._revalidate()
+            return self._plan(tenant_id)
+
+    def _revalidate(self) -> None:
+        """Make every cached verdict current, in O(tables) while nothing
+        moved: a partition mutation of any kind — RuntimeAPI, a direct
+        virtualizer write, an undo — bumps its table's ``generation``, so
+        while no table's has moved (nor the structure, nor ``max_passes``)
+        since the last full check, every verdict that passed it still holds.
+        Otherwise each verdict is checked and the stale ones are dropped."""
+        pipeline = self.pipeline
+        if self._structure_gen != pipeline.structure_generation:
+            # Tables came or went: block keys are table positions.
+            self.invalidate_all()
+        clock = (pipeline.max_passes, *[t.generation for t in self._tables])
+        if clock == self._checked:
+            return
+        stale = [t for t, plan in self._plans.items() if not plan.is_current(pipeline)]
+        for tenant_id in stale:
+            del self._plans[tenant_id]
+        self.stats["invalidations"] += len(stale)
+        self._checked = clock
+
+    def _plan(self, tenant_id: int) -> CompiledChain:
+        """``tenant_id``'s cached verdict (current: :meth:`_revalidate` ran),
+        or a fresh one, whose blocks are filed for the next publish."""
+        plan = self._plans.get(tenant_id)
+        if plan is not None:
+            self.stats["cache_hits"] += 1
             return plan
+        plan = compile_chain(self.pipeline, tenant_id)
+        self.stats["compiles"] += 1
+        self._plans[tenant_id] = plan
+        if plan.structure_gen != self._structure_gen:
+            return plan  # tables moved mid-compile: stale, nothing to file
+        for (ti, tid), by_pass in plan.blocks.items():
+            if by_pass:
+                self._blocks[ti][tid] = self._pending[ti][tid] = by_pass
+            else:
+                self._drop_blocks(ti, tid)
+        return plan
 
     def _drop_blocks(self, ti: int, tenant_id: int) -> None:
         if self._blocks[ti].pop(tenant_id, None) is not None:
-            self._stacks[ti] = None
+            self._pending[ti][tenant_id] = {}
 
     def invalidate_all(self) -> None:
         """Drop every cached verdict and block (recompile on next use)."""
@@ -126,6 +163,23 @@ class FastPathEngine:
             self._tables = [t for s in self.pipeline.stages for t in s.tables]
             self._blocks = [{} for _ in self._tables]
             self._stacks = [None] * len(self._tables)
+            self._pending = [{} for _ in self._tables]
+            self._checked = None
+
+    def _publish(self) -> tuple:
+        """The stacks for a run: each table's published with what changed
+        since (or built from scratch)."""
+        for ti, stack in enumerate(self._stacks):
+            pending = self._pending[ti]
+            if stack is None:
+                stack = TableStack(self._tables[ti], self._blocks[ti], self.pipeline.actions)
+            elif pending:
+                stack = stack.publish(pending)
+            else:
+                continue
+            self._stacks[ti] = stack
+            self._pending[ti] = {}
+        return tuple(self._stacks)
 
     @property
     def cached_plans(self) -> int:
@@ -187,22 +241,18 @@ class FastPathEngine:
                 fast.append(i)
         if fast:
             with self._lock:
+                self._revalidate()
                 fallback = {
                     tenant_id
                     for tenant_id in {packets[i].tenant_id for i in fast}
-                    if self.plan_for(tenant_id).fallback_reason is not None
+                    if self._plan(tenant_id).fallback_reason is not None
                 }
                 if fallback:
                     lanes = [i for i in fast if packets[i].tenant_id not in fallback]
                     self.stats["fallback_packets"] += len(fast) - len(lanes)
                     interp.extend(i for i in fast if packets[i].tenant_id in fallback)
                     fast = lanes
-                for ti, stack in enumerate(self._stacks):
-                    if stack is None:
-                        self._stacks[ti] = TableStack(
-                            self._tables[ti], self._blocks[ti], pipeline.actions
-                        )
-                stacks = tuple(self._stacks)
+                stacks = self._publish()
         if fast:
             group = [packets[i] for i in fast]
             passes = self.kernel.run(stacks, group, pipeline)

@@ -99,3 +99,25 @@ def test_multiple_owners_share_stage(sram):
     assert sram.blocks_used == 3
     with pytest.raises(ResourceExhaustedError):
         sram.charge_entries("lb", 200)
+
+
+def test_refund_never_shrinks_below_the_boot_reservation(sram):
+    sram.reserve("fw", blocks=4)
+    sram.charge_entries("fw", 1)
+    sram.refund_entries("fw", 1)
+    assert sram.reservations["fw"].blocks == 4
+    assert sram.blocks_free == 0
+
+
+@pytest.mark.parametrize("boot", [1, 2])
+@pytest.mark.parametrize("charged, refunded", [(250, 250), (250, 120), (90, 1), (300, 299)])
+def test_run_refund_leaves_what_per_op_refunds_leave(boot, charged, refunded):
+    run, each = (StageResources(blocks_total=4, entries_per_block=100) for _ in "ab")
+    for sram in (run, each):
+        sram.reserve("fw", blocks=boot)
+        sram.charge_entries("fw", charged)
+    run.refund_entries("fw", refunded)
+    for _ in range(refunded):
+        each.refund_entries("fw", 1)
+    assert run.reservations["fw"] == each.reservations["fw"]
+    assert run.reservation_state("fw") == each.reservation_state("fw")

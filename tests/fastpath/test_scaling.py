@@ -1,8 +1,9 @@
 """Scaling guards for the fast path, by count and not by clock: what one
 tenant's write and one batch cost must not depend on how many other
-tenants are resident.  (The third count — entries ``compile_chain`` reads
-for one tenant — is ``test_compiler.test_compile_reads_only_the_tenants_
-partitions``.)"""
+tenants are resident — verdicts touched, compiles, kernel runs and rows
+written into the table stacks.  (One more count — entries
+``compile_chain`` reads for one tenant — is ``test_compiler.test_compile_
+reads_only_the_tenants_partitions``.)"""
 
 from __future__ import annotations
 
@@ -54,6 +55,23 @@ def test_one_tenants_write_costs_the_same_with_8_and_64_resident():
     assert few == many
     touched, compiles, runs = few
     assert touched > 0 and compiles == 1 and runs == 1
+
+
+def stack_rows_per_write(tenants: int) -> int:
+    """With ``tenants`` resident and warm: rows written into the table
+    stacks by publishing one tenant's evict + admit at the next batch."""
+    fleet = Fleet(tenants, fastpath=True, filler=2)
+    engine = fleet.engine
+    fleet.pipeline.process_batch(make_batch(fleet.tenant_ids, 1, seed=1))
+    before = sum(stack.written for stack in engine._stacks)
+    fleet.rewrite(3)
+    fleet.pipeline.process_batch(make_batch(fleet.tenant_ids, 1, seed=2))
+    return sum(stack.written for stack in engine._stacks) - before
+
+
+def test_a_write_publishes_the_same_rows_with_8_and_64_resident():
+    few, many = stack_rows_per_write(8), stack_rows_per_write(64)
+    assert few == many > 0
 
 
 def test_no_dead_blocks_after_200_evict_admit_cycles(tenants=8):
