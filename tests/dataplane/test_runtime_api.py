@@ -118,3 +118,18 @@ def test_insert_run_fails_at_the_op_op_by_op_charging_would(api, pipeline):
     result = api.write(run[:5] + [bad] + run)
     assert len(result.errors) == 1 and "bad 'protocol' spec" in result.errors[0]
     assert _entries(pipeline) == [] and capacity.entries_used == 0
+
+
+def test_delete_run_fails_at_the_op_op_by_op_refunds_would(api, pipeline):
+    """A run of deletes from one table is refunded at once; where the
+    reservation holds fewer entries than the run deletes (a rule written
+    behind RuntimeAPI's back was never charged), it still fails at, and
+    reports, the op whose own refund fails first."""
+    charged = [_entry(proto=i) for i in range(2)]
+    assert api.write([WriteOp(OpType.INSERT, "acl", e) for e in charged]).ok
+    uncharged = _entry(proto=9)
+    pipeline.stage(0).table("acl").insert(uncharged)
+    result = api.write([WriteOp(OpType.DELETE, "acl", e) for e in charged + [uncharged]])
+    assert result.errors == ["delete acl: cannot refund 1 of 0 entries"]
+    assert api.writes_total == 2 + 2  # the ops before the failing one
+    assert len(_entries(pipeline)) == 3 and pipeline.stage(0).resources.entries_used == 2
