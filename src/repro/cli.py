@@ -1,11 +1,13 @@
 """Command-line interface.
 
-``sfp fig4`` .. ``sfp fig11`` regenerate each evaluation figure; ``sfp
-place`` runs a placement algorithm over a synthesized workload; ``sfp
-fabric`` is the one churn-replay command: it replays a synthesized
-tenant-churn stream (or any saved trace, campaign traces from ``sfp
-scenario compile`` included) over a fabric of paper switches — a single
-switch is ``--switches 1`` — and prints throughput, latency percentiles,
+``sfp fig N --scale {smoke,quick,paper}`` regenerates evaluation figure N
+(4-11), prints its table and shape checks and exits 1 if a check fails;
+``sfp report`` writes every figure to EXPERIMENTS.md; ``sfp place`` runs
+a placement algorithm over a synthesized workload; ``sfp fabric`` is the
+one churn-replay command: it replays a synthesized tenant-churn stream
+(or any saved trace, campaign traces from ``sfp scenario compile``
+included) over a fabric of paper switches — a single switch is
+``--switches 1`` — and prints throughput, latency percentiles,
 rule churn and the bit-identity audit, with an optional ``--drain``
 failover demo and a ``--prometheus`` export of the metrics registry after
 sampled probe traffic.  ``sfp demo`` walks a packet through a virtualized
@@ -20,7 +22,7 @@ audit at every phase boundary.  ``sfp ha`` runs the high-availability
 roles: ``demo`` (an in-process kill-primary / failover drill), ``primary``
 / ``standby`` (a real two-process pair shipping WAL frames over TCP), and
 ``status`` (lease + log state of a cluster directory).  ``--quick``
-shrinks the paper-scale sweeps to seconds.
+shrinks a synthesized churn stream to seconds.
 """
 
 from __future__ import annotations
@@ -39,63 +41,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        fig4_throughput,
-        fig5_latency,
-        fig6_num_sfcs,
-        fig7_recirculation,
-        fig8_solver_runtime,
-        fig9_early_termination,
-        fig10_algorithms,
-        fig11_runtime_update,
+def _add_scale(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scale", default="quick",
+        help="figure sweep: smoke (seconds), quick (minutes; what "
+             "EXPERIMENTS.md records) or paper (the paper's own sweep; slow)",
     )
+    parser.add_argument("--seed", type=int, default=11, help="RNG seed")
 
-    quick = args.quick
-    name = args.command
-    if name == "fig4":
-        result = fig4_throughput.run(seed=args.seed)
-    elif name == "fig5":
-        result = fig5_latency.run(seed=args.seed)
-    elif name == "fig6":
-        result = fig6_num_sfcs.run(
-            l_values=(10, 20, 30) if quick else (10, 20, 30, 40, 50),
-            trials=1 if quick else 5,
-            seed=args.seed,
-        )
-    elif name == "fig7":
-        result = fig7_recirculation.run(
-            recirculations=(0, 1, 2) if quick else (0, 1, 2, 3, 4, 5, 6),
-            trials=1 if quick else 5,
-            seed=args.seed,
-        )
-    elif name == "fig8":
-        result = fig8_solver_runtime.run(
-            l_values=(5, 10, 15) if quick else (10, 20, 30, 40, 50),
-            ilp_time_limit=30.0 if quick else 300.0,
-            seed=args.seed,
-        )
-    elif name == "fig9":
-        result = fig9_early_termination.run(
-            time_limits=(1.0, 5.0, 20.0) if quick else (5.0, 10.0, 20.0, 30.0, 60.0),
-            num_sfcs=15 if quick else 25,
-            seed=args.seed,
-        )
-    elif name == "fig10":
-        result = fig10_algorithms.run(
-            l_values=(10, 20, 30) if quick else (10, 20, 30, 40, 50, 60),
-            ilp_time_limit=30.0 if quick else 300.0,
-            seed=args.seed,
-        )
-    elif name == "fig11":
-        result = fig11_runtime_update.run(
-            drop_rates=(0.2, 0.6, 1.0) if quick else (0.1, 0.2, 0.4, 0.6, 0.8, 1.0),
-            seed=args.seed,
-        )
-    else:  # pragma: no cover
-        raise SystemExit(f"unknown figure {name}")
-    result.print()
-    return 0
+
+def _cmd_fig(args: argparse.Namespace) -> int:
+    from repro.experiments.report import run_figure
+
+    number = int(args.number) if args.number.isdigit() else args.number
+    report = run_figure(number, args.scale, args.seed)
+    print(report.markdown())
+    return 0 if report.ok else 1
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
@@ -132,9 +93,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
-    # The CLI always runs quick scale; paper-scale reports go through
-    # `python -m repro.experiments.report --paper-scale`.
-    text = generate_report(quick=True, seed=args.seed if args.seed is not None else 11)
+    text = generate_report(args.scale, args.seed)
     with open(args.output, "w") as fh:
         fh.write(text)
     print(f"wrote {args.output}")
@@ -733,10 +692,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for fig in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"):
-        p = sub.add_parser(fig, help=f"regenerate {fig}")
-        _add_common(p)
-        p.set_defaults(func=_cmd_figure)
+    p = sub.add_parser(
+        "fig", help="regenerate one paper figure (4-11) and check its shape"
+    )
+    p.add_argument("number", help="the paper's figure number, 4 to 11")
+    _add_scale(p)
+    p.set_defaults(func=_cmd_fig)
 
     p = sub.add_parser("place", help="run one placement algorithm")
     _add_common(p)
@@ -1054,7 +1015,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "report", help="run all figures and write the EXPERIMENTS.md report"
     )
-    _add_common(p)
+    _add_scale(p)
     p.add_argument("-o", "--output", default="EXPERIMENTS.md")
     p.set_defaults(func=_cmd_report)
 

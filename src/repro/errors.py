@@ -64,6 +64,11 @@ class FencedError(DurabilityError):
     failure instead of a silent divergent write."""
 
 
+class ExperimentError(ReproError):
+    """Raised when an experiment is asked for a paper figure or a sweep
+    scale that does not exist."""
+
+
 class ScenarioError(ReproError):
     """Raised on invalid scenario/campaign specs (malformed load curves,
     fault schedules referencing unknown switches, unparseable spec files)."""

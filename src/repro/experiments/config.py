@@ -1,13 +1,10 @@
 """Paper-default experiment parameters (§VI-A/§VI-C).
 
-Every figure runner builds on these constants; ``quick`` variants shrink the
-sweeps so benchmarks and CI complete in seconds while preserving each
-figure's qualitative shape.
+Every figure runner builds on these constants; each runner's ``GRIDS``
+shrinks its sweep for the ``smoke`` and ``quick`` scales.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.spec import SwitchSpec
 from repro.traffic.workload import WorkloadConfig
@@ -42,18 +39,3 @@ PACKET_SIZES = (64, 128, 256, 512, 1024, 1500)
 #: Offered load: the 100 Gbps sender.
 OFFERED_GBPS = 100.0
 
-
-@dataclass(frozen=True)
-class SweepScale:
-    """How hard a figure sweep pushes (paper vs quick)."""
-
-    trials: int
-    ilp_time_limit: float | None
-
-    @classmethod
-    def paper(cls) -> "SweepScale":
-        return cls(trials=PAPER_TRIALS, ilp_time_limit=None)
-
-    @classmethod
-    def quick(cls) -> "SweepScale":
-        return cls(trials=1, ilp_time_limit=20.0)

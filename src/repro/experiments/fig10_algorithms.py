@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core.greedy import greedy_place
 from repro.core.ilp import solve_ilp
 from repro.core.rounding import solve_with_rounding
@@ -20,30 +22,40 @@ from repro.traffic.workload import make_instance
 L_VALUES = (10, 20, 30, 40, 50, 60)
 MAX_RECIRCULATIONS = 2
 
+GRIDS = {
+    "smoke": {"l_values": (4, 8), "ilp_time_limit": 5.0},
+    # Mid-scale even under "quick": the IP/Appro/greedy separation only
+    # emerges once memory+capacity bind (L >= ~25).
+    "quick": {"l_values": (10, 25, 40), "ilp_time_limit": 120.0},
+    "paper": {},
+}
+
+PAPER = (
+    "Objective throughput IP > Appro > greedy (398 vs 377 vs 367 Gbps at 60 "
+    "SFCs); IP saturates the switch by ~50 SFCs."
+)
+
 
 def run(
     l_values=L_VALUES,
     trials: int = 1,
     seed: int | None = None,
     ilp_time_limit: float | None = 300.0,
-    include_ilp: bool = True,
 ) -> ExperimentResult:
     """Regenerate Fig. 10's three-algorithm comparison."""
-    columns = [
-        "num_sfcs",
-        "appro_gbps",
-        "greedy_gbps",
-        "appro_backplane",
-        "greedy_backplane",
-    ]
-    if include_ilp:
-        columns[1:1] = ["ilp_gbps"]
-        columns.append("ilp_backplane")
     result = ExperimentResult(
         name="fig10",
         description="objective throughput: SFP-IP vs SFP-Appro. vs greedy, "
         "varying L",
-        columns=columns,
+        columns=[
+            "num_sfcs",
+            "ilp_gbps",
+            "appro_gbps",
+            "greedy_gbps",
+            "appro_backplane",
+            "greedy_backplane",
+            "ilp_backplane",
+        ],
     )
     for L in l_values:
         config = replace(PAPER_WORKLOAD, num_sfcs=L)
@@ -57,27 +69,44 @@ def run(
             )
             appro = solve_with_rounding(instance, rng=rng).placement
             greedy = greedy_place(instance)
-            row = {
+            ilp = solve_ilp(instance, time_limit=ilp_time_limit)
+            return {
                 # Objective throughput (the figure's own axis label).
+                "ilp_gbps": ilp.objective,
                 "appro_gbps": appro.objective,
                 "greedy_gbps": greedy.objective,
                 "appro_backplane": appro.backplane_gbps,
                 "greedy_backplane": greedy.backplane_gbps,
+                "ilp_backplane": ilp.backplane_gbps,
             }
-            if include_ilp:
-                ilp = solve_ilp(instance, time_limit=ilp_time_limit)
-                row["ilp_gbps"] = ilp.objective
-                row["ilp_backplane"] = ilp.backplane_gbps
-            return row
 
         mean = mean_over_trials(run_trials(trial, trials, seed))
         result.add_row(num_sfcs=L, **mean)
-    result.notes.append(
-        "paper at L=60: 398 (IP) vs 377 (Appro) vs 367 (greedy) Gbps; IP "
-        "saturates capacity by ~50 SFCs"
-    )
+    missing = [row["num_sfcs"] for row in result.rows if row["ilp_gbps"] <= 0]
+    if missing:
+        result.notes.append(
+            f"ilp_gbps = 0 at L in {missing}: the HiGHS substitute found no "
+            "incumbent within the per-solve time limit (the paper's Fig. 9 "
+            "tight-limit behaviour; its Gurobi baseline has stronger primal "
+            "heuristics) — dominance is checked on the rows with incumbents"
+        )
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    run().print()
+def check(result: ExperimentResult) -> list[tuple[str, bool]]:
+    """Fig. 10's shape claims, as ``(claim, ok)`` pairs."""
+    ilp = np.array(result.column("ilp_gbps"))
+    appro = np.array(result.column("appro_gbps"))
+    greedy = np.array(result.column("greedy_gbps"))
+    # A time-limited ILP may end with no incumbent (objective 0, Fig. 9's
+    # tight-limit behaviour); dominance applies only where one exists.
+    has_incumbent = ilp > 0
+    return [
+        (
+            "IP >= Appro pointwise where IP found an incumbent (2% slack)",
+            has_incumbent.any()
+            and (appro[has_incumbent] <= ilp[has_incumbent] * 1.02 + 1e-6).all(),
+        ),
+        ("Appro >= greedy on average", appro.mean() >= greedy.mean() - 1e-6),
+        ("curves grow with L", appro[-1] >= appro[0] and greedy[-1] >= greedy[0]),
+    ]

@@ -28,6 +28,14 @@ from repro.traffic.flows import FlowGenerator
 #: The §VI-B chain.
 CHAIN = ("firewall", "traffic_classifier", "load_balancer", "router")
 
+#: The throughput models cost nothing, so every scale runs the paper's sweep.
+GRIDS = {"smoke": {}, "quick": {}, "paper": {}}
+
+PAPER = (
+    "SFP saturates the 100 Gbps sender at all packet sizes; DPDK is "
+    "pps-bound, >=10x slower at 64 B, line-rate only at 1500 B."
+)
+
 
 def build_demo_pipeline(seed: int | None = None) -> tuple[SwitchPipeline, SFCVirtualizer]:
     """A 4-stage pipeline with the Fig. 4 chain installed for tenant 1."""
@@ -106,5 +114,15 @@ def run(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    run().print()
+def check(result: ExperimentResult) -> list[tuple[str, bool]]:
+    """Fig. 4's shape claims, as ``(claim, ok)`` pairs."""
+    sizes = result.column("packet_bytes")
+    sfp = result.column("sfp_gbps")
+    dpdk = result.column("dpdk_gbps")
+    return [
+        ("sweep spans 64 B to 1500 B", sizes[0] == 64 and sizes[-1] == 1500),
+        ("SFP saturates 100 Gbps at every packet size", all(abs(v - 100) < 1e-6 for v in sfp)),
+        (">=10x speedup at 64 B (paper: 'at least 10 times')", result.rows[0]["speedup"] >= 10),
+        ("DPDK non-decreasing in packet size", all(a <= b + 1e-9 for a, b in zip(dpdk, dpdk[1:]))),
+        ("DPDK reaches line rate only at 1500 B", dpdk[-1] == 100 and max(dpdk[:-1]) < 100),
+    ]

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core.rounding import solve_with_rounding
 from repro.experiments.config import PAPER_SWITCH, PAPER_TRIALS, PAPER_WORKLOAD
 from repro.experiments.harness import ExperimentResult, mean_over_trials, run_trials
@@ -23,6 +25,18 @@ from repro.traffic.workload import make_instance
 #: Fig. 6 sweeps L in 10..50; "maximum recirculation time" is 3.
 L_VALUES = (10, 20, 30, 40, 50)
 MAX_RECIRCULATIONS = 3
+
+GRIDS = {
+    "smoke": {"l_values": (6, 24), "trials": 1},
+    "quick": {"l_values": (10, 20, 30), "trials": 1},
+    "paper": {},
+}
+
+PAPER = (
+    "Blocks saturate near 20/stage by L~15; throughput grows with L; SFP "
+    "slightly above the no-consolidation baseline in throughput and clearly "
+    "above in entry utilization (247.1 vs 227.0 Gbps at L=30)."
+)
 
 
 def run(
@@ -81,13 +95,19 @@ def run(
 
         mean = mean_over_trials(run_trials(trial, trials, seed))
         result.add_row(num_sfcs=L, **mean)
-    result.notes.append(
-        "paper: blocks ~20/stage by L=15; SFP slightly above baseline in "
-        "throughput (247.1 vs 227.0 Gbps at L=30) and clearly above in "
-        "entry utilization"
-    )
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    run().print()
+def check(result: ExperimentResult) -> list[tuple[str, bool]]:
+    """Fig. 6's shape claims, as ``(claim, ok)`` pairs."""
+    sfp = np.array(result.column("sfp_gbps"))
+    base = np.array(result.column("base_gbps"))
+    eu_gap = np.array(result.column("sfp_entry_util")) - np.array(
+        result.column("base_entry_util")
+    )
+    return [
+        ("throughput grows with L", sfp[-1] > sfp[0]),
+        ("SFP >= baseline on average", sfp.mean() >= base.mean() - 1e-6),
+        ("SFP entry utilization clearly higher", (eu_gap > 0).all()),
+        ("blocks approach the 20/stage bound", result.rows[-1]["sfp_blocks"] > 15),
+    ]

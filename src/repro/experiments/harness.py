@@ -51,10 +51,6 @@ class ExperimentResult:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
-    def print(self) -> None:  # noqa: A003 - deliberate, mirrors the harness CLI
-        """Print the formatted table to stdout."""
-        print(self.format_table())
-
 
 def run_trials(
     fn: Callable[[np.random.Generator], dict],

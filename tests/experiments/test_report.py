@@ -1,9 +1,9 @@
-"""Tests for the EXPERIMENTS.md generator (structure only; the heavy quick
-run is exercised by regenerating the real report)."""
+"""Tests for the EXPERIMENTS.md generator (structure only; every figure's
+smoke run is checked by ``test_figure_contract.py``)."""
 
 
 from repro.experiments import fig4_throughput
-from repro.experiments.report import FigureReport, _fig4, _fig5, _markdown_table
+from repro.experiments.report import FigureReport, _markdown_table, run_figure
 
 
 def test_markdown_table_shape():
@@ -16,14 +16,14 @@ def test_markdown_table_shape():
 
 
 def test_fig4_report_passes_checks():
-    report = _fig4(seed=1, quick=True)
+    report = run_figure(4, "quick", seed=1)
     assert report.ok, [c for c in report.checks if not c[1]]
     assert report.figure == "Fig. 4"
     assert "10x" in report.paper_claim or "10 times" in report.paper_claim
 
 
 def test_fig5_report_passes_checks():
-    report = _fig5(seed=1, quick=True)
+    report = run_figure(5, "quick", seed=1)
     assert report.ok
 
 

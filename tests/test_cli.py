@@ -400,11 +400,53 @@ def test_scenario_run_from_spec_file_with_wal(capsys, tmp_path):
     assert "fabric invariant: OK" in out
 
 
-def test_fig5_quick(capsys):
-    assert main(["fig5", "--quick", "--seed", "1"]) == 0
+def test_fig5_smoke(capsys):
+    assert main(["fig", "5", "--scale", "smoke", "--seed", "1"]) == 0
     out = capsys.readouterr().out
-    assert "fig5" in out
+    assert out.startswith("## Fig. 5 — PASS")
     assert "341" in out
+
+
+def test_fig_without_a_seed_prints_the_same_twice(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["fig", "11", "--scale", "smoke"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_fig_prints_its_report_section(capsys, monkeypatch):
+    """``sfp fig 10`` prints the section ``sfp report`` writes for Fig. 10.
+    Both read the session's smoke run, so the comparison is of what each
+    asks for (figure, scale, seed) and how it renders it."""
+    from repro.experiments import report
+    from tests.experiments.smoke import SEED, smoke_report
+
+    def cached(number, scale, seed):
+        assert (scale, seed) == ("smoke", SEED)
+        return smoke_report(number)
+
+    monkeypatch.setattr(report, "run_figure", cached)
+    monkeypatch.setattr(report, "FIGURES", {10: report.FIGURES[10]})
+    assert main(["fig", "10", "--scale", "smoke"]) == 0
+    section = capsys.readouterr().out
+    text = report.generate_report("smoke", SEED)
+    assert section.startswith("## Fig. 10 — PASS")
+    assert "\n" + section.rstrip("\n") + "\n\nAll shape checks passed." in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig", "12"], ["fig", "x"], ["fig", "5", "--scale", "full"],
+    ["report", "--scale", "full"],
+])
+def test_unknown_figure_or_scale_is_one_line(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # where a report would be written
+    assert main(argv) == 2
+    assert not list(tmp_path.iterdir())
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sfp: error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_serve_demo_mode_drives_the_front_end(capsys):

@@ -3,6 +3,8 @@
 * The serving path does not pay for the solver: importing the server, the
   fabric, the controller and the data plane loads no ``scipy`` module; the
   first ``solve()`` of the process does (DESIGN §14).
+* Importing the experiments' ``config`` (the paper switch and workload the
+  end-to-end benchmark serves) loads no figure runner.
 * The public surface is what something runs: every ``src/repro`` module is
   reached, by static import, from a CLI command, the HTTP server, an
   experiment, an example or the end-to-end benchmark.
@@ -65,6 +67,20 @@ def test_serving_imports_load_no_scipy_and_the_solver_still_solves():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_experiment_config_loads_no_figure_runner():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.experiments.config; "
+         "print([m for m in sys.modules if m.startswith('repro.experiments.fig')])"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _repro_modules() -> dict[str, Path]:
