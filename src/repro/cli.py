@@ -22,7 +22,8 @@ audit at every phase boundary.  ``sfp ha`` runs the high-availability
 roles: ``demo`` (an in-process kill-primary / failover drill), ``primary``
 / ``standby`` (a real two-process pair shipping WAL frames over TCP), and
 ``status`` (lease + log state of a cluster directory).  ``--quick``
-shrinks a synthesized churn stream to seconds.
+(``fabric`` and ``reoptimize``) shrinks a synthesized churn stream to
+seconds.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ from repro.errors import ReproError
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+
+
+def _add_quick(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--quick", action="store_true", help="shrunk sweep for a fast run"
+        "--quick", action="store_true",
+        help="shrink the synthesized churn stream to 5 s",
     )
 
 
@@ -714,6 +719,7 @@ def main(argv: list[str] | None = None) -> int:
              "and Prometheus export",
     )
     _add_common(p)
+    _add_quick(p)
     p.add_argument(
         "--switches", type=int, default=4, help="number of fabric switches"
     )
@@ -949,6 +955,7 @@ def main(argv: list[str] | None = None) -> int:
              "running frontend)",
     )
     _add_common(p)
+    _add_quick(p)
     p.add_argument(
         "--url", default=None, metavar="URL",
         help="POST /v1/reoptimize to a running `sfp serve` frontend "

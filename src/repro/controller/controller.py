@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable
 
-from repro.controller.admission import check_admission
+from repro.controller.admission import AdmissionDecision, check_admission
 from repro.controller.install import TransactionalInstaller
 from repro.core.greedy import _ensure_all_types, greedy_place, sfc_metric, try_place_chain
 from repro.core.placement import NFAssignment, Placement
@@ -67,6 +67,15 @@ def default_rule_factory(sfc: SFC, position: int, nf_name: str) -> tuple[TableEn
     observe which tables a packet traverses, without installing the full
     accounting-scale rule set."""
     return (TableEntry(match={}, action="permit", priority=-1),)
+
+
+def _duplicate(tenant_id: int) -> AdmissionDecision:
+    """The refusal of a second chain for a live tenant."""
+    return AdmissionDecision(
+        admitted=False,
+        reason="duplicate-tenant",
+        detail=f"tenant {tenant_id} already has a live chain",
+    )
 
 
 @dataclass
@@ -208,15 +217,24 @@ class SfcController:
         """Current metrics as one plain dict (see :mod:`.metrics`)."""
         return self.metrics.snapshot()
 
+    def screen(self, sfc: SFC) -> AdmissionDecision:
+        """The decision :meth:`admit` reaches before it places anything,
+        without running an op: the duplicate-tenant test, then the
+        admission screen against the live state.  Pure — no state, metric
+        or span changes — so the fabric asks it of every shard on the
+        ring and runs :meth:`admit` only where it passes; a refusal
+        carries the reason and detail :meth:`admit` would give."""
+        if sfc.tenant_id in self.tenants:
+            return _duplicate(sfc.tenant_id)
+        return check_admission(sfc, self.state)
+
     def can_host(self, sfc: SFC) -> bool:
         """Non-mutating feasibility probe: would :meth:`admit` accept this
-        chain right now?  Runs the admission screen and a trial placement,
-        then rolls the trial back — no tenant state, metrics, or data-plane
-        rules change.  The fabric's stitch planner uses this to screen
+        chain right now?  :meth:`screen`, then a trial placement that is
+        rolled back — no tenant state, metrics, or data-plane rules
+        change.  The fabric's stitch planner uses this to screen
         segment/switch candidates before committing any shard."""
-        if sfc.tenant_id in self.tenants:
-            return False
-        if not check_admission(sfc, self.state):
+        if not self.screen(sfc):
             return False
         snap = self.state.snapshot()
         stages = try_place_chain(self.state, sfc, self.base.virtual_stages)
@@ -451,9 +469,9 @@ class SfcController:
 
     def _admit(self, sfc: SFC, timer: Timer) -> OpResult:
         if sfc.tenant_id in self.tenants:
+            duplicate = _duplicate(sfc.tenant_id)
             return self._reject(
-                sfc.tenant_id, "admit", "duplicate-tenant",
-                f"tenant {sfc.tenant_id} already has a live chain", timer,
+                sfc.tenant_id, "admit", duplicate.reason, duplicate.detail, timer
             )
         return self._commit_chain(
             sfc, self.state.snapshot(), None,

@@ -24,9 +24,12 @@ from on-disk corruption, or an LSN discontinuity all end the prefix).  The
 recovery engine therefore always sees a clean, gap-free sequence of records.
 
 Compaction (:meth:`compact`, driven by checkpoints) atomically rewrites the
-log keeping only records past the checkpoint LSN.  LSNs survive compaction:
-the first line of every log file is a ``_header`` record carrying the base
-LSN the file continues from.
+log keeping only records past the checkpoint LSN.  It copies their bytes as
+they are — the log knows where each line it wrote or validated ends — so a
+record corrupted on disk after it was written stays in the file for the
+next open to find, instead of ending the kept tail silently.  LSNs survive
+compaction: the first line of every log file is a ``_header`` record
+carrying the base LSN the file continues from.
 
 The log is **thread-safe** and implements **leader-based group commit**:
 concurrent committers under ``fsync="always"`` each append under the log
@@ -58,6 +61,7 @@ import json
 import os
 import threading
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -100,6 +104,15 @@ class WalRecord:
         return f'{{"crc":{crc},"rec":{body}}}\n'.encode("utf-8")
 
 
+def _header_line(base_lsn: int) -> bytes:
+    """The first line of a log file continuing from ``base_lsn``."""
+    return WalRecord(
+        lsn=base_lsn,
+        op=HEADER_OP,
+        data={"version": WAL_VERSION, "base_lsn": base_lsn},
+    ).to_line()
+
+
 def _canonical(payload: object) -> str:
     """Canonical JSON: sorted keys, no whitespace — the CRC's input."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -116,6 +129,8 @@ class WalScan:
     problems: tuple[str, ...]
     #: Format version the file's header declares.
     version: int = WAL_VERSION
+    #: Byte offset past each valid line, the header's first.
+    ends: tuple[int, ...] = ()
 
     @property
     def last_lsn(self) -> int:
@@ -139,6 +154,7 @@ def scan_wal(path: str | Path) -> WalScan:
     base_lsn: int | None = None
     version = WAL_VERSION
     records: list[WalRecord] = []
+    ends: list[int] = []
     problems: list[str] = []
     last_lsn = 0
     while offset < len(raw):
@@ -171,6 +187,7 @@ def scan_wal(path: str | Path) -> WalScan:
             records.append(record)
             last_lsn = record.lsn
         offset = newline + 1
+        ends.append(offset)
     if base_lsn is None:
         # Header unreadable: nothing in the file can be trusted.
         return WalScan(0, (), 0, len(raw), tuple(problems))
@@ -181,6 +198,7 @@ def scan_wal(path: str | Path) -> WalScan:
         dropped_bytes=len(raw) - offset,
         problems=tuple(problems),
         version=version,
+        ends=tuple(ends),
     )
 
 
@@ -262,6 +280,9 @@ class WriteAheadLog:
         self.truncated_bytes = scan.dropped_bytes
         self._base_lsn = scan.base_lsn
         self.last_lsn = scan.last_lsn
+        #: Byte offset past each line in the file: the header's, then that
+        #: of record ``_base_lsn + k`` at index ``k`` — where compaction cuts.
+        self._ends = array("q", scan.ends)
         if scan.dropped_bytes and self.path.exists():
             with self.path.open("r+b") as fh:
                 fh.truncate(scan.good_offset)
@@ -301,15 +322,12 @@ class WriteAheadLog:
             self.fault_hook(site)
 
     def _write_header(self, base_lsn: int) -> None:
-        line = WalRecord(
-            lsn=base_lsn,
-            op=HEADER_OP,
-            data={"version": WAL_VERSION, "base_lsn": base_lsn},
-        ).to_line()
+        line = _header_line(base_lsn)
         self._fh.write(line)
         self._fh.flush()
         self._offset += len(line)
         self._base_lsn = base_lsn
+        self._ends = array("q", [self._offset])
 
     # ------------------------------------------------------------------
     def append(self, op: str, data: dict) -> WalRecord:
@@ -339,6 +357,7 @@ class WriteAheadLog:
             # so a hot loop pays one write syscall per batch, not per record.
             self._fh.write(line)
             self._offset += len(line)
+            self._ends.append(self._offset)
             self.last_lsn = record.lsn
             self.appended += 1
             target = self._offset
@@ -421,25 +440,22 @@ class WriteAheadLog:
     def compact(self, upto_lsn: int) -> int:
         """Drop records with ``lsn <= upto_lsn`` (they are covered by a
         checkpoint), preserving LSN continuity via the file header.  The
+        kept records' bytes are copied unparsed behind the new header; the
         rewrite is atomic (tmp + rename + fsync).  Returns the number of
         records dropped."""
         with self._cv:
             self._fh.flush()
-            scan = scan_wal(self.path)
-            keep = [r for r in scan.records if r.lsn > upto_lsn]
-            dropped = len(scan.records) - len(keep)
-            base = max(scan.base_lsn, min(upto_lsn, self.last_lsn))
+            base = max(self._base_lsn, min(upto_lsn, self.last_lsn))
+            dropped = base - self._base_lsn
+            cut = self._ends[dropped]
+            with self.path.open("rb") as src:
+                src.seek(cut)
+                kept = src.read(self._offset - cut)
+            header = _header_line(base)
             tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             with tmp.open("wb") as fh:
-                fh.write(
-                    WalRecord(
-                        lsn=base,
-                        op=HEADER_OP,
-                        data={"version": WAL_VERSION, "base_lsn": base},
-                    ).to_line()
-                )
-                for record in keep:
-                    fh.write(record.to_line())
+                fh.write(header)
+                fh.write(kept)
                 fh.flush()
                 os.fsync(fh.fileno())
             self._fh.close()
@@ -451,7 +467,11 @@ class WriteAheadLog:
             self._hook("wal.compact.after-rename")
             _fsync_dir(self.path.parent)
             self._fh = self.path.open("ab")
-            self._offset = self.path.stat().st_size
+            shift = len(header) - cut
+            self._ends = array(
+                "q", [len(header)] + [end + shift for end in self._ends[dropped + 1:]]
+            )
+            self._offset = len(header) + len(kept)
             self._durable_offset = self._offset
             self._since_sync = 0
             self._base_lsn = base

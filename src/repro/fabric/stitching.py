@@ -92,13 +92,21 @@ def plan_stitch(
     Split points are tried fold-boundaries-first; for each cut, head hosts
     follow the partitioner's preference ``order`` and tail hosts must be
     *adjacent* to the head with enough residual link capacity for the
-    tenant's bandwidth.  Those tails are worked out once per call, and a
-    head with none is never probed.  All probes are non-mutating
-    (``can_host``), so a failed search leaves no trace on any shard.
+    tenant's bandwidth.  Heads and tails come only from the shards with
+    backplane room for one pass of the tenant — every segment needs at
+    least one, so ``can_host`` would refuse the others.  Those tails are
+    worked out once per call, a head with none is never probed, and with
+    no linked pair of such shards no split is built.  All probes are
+    non-mutating (``can_host``), so a failed search leaves no trace on any
+    shard.
     """
     if sfc.length < 2 or len(order) < 2:
         return None
-    rank = {name: i for i, name in enumerate(order)}
+    rank = {
+        name: i
+        for i, name in enumerate(order)
+        if fabric.shards[name].state.backplane_fits(sfc.bw_bps)
+    }
     tails: dict[str, list[str]] = {}
     for (a, b), link in fabric.links.items():
         if a in rank and b in rank and link.fits(sfc.bw_bps):

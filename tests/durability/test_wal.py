@@ -14,7 +14,7 @@ from repro.durability import (
     scan_wal,
     tear_tail,
 )
-from repro.durability.wal import HEADER_OP
+from repro.durability.wal import HEADER_OP, WAL_VERSION
 from repro.errors import DurabilityError
 
 
@@ -182,6 +182,66 @@ def test_compact_everything_leaves_base_at_last_lsn(tmp_path):
     assert wal.last_lsn == 3
     assert wal.append("admit", {}).lsn == 4
     wal.close()
+
+
+def _rewrite_oracle(path, upto_lsn: int) -> bytes:
+    """What compaction wrote when it parsed the log and re-encoded what it
+    kept: a header at the new base, then each kept record's line."""
+    scan = scan_wal(path)
+    base = max(scan.base_lsn, min(upto_lsn, scan.last_lsn))
+    header = WalRecord(
+        lsn=base, op=HEADER_OP, data={"version": WAL_VERSION, "base_lsn": base}
+    ).to_line()
+    return header + b"".join(r.to_line() for r in scan.records if r.lsn > upto_lsn)
+
+
+@pytest.mark.parametrize("where", ["base", "middle", "last"])
+def test_compaction_output_matches_a_parse_and_rewrite(tmp_path, where):
+    wal = open_wal(tmp_path, fsync="off", epoch=3)
+    for t in range(4):
+        wal.append("admit", {"tenant_id": t, "bw": t / 3, "name": f"t\u00e9{t}"})
+    wal.compact(upto_lsn=2)  # a nonzero base to compact from again
+    for _round in range(2):
+        for t in range(5):
+            wal.append("modify", {"tenant_id": t, "nested": {"z": [t, None], "a": 1.5}})
+        wal.sync()
+        upto = {
+            "base": wal._base_lsn,
+            "middle": (wal._base_lsn + wal.last_lsn) // 2,
+            "last": wal.last_lsn,
+        }[where]
+        expected = _rewrite_oracle(wal.path, upto)
+        before = len(wal.records())
+        dropped = wal.compact(upto_lsn=upto)
+        assert wal.path.read_bytes() == expected
+        assert len(wal.records()) == before - dropped
+        assert wal.offset == len(expected)
+    wal.append("evict", {"tenant_id": 0})
+    wal.close()
+    reopened = open_wal(tmp_path)
+    assert reopened.open_problems == ()
+    assert [r.lsn for r in reopened.records()][-1] == reopened.last_lsn == 15
+    reopened.close()
+
+
+def test_compaction_keeps_a_corrupt_record_for_the_next_open_to_report(tmp_path):
+    wal = open_wal(tmp_path, fsync="off")
+    for t in range(6):
+        wal.append("admit", {"tenant_id": t})
+    wal.sync()
+    # Silent on-disk corruption of record 5, in the tail compaction keeps.
+    raw = bytearray(wal.path.read_bytes())
+    lines = raw.split(b"\n")
+    at = sum(len(line) + 1 for line in lines[:5]) + len(lines[5]) // 2
+    raw[at] ^= 0x10
+    wal.path.write_bytes(bytes(raw))
+    assert wal.compact(upto_lsn=3) == 3
+    wal.close()
+    reopened = open_wal(tmp_path)
+    assert any("invalid record" in p for p in reopened.open_problems)
+    assert reopened.truncated_bytes > 0
+    assert reopened.last_lsn == 4  # records 5 and 6 are gone, and it says so
+    reopened.close()
 
 
 def test_record_line_format_is_crc_enveloped_jsonl(tmp_path):

@@ -44,6 +44,14 @@ def test_place_appro(capsys):
     assert "feasibility: OK" in capsys.readouterr().out
 
 
+def test_quick_is_an_error_where_nothing_reads_it(capsys):
+    """Only ``fabric`` and ``reoptimize`` shrink a churn stream."""
+    with pytest.raises(SystemExit) as exc:
+        main(["place", "--quick"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
+
+
 def test_one_switch_fabric_replays_churn(capsys):
     assert main(["fabric", "--quick", "--seed", "11", "--switches", "1"]) == 0
     out = capsys.readouterr().out
